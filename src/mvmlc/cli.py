@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -40,12 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-_CONFIG_FLAGS = (
-    "epochs", "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-    "alpha", "beta", "gamma", "tau_s", "tau_l", "mask_ratio",
-    "embed_dim", "hidden_dim", "batch_size", "seed", "label_gate_mode",
-)
 
 ABLATION_GRID = (
     (0, 0, 0),  # backbone only
@@ -133,7 +127,7 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
-    """Defaults < config file < explicit flags."""
+    """Defaults < config file < explicit flags (each flag's dest is its field)."""
     values = TrainConfig().to_dict()
     if args.config is not None:
         with open(args.config) as fh:
@@ -145,10 +139,10 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
         values.update(from_file)
-    for name in _CONFIG_FLAGS + ("fixed_mask",):
-        flag = getattr(args, name, None)
+    for f in fields(TrainConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
+            values[f.name] = flag
     return TrainConfig(**values)
 
 
@@ -184,11 +178,18 @@ def _write_report(report: MetricsReport, out: Path) -> None:
         MetricsReport.csv_header() + "\n" + report.to_csv_row() + "\n")
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.n < 1 or args.views < 1 or args.labels < 1:
         raise ConfigError("--n, --views and --labels must all be >= 1")
     if args.dims:
-        parts = [int(x) for x in args.dims.split(",")]
+        parts = _int_list(args.dims, "--dims")
         dims = tuple(parts) if len(parts) > 1 else parts[0]
     else:
         dims = 32
@@ -289,7 +290,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         return EXIT_OK
     if not args.snapshots:
         raise ConfigError("heatmap needs --snapshots (training snapshots) or --checkpoint")
-    epochs = tuple(int(x) for x in args.snapshots.split(","))
+    epochs = tuple(_int_list(args.snapshots, "--snapshots"))
     dataset = load_dataset(args.manifest)
     config = build_train_config(args)
     train_data, _ = _prepare_protocol(dataset, args, config.seed)

@@ -343,9 +343,9 @@ def save_dataset(dataset: MultiViewDataset, out_dir: Path | str) -> Path:
 def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     """Load a dataset from a JSON manifest.
 
-    Relative file paths resolve against the manifest's directory.  Missing
-    indicator entries default to all ones; the zero-fill convention is
-    applied on load.
+    Relative file paths resolve against the manifest's directory.  The
+    indicator files (all ones when omitted) are composed into the complete
+    data by :func:`apply_indicators`, which zero-fills what they hide.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
@@ -353,41 +353,30 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"manifest {manifest_path}: invalid JSON ({exc})") from None
-    if not isinstance(manifest, dict) or "views" not in manifest or "labels" not in manifest:
-        raise ValidationError(f"manifest {manifest_path}: needs 'views' and 'labels' fields")
+    indicators = ("view_indicator", "label_indicator")
+    files = manifest.get("views") if isinstance(manifest, dict) else None
+    if not (isinstance(files, list) and files and "labels" in manifest
+            and all(isinstance(f, str) for f in
+                    files + [manifest["labels"]] + [manifest.get(k, "") for k in indicators])):
+        raise ValidationError(f"manifest {manifest_path}: needs 'views', a non-empty list of "
+                              "file names, and 'labels' (and any indicator) as a file name")
     base = manifest_path.parent
 
     labels = _read_matrix_csv(base / manifest["labels"], "labels")
     n = labels.shape[0]
     views = []
-    for m, rel in enumerate(manifest["views"]):
+    for m, rel in enumerate(files):
         view = _read_matrix_csv(base / rel, f"view {m}")
         if view.shape[0] != n:
             raise ValidationError(f"view file {rel} has {view.shape[0]} rows, labels have {n}")
         views.append(view)
-
-    if "view_indicator" in manifest:
-        view_indicator = _read_matrix_csv(base / manifest["view_indicator"], "view indicator")
-        _check_binary(view_indicator, f"view indicator ({manifest['view_indicator']})")
-    else:
-        view_indicator = np.ones((n, len(views)))
-    if "label_indicator" in manifest:
-        label_indicator = _read_matrix_csv(base / manifest["label_indicator"], "label indicator")
-        _check_binary(label_indicator, f"label indicator ({manifest['label_indicator']})")
-    else:
-        label_indicator = np.ones_like(labels)
-    _check_binary(labels, f"labels ({manifest['labels']})")
-
-    if view_indicator.shape != (n, len(views)):
-        raise ValidationError(
-            f"view indicator shape {view_indicator.shape} != ({n}, {len(views)})")
-    if label_indicator.shape != labels.shape:
-        raise ValidationError(
-            f"label indicator shape {label_indicator.shape} != {labels.shape}")
-
-    # zero-fill enforced on load
-    views = [v * view_indicator[:, m:m + 1] for m, v in enumerate(views)]
-    labels = labels * label_indicator
-    return MultiViewDataset(views=views, labels=labels, view_indicator=view_indicator,
-                            label_indicator=label_indicator,
-                            name=str(manifest.get("name", manifest_path.stem)))
+    masks = [_read_matrix_csv(base / manifest[k], k.replace("_", " ")) if k in manifest else None
+             for k in indicators]
+    try:
+        complete = MultiViewDataset(views=views, labels=labels,
+                                    view_indicator=np.ones((n, len(views))),
+                                    label_indicator=np.ones_like(labels),
+                                    name=str(manifest.get("name", manifest_path.stem)))
+        return apply_indicators(complete, *masks)
+    except (ShapeError, ValidationError) as exc:
+        raise ValidationError(f"manifest {manifest_path}: {exc}") from None

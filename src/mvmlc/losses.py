@@ -21,7 +21,7 @@ clamped away from 0/1 before the logs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -184,6 +184,17 @@ def classification_loss(scores: Matrix, labels: Array, label_indicator: Array) -
     return (ll * Matrix(label_indicator)).sum() * (-1.0 / (n * c))
 
 
+# Logged loss columns and the LossBreakdown field each one reads, in
+# train_log.csv order.
+COMPONENTS = (
+    ("loss_recon", "reconstruction"),
+    ("loss_instance", "instance_contrast"),
+    ("loss_label", "label_contrast"),
+    ("loss_classify", "classification"),
+    ("loss_total", "total"),
+)
+
+
 @dataclass
 class LossBreakdown:
     """Scalar values of each term plus the weights that combined them."""
@@ -200,13 +211,18 @@ class LossBreakdown:
     label_skipped: int = 0
 
     def components(self) -> dict[str, float]:
-        return {
-            "loss_classify": self.classification,
-            "loss_instance": self.instance_contrast,
-            "loss_label": self.label_contrast,
-            "loss_recon": self.reconstruction,
-            "loss_total": self.total,
-        }
+        return {column: getattr(self, name) for column, name in COMPONENTS}
+
+    @classmethod
+    def weighted_mean(cls, parts: list[tuple[float, "LossBreakdown"]]) -> "LossBreakdown":
+        """Weighted mean of the components of (weight, breakdown) pairs; skipped
+        anchors add up, alpha/beta/gamma come from the first.  Sums start at
+        -0.0, the additive identity, so one part of weight 1 passes unchanged."""
+        means = {name: sum((w * getattr(b, name) for w, b in parts), -0.0)
+                 for _, name in COMPONENTS}
+        return replace(parts[0][1], **means,
+                       instance_skipped=sum(b.instance_skipped for _, b in parts),
+                       label_skipped=sum(b.label_skipped for _, b in parts))
 
 
 def total_loss(

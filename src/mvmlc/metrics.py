@@ -19,8 +19,9 @@ from .errors import ContractError, ValidationError
 
 Array = np.ndarray
 
-CSV_COLUMNS = ("ap", "one_minus_hl", "one_minus_rl", "auc", "oe", "cov",
-               "n_samples", "n_labels", "seed", "epoch")
+# The six metrics, in report, metrics.csv and train_log.csv order.
+METRICS = ("ap", "one_minus_hl", "one_minus_rl", "auc", "oe", "cov")
+CSV_COLUMNS = METRICS + ("n_samples", "n_labels", "seed", "epoch")
 
 
 def _validate(scores, labels) -> tuple[Array, Array]:
@@ -176,14 +177,13 @@ class MetricsReport:
     auc_mode: str = "macro"
 
     def __post_init__(self) -> None:
-        for name in ("ap", "one_minus_hl", "one_minus_rl", "auc", "oe", "cov"):
+        for name in METRICS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ContractError(f"metric {name}={value} outside [0, 1]")
 
     def to_text(self) -> str:
-        lines = [f"{k} {getattr(self, k)!r}" for k in ("ap", "one_minus_hl", "one_minus_rl",
-                                                       "auc", "oe", "cov")]
+        lines = [f"{k} {getattr(self, k)!r}" for k in METRICS]
         lines.append(f"n_samples {self.n_samples}")
         lines.append(f"n_labels {self.n_labels}")
         lines.append(f"auc_mode {self.auc_mode}")
@@ -198,11 +198,10 @@ class MetricsReport:
         return ",".join(CSV_COLUMNS)
 
     def to_csv_row(self) -> str:
-        cells = [repr(self.ap), repr(self.one_minus_hl), repr(self.one_minus_rl),
-                 repr(self.auc), repr(self.oe), repr(self.cov),
-                 str(self.n_samples), str(self.n_labels),
-                 "" if self.seed is None else str(self.seed),
-                 "" if self.epoch is None else str(self.epoch)]
+        cells = [repr(getattr(self, k)) for k in METRICS]
+        cells += [str(self.n_samples), str(self.n_labels),
+                  "" if self.seed is None else str(self.seed),
+                  "" if self.epoch is None else str(self.epoch)]
         return ",".join(cells)
 
 

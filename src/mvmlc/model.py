@@ -275,26 +275,30 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from None
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"checkpoint {path}: unsupported version {doc.get('version')!r}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
     try:
         view_dims = tuple(int(d) for d in doc["view_dims"])
         params = ModelParams.initialize(
             np.random.default_rng(0), view_dims, int(doc["n_labels"]),
             int(doc["embed_dim"]), int(doc["hidden_dim"]))
         stored = doc["parameters"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"checkpoint {path}: missing field {exc}") from None
+        meta = {k: doc[k] for k in ("seed", "epoch", "config", "view_dims", "n_labels",
+                                    "embed_dim", "hidden_dim")}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"checkpoint {path}: missing or malformed field ({exc!r})") from None
     expected = params.named_parameters()
-    if set(stored) != {name for name, _ in expected}:
+    if not isinstance(stored, dict) or set(stored) != {name for name, _ in expected}:
         raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")
     for name, p in expected:
-        entry = stored[name]
-        shape = tuple(entry["shape"])
+        try:
+            shape = tuple(stored[name]["shape"])
+            values = np.asarray(stored[name]["values"], dtype=np.float64).reshape(shape)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"checkpoint {path}: {name} is malformed ({exc!r})") from None
         if shape != p.shape:
             raise ValidationError(
                 f"checkpoint {path}: {name} has shape {shape}, expected {p.shape}")
-        p.value[...] = np.asarray(entry["values"], dtype=np.float64).reshape(shape)
-    meta = {k: doc[k] for k in ("seed", "epoch", "config", "view_dims", "n_labels",
-                                "embed_dim", "hidden_dim")}
+        p.value[...] = values
     return params, meta

@@ -9,11 +9,13 @@ finite-difference audit is provided by :func:`gradient_check`.
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
 threads safe.  Recording only happens while a tape is active, so inference
-code pays no graph overhead.
+code pays no graph overhead; the active tape is local to each thread (and
+each ``contextvars`` context), so concurrent trainings never share one.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,12 +25,13 @@ from .errors import ContractError, ShapeError
 
 Array = np.ndarray
 
-# Stack of active tapes; ops record onto the innermost one.
-_TAPE_STACK: list["Tape"] = []
+# Stack of active tapes of this thread; ops record onto the innermost one.
+_TAPE_STACK: ContextVar[tuple["Tape", ...]] = ContextVar("mvmlc_tape_stack", default=())
 
 
 def _active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    stack = _TAPE_STACK.get()
+    return stack[-1] if stack else None
 
 
 class Tape:
@@ -45,11 +48,11 @@ class Tape:
         ] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.pop()
+        _TAPE_STACK.set(_TAPE_STACK.get()[:-1])
 
     def __len__(self) -> int:
         return len(self._records)

@@ -14,18 +14,19 @@ config) pair fully determines the trajectory.
 
 from __future__ import annotations
 
-import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import losses as ls
 from .data import MaskBank, MultiViewDataset
 from .errors import ConfigError, ContractError
-from .losses import LossBreakdown, cosine_sim01, label_availability_gate, total_loss
-from .metrics import MetricsReport, evaluate_all
+from .losses import COMPONENTS, LossBreakdown, cosine_sim01, label_availability_gate, total_loss
+from .metrics import METRICS, MetricsReport, evaluate_all
 from .model import ModelParams, forward_all
 from .numerics import Matrix, Tape, backward
 
@@ -53,6 +54,11 @@ class TrainConfig:
     label_gate_mode: str = "view"  # denominator gate of the label contrast
 
     def __post_init__(self) -> None:
+        accepted = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
+        for f in fields(self):  # bool is an int, so only a bool field takes one
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -87,24 +93,18 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def csv_lines(self, include_timing: bool = False) -> list[str]:
-        header = ["epoch", "loss_recon", "loss_instance", "loss_label", "loss_classify", "loss_total"]
+        header = ["epoch"] + [column for column, _ in COMPONENTS]
         has_reports = any(r.report is not None for r in self.records)
         if has_reports:
-            header += ["ap", "one_minus_hl", "one_minus_rl", "auc", "oe", "cov"]
+            header += list(METRICS)
         if include_timing:
             header.append("wall_ms")
         lines = [",".join(header)]
         for r in self.records:
-            b = r.losses
-            cells = [str(r.epoch), repr(b.reconstruction), repr(b.instance_contrast),
-                     repr(b.label_contrast), repr(b.classification), repr(b.total)]
+            cells = [str(r.epoch)] + [repr(v) for v in r.losses.components().values()]
             if has_reports:
-                if r.report is None:
-                    cells += [""] * 6
-                else:
-                    m = r.report
-                    cells += [repr(m.ap), repr(m.one_minus_hl), repr(m.one_minus_rl),
-                              repr(m.auc), repr(m.oe), repr(m.cov)]
+                cells += [repr(getattr(r.report, k)) if r.report is not None else ""
+                          for k in METRICS]
             if include_timing:
                 cells.append(repr(r.wall_ms))
             lines.append(",".join(cells))
@@ -208,14 +208,11 @@ def _epoch_losses(
                       instance_skipped=inst_skipped, label_skipped=lab_skipped)
 
 
-def _check_finite(breakdown: LossBreakdown, epoch: int) -> None:
-    for name, value in (("classification", breakdown.classification),
-                        ("instance_contrast", breakdown.instance_contrast),
-                        ("label_contrast", breakdown.label_contrast),
-                        ("reconstruction", breakdown.reconstruction),
-                        ("total", breakdown.total)):
-        if not math.isfinite(value):
-            raise ContractError(f"epoch {epoch}: loss component '{name}' is {value}")
+def _check_finite(epoch: int, what: str, named: Iterable[tuple[str, float | Array]]) -> None:
+    """Abort on the first non-finite loss component or gradient, by name."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise ContractError(f"epoch {epoch}: {what} '{name}' is not finite")
 
 
 def train(
@@ -237,7 +234,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, dataset.view_dims, dataset.n_labels,
                                     config.embed_dim, config.hidden_dim)
-    leaves = params.parameters()
+    names, leaves = zip(*params.named_parameters())
     state = AdamState.initialize(leaves)
     full_gate = label_availability_gate(dataset.label_indicator, dataset.view_indicator)
 
@@ -269,28 +266,13 @@ def train(
             batch_gate = full_gate if len(rows) == n else full_gate[rows]
             with Tape() as tape:
                 combined, breakdown = _epoch_losses(params, batch, batch_bank, batch_gate, config)
-                _check_finite(breakdown, epoch)
+                _check_finite(epoch, "loss component", breakdown.components().items())
                 grads = backward(tape, combined, leaves)
+            _check_finite(epoch, "gradient of", zip(names, grads))
             adam_step(leaves, grads, state, config.learning_rate,
                       config.adam_beta1, config.adam_beta2, config.adam_eps)
             collected.append((len(rows) / n, breakdown))
-        if len(collected) == 1:
-            epoch_losses = collected[0][1]
-        else:
-            # sample-weighted mean of the per-batch breakdowns
-            def avg(pick) -> float:
-                return sum(w * pick(b) for w, b in collected)
-            epoch_losses = replace(
-                collected[0][1],
-                classification=avg(lambda b: b.classification),
-                instance_contrast=avg(lambda b: b.instance_contrast),
-                label_contrast=avg(lambda b: b.label_contrast),
-                reconstruction=avg(lambda b: b.reconstruction),
-                total=avg(lambda b: b.total),
-                instance_skipped=sum(b.instance_skipped for _, b in collected),
-                label_skipped=sum(b.label_skipped for _, b in collected),
-            )
-
+        epoch_losses = LossBreakdown.weighted_mean(collected)
         wall_ms = (time.perf_counter() - started) * 1000.0
         report = None
         if eval_every and eval_data is not None and epoch % eval_every == 0:

@@ -186,3 +186,87 @@ class TestHeatmap:
                      "--out", str(tmp_path / "h")])
         assert code == EXIT_USAGE
         capsys.readouterr()
+
+
+def _edit_json(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def _malformed_checkpoint(drop_from):
+    """Train a checkpoint, then corrupt the first hidden weight's entry."""
+    def setup(data, tmp):
+        main(train_args(data / "manifest.json", tmp / "run"))
+        ckpt = tmp / "run" / "checkpoint.json"
+        _edit_json(ckpt, lambda d: drop_from(d["parameters"]["shared_encoder.0.hidden.weight"]))
+        return ["eval", "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.json")]
+    return setup
+
+
+def _checkpoint_text(text):
+    def setup(data, tmp):
+        (tmp / "checkpoint.json").write_text(text)
+        return ["eval", "--checkpoint", str(tmp / "checkpoint.json"),
+                "--manifest", str(data / "manifest.json")]
+    return setup
+
+
+def _config_file(tmp, doc):
+    (tmp / "cfg.json").write_text(json.dumps(doc))
+    return str(tmp / "cfg.json")
+
+
+def _manifest_views_string(data, tmp):
+    _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
+    return train_args(data / "manifest.json", tmp / "run")
+
+
+# (malformed input, argv built from the dataset and a scratch directory,
+#  exit code, text the error message must contain)
+MALFORMED_INPUTS = [
+    ("synth dims not integers",
+     lambda data, tmp: ["synth", "--n", "5", "--views", "2", "--labels", "2",
+                        "--dims", "x", "--out", str(tmp / "s")],
+     EXIT_USAGE, "--dims"),
+    ("heatmap snapshots not integers",
+     lambda data, tmp: ["heatmap", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "h"), "--snapshots", "0,x"],
+     EXIT_USAGE, "--snapshots"),
+    ("config value of the wrong type",
+     lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "run"), "--config", _config_file(tmp, {"epochs": "5"})],
+     EXIT_USAGE, "epochs"),
+    ("config bool for an int field",
+     lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "run"), "--config", _config_file(tmp, {"seed": True})],
+     EXIT_USAGE, "seed"),
+    ("checkpoint values shorter than shape",
+     _malformed_checkpoint(lambda p: p["values"].pop()),
+     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
+    ("checkpoint parameter without shape",
+     _malformed_checkpoint(lambda p: p.pop("shape")),
+     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
+    ("checkpoint not a JSON object", _checkpoint_text("[1, 2]"), EXIT_VALIDATION, "checkpoint"),
+    ("checkpoint parameters not an object",
+     _checkpoint_text('{"version": 1, "view_dims": [5, 6], "n_labels": 3, "embed_dim": 4, '
+                      '"hidden_dim": 6, "seed": 0, "epoch": 1, "config": {}, "parameters": 7}'),
+     EXIT_VALIDATION, "parameter set"),
+    ("checkpoint view widths not integers",
+     _checkpoint_text('{"version": 1, "view_dims": ["x"], "n_labels": 3, "embed_dim": 4, '
+                      '"hidden_dim": 6, "parameters": {}}'),
+     EXIT_VALIDATION, "malformed field"),
+    ("manifest views not a list",
+     _manifest_views_string,
+     EXIT_VALIDATION, "manifest.json"),
+]
+
+
+@pytest.mark.parametrize("what,argv,code,names", MALFORMED_INPUTS,
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_maps_to_exit_code(dataset_dir, tmp_path, capsys, what, argv, code, names):
+    args = argv(dataset_dir, tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,39 @@ class TestManifestRoundTrip:
         (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n")
         with pytest.raises(ValidationError, match=r"row 2, col 1"):
             load_dataset(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("field,value", [
+        ("views", "view_0.csv"),
+        ("views", []),
+        ("views", ["view_0.csv", 1]),
+        ("labels", ["labels.csv"]),
+        ("view_indicator", 3),
+    ])
+    def test_malformed_manifest_structure_names_manifest(self, tmp_path, field, value):
+        save_dataset(tiny_dataset(n=4), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[field] = value
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="manifest.json"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("view_indicator.csv", "1,1\n1,2\n1,1\n1,1\n", "view indicator: entry at row 1, col 1"),
+        ("view_indicator.csv", "1,1,1\n" * 4, r"view indicator shape \(4, 3\)"),
+        ("label_indicator.csv", "1,1\n" * 4, r"label indicator shape \(4, 2\)"),
+        ("view_indicator.csv", "1,0\n0,0\n1,1\n1,1\n", "sample 1 has no available view"),
+    ])
+    def test_bad_indicator_file_is_rejected_naming_manifest(self, tmp_path, name, text, message):
+        save_dataset(tiny_dataset(n=4), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc[name.removesuffix(".csv")] = name
+        manifest.write_text(json.dumps(doc))
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValidationError, match=message) as info:
+            load_dataset(manifest)
+        assert str(info.value).startswith(f"manifest {manifest}: ")
 
     def test_missing_manifest_is_os_error(self, tmp_path):
         with pytest.raises(OSError):

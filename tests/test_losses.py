@@ -5,6 +5,7 @@ import pytest
 
 from mvmlc.errors import ConfigError, ShapeError
 from mvmlc.losses import (
+    LossBreakdown,
     classification_loss,
     cosine_sim01,
     instance_contrastive,
@@ -286,6 +287,33 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             total_loss(Matrix(1.0), Matrix(1.0), Matrix(1.0), Matrix(1.0), -0.1, 0.0, 0.0)
+
+
+def _breakdown(value, skipped=0, alpha=0.1):
+    return LossBreakdown(classification=value, instance_contrast=2 * value,
+                         label_contrast=3 * value, reconstruction=4 * value,
+                         alpha=alpha, beta=0.2, gamma=0.3, total=5 * value,
+                         instance_skipped=skipped, label_skipped=2 * skipped)
+
+
+class TestLossBreakdown:
+    def test_components_are_the_log_columns_in_order(self):
+        assert list(_breakdown(1.0).components().items()) == [
+            ("loss_recon", 4.0), ("loss_instance", 2.0), ("loss_label", 3.0),
+            ("loss_classify", 1.0), ("loss_total", 5.0)]
+
+    def test_single_full_weight_part_is_unchanged_bitwise(self):
+        for value in (0.1 + 0.2, -0.0, 1e-300):
+            part = _breakdown(value, skipped=3)
+            assert repr(LossBreakdown.weighted_mean([(1.0, part)])) == repr(part)
+
+    def test_weighted_mean_of_parts(self):
+        mean = LossBreakdown.weighted_mean([(0.25, _breakdown(4.0, 1, alpha=0.5)),
+                                            (0.75, _breakdown(8.0, 2, alpha=0.9))])
+        assert mean.components() == {"loss_recon": 28.0, "loss_instance": 14.0,
+                                     "loss_label": 21.0, "loss_classify": 7.0,
+                                     "loss_total": 35.0}
+        assert (mean.instance_skipped, mean.label_skipped, mean.alpha) == (3, 6, 0.5)
 
 
 class TestPermutationEquivariance:

@@ -1,3 +1,7 @@
+import importlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -43,6 +47,18 @@ class TestTrainConfig:
             TrainConfig(tau_s=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(label_gate_mode="wrong")
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", "5"), ("epochs", 2.0), ("seed", True), ("learning_rate", "0.1"),
+        ("fixed_mask", 1), ("label_gate_mode", 0),
+    ])
+    def test_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numeric_fields_accept_any_real_number(self):
+        cfg = TrainConfig(epochs=np.int64(2), learning_rate=1, seed=np.int32(3))
+        assert (cfg.epochs, cfg.learning_rate, cfg.seed) == (2, 1, 3)
 
 
 class TestInitParams:
@@ -182,6 +198,50 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="loss component"):
             train(ds, small_config(epochs=30, learning_rate=1e150))
 
+    def test_nonfinite_gradient_aborts_before_adam_naming_parameter(self, monkeypatch):
+        train_mod = importlib.import_module("mvmlc.train")  # the package re-exports train()
+
+        def nan_backward(tape, loss, params):
+            grads = backward(tape, loss, params)
+            grads[3] = np.full_like(grads[3], np.nan)
+            return grads
+
+        stepped = []
+        monkeypatch.setattr(train_mod, "backward", nan_backward)
+        monkeypatch.setattr(train_mod, "adam_step", lambda *args: stepped.append(args))
+        with pytest.raises(ContractError, match="gradient of 'shared_encoder.0.out.bias'"):
+            train(small_dataset(), small_config(epochs=1))
+        assert stepped == []
+
+    def test_threaded_runs_match_sequential_runs_bitwise(self):
+        ds = small_dataset(n=200, v=3, c=4)
+        configs = [small_config(epochs=8, seed=seed) for seed in (1, 2, 3)]
+
+        def fingerprint(result):
+            losses = [repr(v) for r in result.log.records for v in r.losses.components().values()]
+            return losses, [p.value.tobytes() for p in result.params.parameters()]
+
+        sequential = [fingerprint(train(ds, cfg)) for cfg in configs]
+        threaded = [None] * len(configs)
+        start = threading.Barrier(len(configs))
+
+        def run(i):
+            start.wait(timeout=60)
+            threaded[i] = fingerprint(train(ds, configs[i]))
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert threaded == sequential
+
     def test_eval_every_attaches_reports(self):
         ds = small_dataset(n=14)
         result = train(ds, small_config(epochs=4), eval_data=ds, eval_every=2)
@@ -210,6 +270,13 @@ class TestTrainLogCsv:
         result.log.write_csv(timed, include_timing=True)
         assert "wall_ms" not in plain.read_text()
         assert "wall_ms" in timed.read_text()
+
+    def test_loss_columns_follow_components(self):
+        result = train(small_dataset(), small_config(epochs=2, batch_size=5))
+        lines = result.log.csv_lines()
+        components = result.log.records[0].losses.components()
+        assert lines[0] == ",".join(["epoch", *components])
+        assert lines[1] == ",".join(["1", *map(repr, components.values())])
 
     def test_deterministic_without_timing(self, tmp_path):
         ds = small_dataset()
