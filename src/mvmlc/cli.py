@@ -231,12 +231,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint was trained on views {tuple(meta['view_dims'])} with "
             f"{meta['n_labels']} labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
     scores = forward_all(params, dataset, None, training=False).scores.value
-    report = evaluate_all(scores, dataset.labels, seed=meta.get("seed"),
-                          epoch=meta.get("epoch"))
+    report = evaluate_all(scores, dataset.labels, seed=meta["seed"],
+                          epoch=meta["epoch"])
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        RunManifest("eval", str(out), int(meta.get("seed") or 0),
+        RunManifest("eval", str(out), meta["seed"],
                     {"checkpoint": str(args.checkpoint)},
                     manifest_path=str(args.manifest)).write()
         _write_report(report, out)
@@ -281,9 +281,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         params, meta = load_checkpoint(args.checkpoint)
         dataset = load_dataset(args.manifest)
         sim = channel_similarity(params, dataset)
-        epoch = int(meta.get("epoch") or 0)
+        epoch = meta["epoch"]
         write_matrix_csv(out / f"channel_similarity_epoch{epoch}.csv", sim)
-        RunManifest("heatmap", str(out), int(meta.get("seed") or 0),
+        RunManifest("heatmap", str(out), meta["seed"],
                     {"checkpoint": str(args.checkpoint)},
                     manifest_path=str(args.manifest)).write()
         print(f"wrote channel_similarity_epoch{epoch}.csv")

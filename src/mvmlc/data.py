@@ -307,8 +307,13 @@ def write_matrix_csv(path: Path | str, matrix: Array, integer: bool = False) -> 
 
 def _read_matrix_csv(path: Path, what: str) -> Array:
     # OSError (missing/unreadable file) propagates untouched; only parse
-    # failures are wrapped as validation errors
+    # failures are wrapped as validation errors.  A file without a data line
+    # is rejected here, before numpy warns about it.
     try:
+        with open(path) as fh:
+            has_data = any(line.split("#", 1)[0].strip() for line in fh)
+        if not has_data:
+            raise ValueError("file holds no data")
         arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{what} ({path}): {exc}") from None

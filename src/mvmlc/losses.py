@@ -15,7 +15,14 @@
 Numerical care: contrastive exponentials are shifted by the largest
 attainable exponent (similarity 1 over temperature) before exponentiation
 so small temperatures cannot overflow, and classifier probabilities are
-clamped away from 0/1 before the logs.
+clamped away from 0/1 before the logs.  The self-pair enters each
+contrastive denominator at its exact value (1, or exp(-1/(2 tau)) for an
+all-zero row) rather than as the rounded exponential of u.u, so its
+removal cancels exactly: an anchor whose only gated key is itself has a
+denominator of exactly 0 and is skipped.  Both contrastive terms run as
+one taped primitive that forms its similarity blocks in row tiles of
+``TILE_ROWS`` anchors, in forward and again in backward, so memory grows
+with N * TILE_ROWS rather than N^2.
 """
 
 from __future__ import annotations
@@ -80,14 +87,51 @@ class ContrastiveResult(NamedTuple):
     skipped: int  # gated-in anchors dropped because their denominator was <= 0
 
 
+# Anchors per row tile of the contrastive loss: at most TILE_ROWS x N
+# similarities are held at once, in forward and in backward.
+TILE_ROWS = 256
+
+
+def _unit_rows(x: Array) -> tuple[Array, Array]:
+    """Rows scaled to unit L2 norm, and the per-row scale (N x 1) used.
+
+    An all-zero row has no direction: it stays zero with scale 0, so its
+    similarity to anything is the neutral 0.5 and its gradient is zero.
+    """
+    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
+    return x * inv, inv
+
+
+def _exp_block(anchors: Array, keys: Array, inv_tau: float) -> Array:
+    """exp((sim01 - 1) / tau) for every anchor/key pair, sim01 the
+    [0, 1]-mapped cosine of unit rows; computed in place in one buffer."""
+    block = anchors @ keys.T
+    block += 1.0
+    block *= 0.5
+    block -= 1.0
+    block *= inv_tau
+    return np.exp(block, out=block)
+
+
+def _row_tiles(n: int):
+    for lo in range(0, n, TILE_ROWS):
+        yield lo, min(lo + TILE_ROWS, n)
+
+
 def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, tau: float) -> ContrastiveResult:
-    """Shared core of both contrastive objectives.
+    """Shared core of both contrastive objectives, one taped primitive.
 
     For ordered pair (m, n), anchor i of view m contributes
     ``-log(exp(pos/tau) / (sum_j sum_{k in {m,n}} exp(sim/tau) * gate_jk - exp(1/tau)))``
     weighted by ``outer_gate[i,m] * outer_gate[i,n]``; similarities are the
     [0,1]-mapped cosines.  Exponents are shifted by -1/tau, the largest
     attainable value, so the self-pair subtraction becomes an exact -1.
+
+    Only the v(v+1)/2 blocks of view pairs a <= k are formed, since block
+    (k, a) is the transpose of block (a, k): one pass over a block yields
+    the gated row sums of both.  Blocks are formed TILE_ROWS anchors at a
+    time and formed again in the backward pass instead of being kept.
     """
     n_views = len(feats)
     n = feats[0].rows
@@ -100,38 +144,87 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         return ContrastiveResult(Matrix(0.0), 0)
 
     inv_tau = 1.0 / tau
-    units = [nm.unit_rows(f) for f in feats]
+    units, inv_norms = zip(*(_unit_rows(f.value) for f in feats))
+    gates = [np.ascontiguousarray(denom_gate[:, k]) for k in range(n_views)]
+    # The self-pair's exact exponential: similarity 1, or the neutral 0.5 for
+    # a zero row; with it an anchor whose only gated key is itself gets a
+    # denominator of exactly 0 and is skipped.
+    self_exp = [np.where(inv[:, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau)) for inv in inv_norms]
+    blocks = [(a, k) for a in range(n_views) for k in range(a, n_views)]
 
-    # Row sums of exp((sim - 1)/tau) over gated keys, one per (anchor view,
-    # key view) combination; reused across ordered pairs.
-    exp_sums: dict[tuple[int, int], Matrix] = {}
-    for a in range(n_views):
-        for k in range(n_views):
-            sim01 = (units[a] @ units[k].T + 1.0) * 0.5
-            shifted = nm.exp((sim01 - 1.0) * inv_tau)
-            gated = shifted * Matrix(denom_gate[:, k][None, :])
-            exp_sums[(a, k)] = gated.sum(axis=1)
+    # exp_sums[a, k][i]: row sum of exp((sim - 1)/tau) over the gated keys of
+    # view k, for anchor i of view a.
+    exp_sums = {(a, k): np.zeros(n) for a in range(n_views) for k in range(n_views)}
+    for a, k in blocks:
+        for lo, hi in _row_tiles(n):
+            block = _exp_block(units[a][lo:hi], units[k], inv_tau)
+            if k == a:
+                block[np.arange(hi - lo), np.arange(lo, hi)] = self_exp[a][lo:hi]
+            exp_sums[a, k][lo:hi] = block @ gates[k]
+            if k != a:
+                exp_sums[k, a] += gates[a][lo:hi] @ block
 
-    total = None
+    total = -0.0
     skipped = 0
-    ones = Matrix(np.ones((n, 1)))
+    # Per ordered pair: effective anchor weights and the denominators used.
+    pairs: dict[tuple[int, int], tuple[Array, Array]] = {}
     for a in range(n_views):
         for b in range(n_views):
             if b == a:
                 continue
-            pos01 = ((units[a] * units[b]).sum(axis=1) + 1.0) * 0.5
-            denom = exp_sums[(a, a)] + exp_sums[(a, b)] - 1.0
-            gate = (outer_gate[:, a] * outer_gate[:, b])[:, None]
-            valid = denom.value > 0
+            pos01 = (np.sum(units[a] * units[b], axis=1) + 1.0) * 0.5
+            denom = exp_sums[a, a] + exp_sums[a, b] - 1.0
+            gate = outer_gate[:, a] * outer_gate[:, b]
+            valid = denom > 0
             skipped += int(np.count_nonzero((gate > 0) & ~valid))
             effective = gate * valid
-            safe = nm.select(valid, denom, ones)
-            terms = (pos01 - 1.0) * inv_tau - nm.log(safe)
-            pair_loss = (terms * Matrix(effective)).sum() * (-1.0 / n)
-            total = pair_loss if total is None else total + pair_loss
+            safe = np.where(valid, denom, 1.0)
+            terms = (pos01 - 1.0) * inv_tau - np.log(safe)
+            total += float(np.sum(terms * effective)) * (-1.0 / n)
+            pairs[a, b] = effective, safe
     if skipped:
         logger.warning("contrastive loss: %d anchors had no available comparison", skipped)
-    return ContrastiveResult(total * 0.5, skipped)
+
+    def vjp(g: Array) -> tuple[Array, ...]:
+        # The loss is -0.5/n times the weighted sum over pairs of
+        # pos01/tau - log(exp_sums[a,a] + exp_sums[a,b] - 1); first the
+        # adjoints of the positive cosines and of the row sums.
+        grad_units = [np.zeros_like(u) for u in units]
+        d_sums = {key: np.zeros(n) for key in exp_sums}
+        for (a, b), (effective, safe) in pairs.items():
+            weight = effective * (-0.5 / n * g[0, 0])
+            d_pos = (weight * (0.5 * inv_tau))[:, None]
+            grad_units[a] += d_pos * units[b]
+            grad_units[b] += d_pos * units[a]
+            d_denom = -weight / safe
+            d_sums[a, a] += d_denom
+            d_sums[a, b] += d_denom
+        # With E the block's exponentials, d_sums[a,k] (x) gates[k] + gates[a]
+        # (x) d_sums[k,a] is d loss / d E and E * 0.5/tau is dE / d cosine;
+        # both outer products fold into one product with stacked keys.  An
+        # (a, a) block is symmetric and yields its own transpose.  Its
+        # diagonal, the self-pair, is left in: the gradient it sends to a row
+        # is along the row, which the normalization below removes.
+        scale = 0.5 * inv_tau
+        d = units[0].shape[1]
+        for a, k in blocks:
+            keys = np.hstack([gates[k][:, None] * units[k], d_sums[k, a][:, None] * units[k]])
+            for lo, hi in _row_tiles(n):
+                block = _exp_block(units[a][lo:hi], units[k], inv_tau)
+                to_anchor = block @ keys
+                grad_units[a][lo:hi] += scale * (d_sums[a, k][lo:hi, None] * to_anchor[:, :d]
+                                                 + gates[a][lo:hi, None] * to_anchor[:, d:])
+                if k != a:
+                    anchors = units[a][lo:hi]
+                    to_key = block.T @ np.hstack([d_sums[a, k][lo:hi, None] * anchors,
+                                                  gates[a][lo:hi, None] * anchors])
+                    grad_units[k] += scale * (gates[k][:, None] * to_key[:, :d]
+                                              + d_sums[k, a][:, None] * to_key[:, d:])
+        # Through the normalization: remove the radial part, divide by the norm.
+        return tuple((du - u * np.sum(u * du, axis=1, keepdims=True)) * inv
+                     for du, u, inv in zip(grad_units, units, inv_norms))
+
+    return ContrastiveResult(nm.emit(np.array([[total * 0.5]]), tuple(feats), vjp), skipped)
 
 
 def instance_contrastive(instance_feats: list[Matrix], view_indicator: Array, tau: float) -> ContrastiveResult:

@@ -288,6 +288,10 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
                                     "embed_dim", "hidden_dim")}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"checkpoint {path}: missing or malformed field ({exc!r})") from None
+    for field in ("seed", "epoch"):
+        if isinstance(meta[field], bool) or not isinstance(meta[field], int):
+            raise ValidationError(f"checkpoint {path}: {field} must be an integer, "
+                                  f"got {meta[field]!r}")
     expected = params.named_parameters()
     if not isinstance(stored, dict) or set(stored) != {name for name, _ in expected}:
         raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")

@@ -1,10 +1,14 @@
 """Dense float64 matrices with taped reverse-mode differentiation.
 
-The training objective composes many primitives (encoders, masked softmax
-denominators, gated reductions), so gradients are obtained by recording
-every primitive application on a :class:`Tape` and replaying it backwards
-once, instead of deriving each backward pass by hand.  An independent
-finite-difference audit is provided by :func:`gradient_check`.
+The training objective composes many primitives (encoders, gated
+reductions, the classifier's cross-entropy), so gradients are obtained by
+recording every primitive application on a :class:`Tape` and replaying it
+backwards once, instead of deriving each backward pass by hand.  The one
+exception is the fused, row-tiled contrastive loss in :mod:`mvmlc.losses`:
+it is recorded as a single primitive through :func:`emit` with a
+hand-written VJP, which its tests audit against finite differences and a
+naive-loop oracle.  An independent finite-difference audit is provided by
+:func:`gradient_check`.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
@@ -159,8 +163,15 @@ def _lift(x) -> Matrix:
     return x if isinstance(x, Matrix) else Matrix(x)
 
 
-def _emit(value: Array, inputs: tuple[Matrix, ...],
-          vjp: Callable[[Array], tuple[Array | None, ...]]) -> Matrix:
+def emit(value: Array, inputs: tuple[Matrix, ...],
+         vjp: Callable[[Array], tuple[Array | None, ...]]) -> Matrix:
+    """Wrap ``value`` as the output of a primitive applied to ``inputs``.
+
+    While a tape is active the application is recorded with ``vjp``, which
+    maps the output's adjoint to one adjoint per input (``None`` for an
+    input that gets none).  Every primitive here is built on it, and so is
+    any primitive with a hand-written VJP defined elsewhere.
+    """
     out = Matrix(value)
     tape = _active_tape()
     if tape is not None:
@@ -187,62 +198,62 @@ def _broadcast_values(a: Matrix, b: Matrix, op: str) -> Array:
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     _broadcast_values(a, b, "add")
-    return _emit(a.value + b.value, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return emit(a.value + b.value, (a, b),
+                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
     _broadcast_values(a, b, "sub")
-    return _emit(a.value - b.value, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return emit(a.value - b.value, (a, b),
+                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
     _broadcast_values(a, b, "mul")
-    return _emit(a.value * b.value, (a, b),
-                 lambda g: (_unbroadcast(g * b.value, a.shape),
-                            _unbroadcast(g * a.value, b.shape)))
+    return emit(a.value * b.value, (a, b),
+                lambda g: (_unbroadcast(g * b.value, a.shape),
+                           _unbroadcast(g * a.value, b.shape)))
 
 
 def div(a: Matrix, b: Matrix) -> Matrix:
     _broadcast_values(a, b, "div")
-    return _emit(a.value / b.value, (a, b),
-                 lambda g: (_unbroadcast(g / b.value, a.shape),
-                            _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
+    return emit(a.value / b.value, (a, b),
+                lambda g: (_unbroadcast(g / b.value, a.shape),
+                           _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
 
 
 def neg(a: Matrix) -> Matrix:
-    return _emit(-a.value, (a,), lambda g: (-g,))
+    return emit(-a.value, (a,), lambda g: (-g,))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     a, b = _lift(a), _lift(b)
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return _emit(a.value @ b.value, (a, b),
-                 lambda g: (g @ b.value.T, a.value.T @ g))
+    return emit(a.value @ b.value, (a, b),
+                lambda g: (g @ b.value.T, a.value.T @ g))
 
 
 def transpose(a: Matrix) -> Matrix:
-    return _emit(a.value.T, (a,), lambda g: (g.T,))
+    return emit(a.value.T, (a,), lambda g: (g.T,))
 
 
 def exp(a: Matrix) -> Matrix:
     out = np.exp(a.value)
-    return _emit(out, (a,), lambda g: (g * out,))
+    return emit(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Matrix) -> Matrix:
-    return _emit(np.log(a.value), (a,), lambda g: (g / a.value,))
+    return emit(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def sqrt(a: Matrix) -> Matrix:
     out = np.sqrt(a.value)
-    return _emit(out, (a,), lambda g: (g * (0.5 / out),))
+    return emit(out, (a,), lambda g: (g * (0.5 / out),))
 
 
 def square(a: Matrix) -> Matrix:
-    return _emit(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
+    return emit(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
 
 
 def _sigmoid_values(x: Array) -> Array:
@@ -258,44 +269,18 @@ def _sigmoid_values(x: Array) -> Array:
 
 def sigmoid(a: Matrix) -> Matrix:
     out = _sigmoid_values(a.value)
-    return _emit(out, (a,), lambda g: (g * out * (1.0 - out),))
+    return emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(a: Matrix) -> Matrix:
     keep = a.value > 0
-    return _emit(np.where(keep, a.value, 0.0), (a,), lambda g: (g * keep,))
+    return emit(np.where(keep, a.value, 0.0), (a,), lambda g: (g * keep,))
 
 
 def clip(a: Matrix, lo: float, hi: float) -> Matrix:
     # Subgradient 1 strictly inside [lo, hi], 0 at and beyond the bounds.
     inside = (a.value > lo) & (a.value < hi)
-    return _emit(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
-
-
-def select(cond, a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise where(cond, a, b); cond is plain data, not differentiated."""
-    cond = np.asarray(cond, dtype=bool)
-    if cond.shape != a.shape or a.shape != b.shape:
-        raise ShapeError(f"select: shapes {cond.shape}, {a.shape}, {b.shape} must match")
-    return _emit(np.where(cond, a.value, b.value), (a, b),
-                 lambda g: (g * cond, g * ~cond))
-
-
-def unit_rows(a: Matrix) -> Matrix:
-    """L2-normalize each row; all-zero rows map to zero rows.
-
-    The gradient through a zero row is defined as zero, matching the
-    neutral-similarity convention for degenerate vectors.
-    """
-    norms = np.sqrt(np.sum(a.value * a.value, axis=1, keepdims=True))
-    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
-    out = a.value * inv
-
-    def vjp(g: Array) -> tuple[Array]:
-        along = np.sum(out * g, axis=1, keepdims=True)
-        return ((g - out * along) * inv,)
-
-    return _emit(out, (a,), vjp)
+    return emit(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
 
 
 def msum(a: Matrix, axis: int | None = None) -> Matrix:
@@ -309,7 +294,7 @@ def msum(a: Matrix, axis: int | None = None) -> Matrix:
         value = a.value.sum(dtype=np.float64).reshape(1, 1)
     else:
         value = a.value.sum(axis=axis, keepdims=True)
-    return _emit(value, (a,), lambda g: (np.broadcast_to(g, a.shape),))
+    return emit(value, (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix]) -> list[Array]:

@@ -204,6 +204,17 @@ def _malformed_checkpoint(drop_from):
     return setup
 
 
+def _checkpoint_meta(field, value, command):
+    """Train a checkpoint, set one metadata field, then run ``command`` on it."""
+    def setup(data, tmp):
+        main(train_args(data / "manifest.json", tmp / "run"))
+        ckpt = tmp / "run" / "checkpoint.json"
+        _edit_json(ckpt, lambda d: d.update({field: value}))
+        return [command, "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.json"),
+                "--out", str(tmp / "out")]
+    return setup
+
+
 def _checkpoint_text(text):
     def setup(data, tmp):
         (tmp / "checkpoint.json").write_text(text)
@@ -256,6 +267,10 @@ MALFORMED_INPUTS = [
      _checkpoint_text('{"version": 1, "view_dims": ["x"], "n_labels": 3, "embed_dim": 4, '
                       '"hidden_dim": 6, "parameters": {}}'),
      EXIT_VALIDATION, "malformed field"),
+    ("checkpoint seed not an integer", _checkpoint_meta("seed", "x", "eval"),
+     EXIT_VALIDATION, "seed"),
+    ("checkpoint epoch not an integer", _checkpoint_meta("epoch", "x", "heatmap"),
+     EXIT_VALIDATION, "epoch"),
     ("manifest views not a list",
      _manifest_views_string,
      EXIT_VALIDATION, "manifest.json"),

@@ -300,6 +300,16 @@ class TestManifestRoundTrip:
             load_dataset(manifest)
         assert str(info.value).startswith(f"manifest {manifest}: ")
 
+    @pytest.mark.parametrize("name", ["labels.csv", "view_1.csv"])
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# header only\n"],
+                             ids=["empty", "blank lines", "comment only"])
+    def test_empty_matrix_file_is_rejected_naming_it(self, tmp_path, recwarn, name, text):
+        save_dataset(tiny_dataset(n=4), tmp_path)
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValidationError, match=rf"{name}\): file holds no data"):
+            load_dataset(tmp_path / "manifest.json")
+        assert not recwarn.list
+
     def test_missing_manifest_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope.json")

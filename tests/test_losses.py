@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mvmlc.losses as losses
 from mvmlc.errors import ConfigError, ShapeError
 from mvmlc.losses import (
     LossBreakdown,
@@ -14,7 +16,7 @@ from mvmlc.losses import (
     reconstruction_loss,
     total_loss,
 )
-from mvmlc.numerics import Matrix, Tape, backward
+from mvmlc.numerics import Matrix, Tape, backward, gradient_check
 
 from oracles import bce_oracle, masked_infonce_oracle, reconstruction_oracle
 
@@ -128,6 +130,114 @@ class TestInstanceContrastive:
         feats = rand_feats(rng, 4, 2, 3)
         res = instance_contrastive(feats, np.ones((4, 2)), tau=0.005)
         assert math.isfinite(res.loss.item())
+
+
+def infonce_with_grads(feats, outer_gate, denom_gate, tau):
+    with Tape() as tape:
+        res = losses._masked_infonce(feats, outer_gate, denom_gate, tau)
+    assert len(tape) == 1
+    return res, backward(tape, res.loss, feats)
+
+
+class TestFusedContrastive:
+    """The contrastive core is one primitive with a hand-written VJP that
+    forms similarity blocks losses.TILE_ROWS anchors at a time."""
+
+    def test_gradients_match_finite_differences_across_tiles(self, monkeypatch):
+        monkeypatch.setattr(losses, "TILE_ROWS", 3)
+        rng = np.random.default_rng(31)
+        n, v = 7, 3  # two full tiles and a partial one
+        feats = rand_feats(rng, n, v, 4)
+        outer = (rng.random((n, v)) > 0.25).astype(float)
+        denom = np.maximum(outer, rng.random((n, v)) > 0.5)
+        assert not np.array_equal(outer, denom)
+        report = gradient_check(lambda p: losses._masked_infonce(list(p), outer, denom, 0.5).loss,
+                                feats, step=1e-6, tol=1e-5)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("n", [3, 4, 5], ids=["below tile", "one tile", "tile plus one"])
+    def test_matches_oracle_around_the_tile_size(self, monkeypatch, n):
+        rng = np.random.default_rng(40 + n)
+        feats = rand_feats(rng, n, 3, 5)
+        outer = (rng.random((n, 3)) > 0.3).astype(float)
+        denom = np.maximum(outer, rng.random((n, 3)) > 0.4)
+        _, untiled = infonce_with_grads(feats, outer, denom, 0.4)
+        monkeypatch.setattr(losses, "TILE_ROWS", 4)
+        got, tiled = infonce_with_grads(feats, outer, denom, 0.4)
+        want, skipped = masked_infonce_oracle([f.value for f in feats], outer, denom, 0.4)
+        assert abs(got.loss.item() - want) <= 1e-10
+        assert got.skipped == skipped
+        for a, b in zip(tiled, untiled):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    def test_anchor_whose_only_gated_key_is_itself_is_skipped(self):
+        # The normalized row below has u.u = 1 + 4.4e-16 in floating point, so
+        # a self-pair taken from the similarity block would leave a positive
+        # denominator of that size and add -log(4.4e-16)/(2n) to the loss.
+        row = np.array([[0.0, 0.3, -0.27]])
+        unit = row * (1.0 / np.sqrt(np.sum(row * row)))
+        assert (unit @ unit.T).item() > 1.0
+        rng = np.random.default_rng(12)
+        n = 3
+        feats = [Matrix(np.vstack([row, rng.normal(size=(n - 1, 3))])),
+                 Matrix(rng.normal(size=(n, 3)))]
+        outer = np.ones((n, 2))
+        denom = np.zeros((n, 2))
+        denom[0, 0] = 1.0  # the only gated key of every anchor is row 0 of view 0
+        res, grads = infonce_with_grads(feats, outer, denom, 0.5)
+        assert res.skipped == 2 * n
+        assert res.loss.item() == 0.0
+        assert all(np.all(g == 0.0) for g in grads)
+        assert label_contrastive(feats, outer, denom, 0.5).loss.item() == 0.0
+
+    def test_zero_row_is_neutral_with_zero_gradient(self):
+        # One sample, view 0 all zero: every similarity with it is 0.5.  Pair
+        # (0, 1): positive 0.5, denominator 2 exp(-0.5/tau) - 1; pair (1, 0):
+        # positive 0.5, denominator 1 + exp(-0.5/tau) - 1, a zero term.
+        tau = 2.0
+        feats = [Matrix([[0.0, 0.0, 0.0]]), Matrix([[0.3, -1.2, 0.4]])]
+        res, grads = infonce_with_grads(feats, np.ones((1, 2)), np.ones((1, 2)), tau)
+        want = 0.5 * (0.5 / tau + math.log(2.0 * math.exp(-0.5 / tau) - 1.0))
+        assert res.loss.item() == pytest.approx(want, abs=1e-15)
+        np.testing.assert_array_equal(grads[0], 0.0)
+
+        rng = np.random.default_rng(13)
+        feats = rand_feats(rng, 6, 3, 4)
+        feats[1].value[2] = 0.0
+        gate = np.ones((6, 3))
+        res, grads = infonce_with_grads(feats, gate, gate, 0.5)
+        want, _ = masked_infonce_oracle([f.value for f in feats], gate, gate, 0.5)
+        assert abs(res.loss.item() - want) <= 1e-10
+        np.testing.assert_array_equal(grads[1][2], 0.0)
+        assert np.all(grads[1][[0, 1, 3, 4, 5]] != 0.0)
+
+    def test_features_are_row_normalized(self):
+        # Only directions matter: rescaling rows leaves the loss unchanged, so
+        # each row's gradient is orthogonal to the row.
+        rng = np.random.default_rng(14)
+        feats = rand_feats(rng, 6, 3, 4)
+        gate = (rng.random((6, 3)) > 0.2).astype(float)
+        res, grads = infonce_with_grads(feats, gate, gate, 0.5)
+        scaled = [Matrix(f.value * rng.uniform(0.1, 10.0, size=(6, 1))) for f in feats]
+        rescaled = losses._masked_infonce(scaled, gate, gate, 0.5).loss.item()
+        assert rescaled == pytest.approx(res.loss.item(), abs=1e-12)
+        for f, g in zip(feats, grads):
+            np.testing.assert_allclose(np.sum(f.value * g, axis=1), 0.0, atol=1e-15)
+
+    def test_memory_grows_with_tile_not_with_n_squared(self):
+        # One 3000 x 3000 float64 block is 69 MiB and the v^2 = 9 blocks of a
+        # dense formulation 618 MiB; row tiles keep the peak far below either.
+        rng = np.random.default_rng(15)
+        n = 3000
+        feats = rand_feats(rng, n, 3, 64)
+        gate = (rng.random((n, 3)) > 0.3).astype(float)
+        tracemalloc.start()
+        try:
+            infonce_with_grads(feats, gate, gate, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
 class TestFullAvailabilityReduction:

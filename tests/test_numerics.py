@@ -162,7 +162,6 @@ PRIMITIVES = {
     "sigmoid": lambda p, w: _weighted_scalar(nm.sigmoid(p[0]), w),
     "relu": lambda p, w: _weighted_scalar(nm.relu(p[0]), w),
     "clip": lambda p, w: _weighted_scalar(nm.clip(p[0], -0.9, 0.9), w),
-    "unit_rows": lambda p, w: _weighted_scalar(nm.unit_rows(p[0]), w),
     "sum_all": lambda p, w: p[0].sum() * float(w[0, 0]),
     "sum_rows": lambda p, w: _weighted_scalar(p[0].sum(axis=0), w[:1, :]),
     "sum_cols": lambda p, w: _weighted_scalar(p[0].sum(axis=1), w[:, :1]),
@@ -183,36 +182,6 @@ def test_primitive_gradients_match_finite_differences(name):
         w = rng.normal(size=(3, 4))
         report = gradient_check(lambda p: func(p, w), [a, b], step=1e-6, tol=1e-4)
         assert report.passed, f"{name} seed {seed}: max rel err {report.max_rel_err}"
-
-
-class TestSelect:
-    def test_routes_values_and_gradients(self):
-        rng = np.random.default_rng(11)
-        a, b = rand(rng, 3, 3), rand(rng, 3, 3)
-        cond = rng.random((3, 3)) > 0.5
-        with Tape() as tape:
-            loss = nm.select(cond, a, b).sum()
-        ga, gb = backward(tape, loss, [a, b])
-        np.testing.assert_array_equal(ga, cond.astype(float))
-        np.testing.assert_array_equal(gb, (~cond).astype(float))
-
-
-class TestUnitRows:
-    def test_zero_row_maps_to_zero_with_zero_grad(self):
-        a = Matrix([[0.0, 0.0], [3.0, 4.0]])
-        with Tape() as tape:
-            out = nm.unit_rows(a)
-            loss = out.sum()
-        np.testing.assert_array_equal(out.value[0], [0.0, 0.0])
-        np.testing.assert_allclose(out.value[1], [0.6, 0.8], atol=1e-15)
-        (grad,) = backward(tape, loss, [a])
-        np.testing.assert_array_equal(grad[0], [0.0, 0.0])
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(2)
-        a = rand(rng, 6, 5)
-        out = nm.unit_rows(a)
-        np.testing.assert_allclose(np.linalg.norm(out.value, axis=1), 1.0, atol=1e-12)
 
 
 class TestGradientCheck:
