@@ -251,8 +251,8 @@ def synth_dataset(
         raise ConfigError(f"got {len(dims)} view dims for {n_views} views")
     if any(d < 1 for d in dims):
         raise ConfigError(f"view dims must be >= 1, got {dims}")
-    if noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {noise}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
 
     rng = np.random.default_rng(seed)
     latent_dim = n_labels + 2

@@ -22,7 +22,10 @@ removal cancels exactly: an anchor whose only gated key is itself has a
 denominator of exactly 0 and is skipped.  Both contrastive terms run as
 one taped primitive that forms its similarity blocks in row tiles of
 ``TILE_ROWS`` anchors, in forward and again in backward, so memory grows
-with N * TILE_ROWS rather than N^2.
+with N * TILE_ROWS rather than N^2.  Blocks span only each view's live
+rows, those a gate admits as anchor or key.  No other row's similarity
+can reach the loss, so dropping them is exact, and with half of all
+sample-view cells missing the block work falls about fourfold.
 """
 
 from __future__ import annotations
@@ -132,6 +135,14 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     (k, a) is the transpose of block (a, k): one pass over a block yields
     the gated row sums of both.  Blocks are formed TILE_ROWS anchors at a
     time and formed again in the backward pass instead of being kept.
+
+    Blocks span only each view's live rows, those with a nonzero outer or
+    denominator gate.  Any other row is neither a weighted anchor nor a
+    gated key, so none of its similarities reaches the loss or a gradient:
+    block (a, k) is formed over live_a x live_k, and its row sums and
+    gradients are scattered back to all N rows.  Rows and columns of an
+    (a, a) block share one index set, so the self-pair stays on its
+    diagonal.  The positive cosines cost O(N d) and stay over all N rows.
     """
     n_views = len(feats)
     n = feats[0].rows
@@ -145,24 +156,33 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
 
     inv_tau = 1.0 / tau
     units, inv_norms = zip(*(_unit_rows(f.value) for f in feats))
-    gates = [np.ascontiguousarray(denom_gate[:, k]) for k in range(n_views)]
-    # The self-pair's exact exponential: similarity 1, or the neutral 0.5 for
+    live = [np.flatnonzero((outer_gate[:, k] != 0) | (denom_gate[:, k] != 0))
+            for k in range(n_views)]
+    # Per view, restricted to its live rows: unit rows, denominator gates and
+    # the self-pair's exact exponential (similarity 1, or the neutral 0.5 for
     # a zero row; with it an anchor whose only gated key is itself gets a
-    # denominator of exactly 0 and is skipped.
-    self_exp = [np.where(inv[:, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau)) for inv in inv_norms]
+    # denominator of exactly 0 and is skipped).
+    live_units = [u[rows] for u, rows in zip(units, live)]
+    gates = [denom_gate[rows, k] for k, rows in enumerate(live)]
+    self_exp = [np.where(inv[rows, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau))
+                for inv, rows in zip(inv_norms, live)]
     blocks = [(a, k) for a in range(n_views) for k in range(a, n_views)]
 
-    # exp_sums[a, k][i]: row sum of exp((sim - 1)/tau) over the gated keys of
-    # view k, for anchor i of view a.
-    exp_sums = {(a, k): np.zeros(n) for a in range(n_views) for k in range(n_views)}
+    # live_sums[a, k][i]: row sum of exp((sim - 1)/tau) over the gated keys
+    # of view k, for live anchor i of view a; exp_sums holds them over all N
+    # rows, zero off the live ones.
+    live_sums = {(a, k): np.zeros(len(live[a])) for a in range(n_views) for k in range(n_views)}
     for a, k in blocks:
-        for lo, hi in _row_tiles(n):
-            block = _exp_block(units[a][lo:hi], units[k], inv_tau)
+        for lo, hi in _row_tiles(len(live[a])):
+            block = _exp_block(live_units[a][lo:hi], live_units[k], inv_tau)
             if k == a:
                 block[np.arange(hi - lo), np.arange(lo, hi)] = self_exp[a][lo:hi]
-            exp_sums[a, k][lo:hi] = block @ gates[k]
+            live_sums[a, k][lo:hi] = block @ gates[k]
             if k != a:
-                exp_sums[k, a] += gates[a][lo:hi] @ block
+                live_sums[k, a] += gates[a][lo:hi] @ block
+    exp_sums = {key: np.zeros(n) for key in live_sums}
+    for (a, k), sums in live_sums.items():
+        exp_sums[a, k][live[a]] = sums
 
     total = -0.0
     skipped = 0
@@ -204,22 +224,28 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         # both outer products fold into one product with stacked keys.  An
         # (a, a) block is symmetric and yields its own transpose.  Its
         # diagonal, the self-pair, is left in: the gradient it sends to a row
-        # is along the row, which the normalization below removes.
+        # is along the row, which the normalization below removes.  Blocks
+        # span live rows only: d_sums is zero off them, so the gradient is too.
         scale = 0.5 * inv_tau
         d = units[0].shape[1]
+        live_grads = [du[rows] for du, rows in zip(grad_units, live)]
+        live_d = {(a, k): d_sums[a, k][live[a]] for a, k in d_sums}
         for a, k in blocks:
-            keys = np.hstack([gates[k][:, None] * units[k], d_sums[k, a][:, None] * units[k]])
-            for lo, hi in _row_tiles(n):
-                block = _exp_block(units[a][lo:hi], units[k], inv_tau)
+            keys = np.hstack([gates[k][:, None] * live_units[k],
+                              live_d[k, a][:, None] * live_units[k]])
+            for lo, hi in _row_tiles(len(live[a])):
+                block = _exp_block(live_units[a][lo:hi], live_units[k], inv_tau)
                 to_anchor = block @ keys
-                grad_units[a][lo:hi] += scale * (d_sums[a, k][lo:hi, None] * to_anchor[:, :d]
+                live_grads[a][lo:hi] += scale * (live_d[a, k][lo:hi, None] * to_anchor[:, :d]
                                                  + gates[a][lo:hi, None] * to_anchor[:, d:])
                 if k != a:
-                    anchors = units[a][lo:hi]
-                    to_key = block.T @ np.hstack([d_sums[a, k][lo:hi, None] * anchors,
+                    anchors = live_units[a][lo:hi]
+                    to_key = block.T @ np.hstack([live_d[a, k][lo:hi, None] * anchors,
                                                   gates[a][lo:hi, None] * anchors])
-                    grad_units[k] += scale * (gates[k][:, None] * to_key[:, :d]
-                                              + d_sums[k, a][:, None] * to_key[:, d:])
+                    live_grads[k] += scale * (gates[k][:, None] * to_key[:, :d]
+                                              + live_d[k, a][:, None] * to_key[:, d:])
+        for du, rows, live_du in zip(grad_units, live, live_grads):
+            du[rows] = live_du
         # Through the normalization: remove the radial part, divide by the norm.
         return tuple((du - u * np.sum(u * du, axis=1, keepdims=True)) * inv
                      for du, u, inv in zip(grad_units, units, inv_norms))

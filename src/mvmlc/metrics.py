@@ -32,6 +32,8 @@ def _validate(scores, labels) -> tuple[Array, Array]:
             f"scores {scores.shape} and labels {labels.shape} must be equal 2-D shapes")
     if scores.size == 0:
         raise ContractError("empty evaluation set")
+    if not np.isfinite(scores).all():
+        raise ContractError("scores must be finite")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValidationError("labels must be binary")
     return scores, labels

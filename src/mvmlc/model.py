@@ -304,5 +304,7 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
         if shape != p.shape:
             raise ValidationError(
                 f"checkpoint {path}: {name} has shape {shape}, expected {p.shape}")
+        if not np.isfinite(values).all():
+            raise ValidationError(f"checkpoint {path}: {name} has non-finite values")
         p.value[...] = values
     return params, meta

@@ -14,6 +14,7 @@ config) pair fully determines the trajectory.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
@@ -31,6 +32,13 @@ from .model import ModelParams, forward_all
 from .numerics import Matrix, Tape, backward
 
 Array = np.ndarray
+
+
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass
@@ -59,10 +67,17 @@ class TrainConfig:
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+            if kind is float and not _finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigError("loss weights must be >= 0")
         if self.tau_s <= 0 or self.tau_l <= 0:
@@ -228,6 +243,8 @@ def train(
     that many epochs.  ``snapshot_epochs`` collects the channel-similarity
     matrix after the given number of completed epochs (0 = initialization).
     """
+    if eval_every < 0:
+        raise ConfigError(f"eval_every must be >= 0, got {eval_every}")
     for k in snapshot_epochs:
         if not 0 <= k <= config.epochs:
             raise ConfigError(f"snapshot epoch {k} outside the schedule (0..{config.epochs})")

@@ -228,6 +228,10 @@ def _config_file(tmp, doc):
     return str(tmp / "cfg.json")
 
 
+def _train_flag(**flag):
+    return lambda data, tmp: train_args(data / "manifest.json", tmp / "run", **flag)
+
+
 def _manifest_views_string(data, tmp):
     _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
     return train_args(data / "manifest.json", tmp / "run")
@@ -274,6 +278,32 @@ MALFORMED_INPUTS = [
     ("manifest views not a list",
      _manifest_views_string,
      EXIT_VALIDATION, "manifest.json"),
+    ("learning rate not a number", _train_flag(lr="nan"), EXIT_USAGE, "learning_rate"),
+    ("learning rate infinite", _train_flag(lr="inf"), EXIT_USAGE, "learning_rate"),
+    ("adam epsilon not a number", _train_flag(adam_eps="nan"), EXIT_USAGE, "adam_eps"),
+    ("adam epsilon zero", _train_flag(adam_eps="0"), EXIT_USAGE, "adam_eps"),
+    ("adam beta1 not a number", _train_flag(adam_beta1="nan"), EXIT_USAGE, "adam_beta1"),
+    ("adam beta1 negative", _train_flag(adam_beta1="-0.1"), EXIT_USAGE, "adam_beta1"),
+    ("adam beta2 of one", _train_flag(adam_beta2="1"), EXIT_USAGE, "adam_beta2"),
+    ("loss weight not a number", _train_flag(alpha="nan"), EXIT_USAGE, "alpha"),
+    ("config value not finite",
+     lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "run"), "--config",
+                        _config_file(tmp, {"tau_s": float("nan")})],
+     EXIT_USAGE, "tau_s"),
+    ("config value beyond the float range",
+     lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "run"), "--config",
+                        _config_file(tmp, {"learning_rate": 10 ** 400})],
+     EXIT_USAGE, "learning_rate"),
+    ("eval every negative", _train_flag(eval_every="-1"), EXIT_USAGE, "eval_every"),
+    ("synth noise not a number",
+     lambda data, tmp: ["synth", "--n", "5", "--views", "2", "--labels", "2",
+                        "--noise", "nan", "--out", str(tmp / "s")],
+     EXIT_USAGE, "noise"),
+    ("checkpoint value not finite",
+     _malformed_checkpoint(lambda p: p["values"].__setitem__(0, float("nan"))),
+     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
 ]
 
 

@@ -147,6 +147,11 @@ class TestSynthDataset:
         counts = ds.labels.sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_invalid_noise_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise"):
+            synth_dataset(5, 2, 2, dims=3, noise=noise, seed=0)
+
 
 class TestSplit:
     def test_counts(self):

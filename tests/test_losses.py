@@ -139,6 +139,38 @@ def infonce_with_grads(feats, outer_gate, denom_gate, tau):
     return res, backward(tape, res.loss, feats)
 
 
+def _outer_outside_denominator(rng, n, v):
+    # Rows live through the outer gate alone, through the denominator gate
+    # alone, through both, and dead rows.
+    outer = (rng.random((n, v)) > 0.4).astype(float)
+    denom = np.maximum(outer * (rng.random((n, v)) > 0.4), rng.random((n, v)) > 0.8)
+    assert np.any((outer > 0) & (denom == 0)) and np.any((outer == 0) & (denom > 0))
+    assert np.any((outer == 0) & (denom == 0))
+    return outer, denom
+
+
+def _view_without_live_rows(rng, n, v):
+    outer = (rng.random((n, v)) > 0.3).astype(float)
+    outer[:, 1] = 0.0
+    return outer, outer.copy()
+
+
+def _mostly_missing(rng, n, v):
+    # 80% of the (sample, view) cells absent, with a few two-view samples.
+    gate = np.zeros((n, v))
+    gate[[0, 0, 1, 1, 2, 2, 3, 4, 5], [0, 1, 1, 2, 0, 2, 1, 0, 2]] = 1.0
+    assert gate.mean() <= 0.2
+    return gate, gate.copy()
+
+
+# Gate pairs under which blocks are compacted to live rows.
+COMPACTION_GATES = {
+    "outer rows outside the denominator": _outer_outside_denominator,
+    "a view without live rows": _view_without_live_rows,
+    "80% missing": _mostly_missing,
+}
+
+
 class TestFusedContrastive:
     """The contrastive core is one primitive with a hand-written VJP that
     forms similarity blocks losses.TILE_ROWS anchors at a time."""
@@ -223,6 +255,64 @@ class TestFusedContrastive:
         assert rescaled == pytest.approx(res.loss.item(), abs=1e-12)
         for f, g in zip(feats, grads):
             np.testing.assert_allclose(np.sum(f.value * g, axis=1), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", list(COMPACTION_GATES))
+    def test_compacted_blocks_match_oracle_and_finite_differences(self, monkeypatch, case):
+        monkeypatch.setattr(losses, "TILE_ROWS", 2)
+        rng = np.random.default_rng(50)
+        n, v = 15, 3
+        outer, denom = COMPACTION_GATES[case](rng, n, v)
+        feats = rand_feats(rng, n, v, 4)
+        res, grads = infonce_with_grads(feats, outer, denom, 0.5)
+        want, skipped = masked_infonce_oracle([f.value for f in feats], outer, denom, 0.5)
+        assert abs(res.loss.item() - want) <= 1e-10
+        assert res.skipped == skipped
+        assert res.loss.item() != 0.0
+        for k, g in enumerate(grads):
+            dead = (outer[:, k] == 0) & (denom[:, k] == 0)
+            np.testing.assert_array_equal(g[dead], 0.0)
+        report = gradient_check(lambda p: losses._masked_infonce(list(p), outer, denom, 0.5).loss,
+                                feats, step=1e-6, tol=1e-5)
+        assert report.passed, report
+
+    def test_label_gate_denominator_matches_oracle_and_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(losses, "TILE_ROWS", 3)
+        rng = np.random.default_rng(51)
+        n, v, c = 12, 3, 4
+        probs = [Matrix(rng.random((n, c))) for _ in range(v)]
+        view_ind = (rng.random((n, v)) > 0.3).astype(float)
+        label_ind = (rng.random((n, c)) > 0.6).astype(float)
+        label_ind[:4] = 0.0  # four samples without a known label: dead in every view
+        gate = label_availability_gate(label_ind, view_ind)
+
+        def loss(p):
+            return label_contrastive(list(p), gate, view_ind, 0.5, denominator_gate="label").loss
+
+        want, _ = masked_infonce_oracle([p.value for p in probs], gate, gate, 0.5)
+        assert abs(loss(probs).item() - want) <= 1e-10
+        report = gradient_check(loss, probs, step=1e-6, tol=1e-5)
+        assert report.passed, report
+
+    def test_blocks_span_only_live_rows(self, monkeypatch):
+        # Forward and backward each form block (a, k), a <= k, over live_a x
+        # live_k; N x N blocks would form 2 * 6 * n^2 similarities here.
+        sizes = []
+        exp_block = losses._exp_block
+
+        def tally(anchors, keys, inv_tau):
+            block = exp_block(anchors, keys, inv_tau)
+            sizes.append(block.size)
+            return block
+
+        monkeypatch.setattr(losses, "_exp_block", tally)
+        monkeypatch.setattr(losses, "TILE_ROWS", 16)
+        rng = np.random.default_rng(52)
+        n, v = 60, 3
+        outer, denom = COMPACTION_GATES["outer rows outside the denominator"](rng, n, v)
+        infonce_with_grads(rand_feats(rng, n, v, 5), outer, denom, 0.5)
+        live = [np.count_nonzero((outer[:, k] > 0) | (denom[:, k] > 0)) for k in range(v)]
+        assert max(live) < n
+        assert sum(sizes) == 2 * sum(live[a] * live[k] for a in range(v) for k in range(a, v))
 
     def test_memory_grows_with_tile_not_with_n_squared(self):
         # One 3000 x 3000 float64 block is 69 MiB and the v^2 = 9 blocks of a

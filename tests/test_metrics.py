@@ -230,3 +230,11 @@ class TestEvaluateAll:
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_all(np.array([[0.5]]), np.array([[0.4]]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
+        labels = np.array([[1.0, 0.0], [0.0, 1.0]])
+        scores[1, 0] = bad
+        with pytest.raises(ContractError, match="finite"):
+            evaluate_all(scores, labels)

@@ -229,3 +229,15 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="classifier.weight"):
             md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        import json
+        params = make_params()
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, params, seed=0, epoch=0)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["classifier.bias"]["values"][1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="classifier.bias has non-finite"):
+            md.load_checkpoint(path)

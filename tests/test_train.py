@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import sys
 import threading
@@ -53,6 +54,22 @@ class TestTrainConfig:
         ("fixed_mask", 1), ("label_gate_mode", 0),
     ])
     def test_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_field_rejected(self, value):
+        names = [f.name for f in dataclasses.fields(TrainConfig) if type(f.default) is float]
+        assert "learning_rate" in names and "adam_eps" in names
+        for name in names:
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.0), ("adam_beta2", -1e-9),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8),
+    ])
+    def test_adam_hyperparameter_out_of_range_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
@@ -248,6 +265,11 @@ class TestTrainLoop:
         reports = [r.report for r in result.log.records]
         assert reports[0] is None and reports[1] is not None
         assert reports[3] is not None
+
+    def test_negative_eval_every_rejected(self):
+        ds = small_dataset()
+        with pytest.raises(ConfigError, match="eval_every"):
+            train(ds, small_config(epochs=1), eval_data=ds, eval_every=-1)
 
     def test_snapshot_epochs_collected(self):
         ds = small_dataset()
