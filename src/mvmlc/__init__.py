@@ -21,7 +21,6 @@ from .errors import ConfigError, ContractError, ShapeError, ValidationError
 from .losses import (
     LossBreakdown,
     classification_loss,
-    cosine_sim01,
     instance_contrastive,
     label_availability_gate,
     label_contrastive,
@@ -68,7 +67,6 @@ __all__ = [
     "backward",
     "channel_similarity",
     "classification_loss",
-    "cosine_sim01",
     "evaluate_all",
     "forward_all",
     "generate_indicators",

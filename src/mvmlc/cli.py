@@ -33,8 +33,8 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
 from .metrics import MetricsReport, evaluate_all
-from .model import forward_all, load_checkpoint, save_checkpoint
-from .train import TrainConfig, TrainResult, train
+from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
+from .train import TrainConfig, TrainResult, channel_similarity, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,6 +135,8 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
                 from_file = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"config file {args.config}: invalid JSON ({exc})") from None
+        if not isinstance(from_file, dict):
+            raise ValidationError(f"config file {args.config}: not a JSON object")
         unknown = set(from_file) - set(values)
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
@@ -223,13 +225,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict, MultiViewDataset]:
+    """Load --checkpoint and --manifest; their view widths and label counts must agree."""
     params, meta = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.manifest)
     if tuple(meta["view_dims"]) != dataset.view_dims or meta["n_labels"] != dataset.n_labels:
         raise ValidationError(
             f"checkpoint was trained on views {tuple(meta['view_dims'])} with "
             f"{meta['n_labels']} labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
+    return params, meta, dataset
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    params, meta, dataset = _checkpoint_and_dataset(args)
     scores = forward_all(params, dataset, None, training=False).scores.value
     report = evaluate_all(scores, dataset.labels, seed=meta["seed"],
                           epoch=meta["epoch"])
@@ -277,9 +285,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint is not None:
-        from .train import channel_similarity
-        params, meta = load_checkpoint(args.checkpoint)
-        dataset = load_dataset(args.manifest)
+        params, meta, dataset = _checkpoint_and_dataset(args)
         sim = channel_similarity(params, dataset)
         epoch = meta["epoch"]
         write_matrix_csv(out / f"channel_similarity_epoch{epoch}.csv", sim)

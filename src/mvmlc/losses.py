@@ -47,28 +47,6 @@ Array = np.ndarray
 PROB_CLIP = 1e-12
 
 
-def cosine_sim01(a, b) -> float:
-    """Cosine similarity mapped affinely onto [0, 1].
-
-    Identical directions give 1, orthogonal vectors 0.5, opposite
-    directions 0.  A zero vector has no direction; such pairs are defined
-    as neutral (0.5) and logged rather than raising, because all-zero rows
-    legitimately arise from zero-filled missing views.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_sim01: lengths {a.size} and {b.size} differ")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        logger.debug("cosine_sim01: zero-norm vector, returning neutral similarity 0.5")
-        return 0.5
-    if np.array_equal(a, b):
-        return 1.0
-    return float(min(1.0, max(0.0, (float(a @ b) / (na * nb) + 1.0) / 2.0)))
-
-
 def reconstruction_loss(recon: list[Matrix], masked_views: list[Matrix], view_indicator: Array) -> Matrix:
     """Mean over views of per-sample squared reconstruction error, gated by
     view availability and normalized by each view's width."""

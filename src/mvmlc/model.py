@@ -278,20 +278,28 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
+    view_dims = doc.get("view_dims")
+    if not isinstance(view_dims, list) or not view_dims:
+        raise ValidationError(f"checkpoint {path}: malformed field view_dims, expected a "
+                              f"non-empty list, got {view_dims!r}")
+    dims = [("view_dims", d) for d in view_dims]
+    dims += [(field, doc.get(field)) for field in ("n_labels", "embed_dim", "hidden_dim")]
+    for field, value in dims:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(f"checkpoint {path}: malformed field {field}, expected a "
+                                  f"positive integer, got {value!r}")
     try:
-        view_dims = tuple(int(d) for d in doc["view_dims"])
-        params = ModelParams.initialize(
-            np.random.default_rng(0), view_dims, int(doc["n_labels"]),
-            int(doc["embed_dim"]), int(doc["hidden_dim"]))
         stored = doc["parameters"]
         meta = {k: doc[k] for k in ("seed", "epoch", "config", "view_dims", "n_labels",
                                     "embed_dim", "hidden_dim")}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"checkpoint {path}: missing or malformed field ({exc!r})") from None
+    except KeyError as exc:
+        raise ValidationError(f"checkpoint {path}: missing field {exc}") from None
     for field in ("seed", "epoch"):
         if isinstance(meta[field], bool) or not isinstance(meta[field], int):
             raise ValidationError(f"checkpoint {path}: {field} must be an integer, "
                                   f"got {meta[field]!r}")
+    params = ModelParams.initialize(np.random.default_rng(0), tuple(view_dims),
+                                    meta["n_labels"], meta["embed_dim"], meta["hidden_dim"])
     expected = params.named_parameters()
     if not isinstance(stored, dict) or set(stored) != {name for name, _ in expected}:
         raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")

@@ -1,14 +1,15 @@
 """Dense float64 matrices with taped reverse-mode differentiation.
 
-The training objective composes many primitives (encoders, gated
-reductions, the classifier's cross-entropy), so gradients are obtained by
-recording every primitive application on a :class:`Tape` and replaying it
-backwards once, instead of deriving each backward pass by hand.  The one
-exception is the fused, row-tiled contrastive loss in :mod:`mvmlc.losses`:
-it is recorded as a single primitive through :func:`emit` with a
-hand-written VJP, which its tests audit against finite differences and a
-naive-loop oracle.  An independent finite-difference audit is provided by
-:func:`gradient_check`.
+The engine holds only the primitives the network uses (``add``, ``sub``,
+``mul``, ``matmul``, ``log``, ``square``, ``sigmoid``, ``relu``, ``clip``,
+``msum``).  The training objective composes many of them, so gradients are
+obtained by recording every primitive application on a :class:`Tape` and
+replaying it backwards once, instead of deriving each backward pass by
+hand.  The one exception is the fused, row-tiled contrastive loss in
+:mod:`mvmlc.losses`: it is recorded as a single primitive through
+:func:`emit` with a hand-written VJP, which its tests audit against finite
+differences and a naive-loop oracle.  An independent finite-difference
+audit is provided by :func:`gradient_check`.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
@@ -80,8 +81,6 @@ class Matrix:
     __slots__ = ("value",)
 
     def __init__(self, value) -> None:
-        if isinstance(value, Matrix):
-            value = value.value
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -101,35 +100,16 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    @property
-    def T(self) -> "Matrix":
-        return transpose(self)
-
     def item(self) -> float:
         if self.shape != (1, 1):
             raise ContractError(f"item() requires a 1x1 matrix, got {self.shape}")
         return float(self.value[0, 0])
 
-    def __float__(self) -> float:
-        return self.item()
-
     def sum(self, axis: int | None = None) -> "Matrix":
         return msum(self, axis)
 
-    def mean(self, axis: int | None = None) -> "Matrix":
-        if axis is None:
-            n = self.rows * self.cols
-        elif axis == 0:
-            n = self.rows
-        else:
-            n = self.cols
-        return msum(self, axis) * (1.0 / n)
-
     def __add__(self, other) -> "Matrix":
         return add(self, _lift(other))
-
-    def __radd__(self, other) -> "Matrix":
-        return add(_lift(other), self)
 
     def __sub__(self, other) -> "Matrix":
         return sub(self, _lift(other))
@@ -143,17 +123,8 @@ class Matrix:
     def __rmul__(self, other) -> "Matrix":
         return mul(_lift(other), self)
 
-    def __truediv__(self, other) -> "Matrix":
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other) -> "Matrix":
-        return div(_lift(other), self)
-
-    def __neg__(self) -> "Matrix":
-        return neg(self)
-
     def __matmul__(self, other) -> "Matrix":
-        return matmul(self, other)
+        return matmul(self, _lift(other))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
@@ -215,60 +186,30 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
                            _unbroadcast(g * a.value, b.shape)))
 
 
-def div(a: Matrix, b: Matrix) -> Matrix:
-    _broadcast_values(a, b, "div")
-    return emit(a.value / b.value, (a, b),
-                lambda g: (_unbroadcast(g / b.value, a.shape),
-                           _unbroadcast(-g * a.value / (b.value * b.value), b.shape)))
-
-
-def neg(a: Matrix) -> Matrix:
-    return emit(-a.value, (a,), lambda g: (-g,))
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a, b = _lift(a), _lift(b)
     if a.cols != b.rows:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     return emit(a.value @ b.value, (a, b),
                 lambda g: (g @ b.value.T, a.value.T @ g))
 
 
-def transpose(a: Matrix) -> Matrix:
-    return emit(a.value.T, (a,), lambda g: (g.T,))
-
-
-def exp(a: Matrix) -> Matrix:
-    out = np.exp(a.value)
-    return emit(out, (a,), lambda g: (g * out,))
-
-
 def log(a: Matrix) -> Matrix:
     return emit(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def sqrt(a: Matrix) -> Matrix:
-    out = np.sqrt(a.value)
-    return emit(out, (a,), lambda g: (g * (0.5 / out),))
 
 
 def square(a: Matrix) -> Matrix:
     return emit(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
 
 
-def _sigmoid_values(x: Array) -> Array:
+def sigmoid(a: Matrix) -> Matrix:
     # Two-branch form: never exponentiates a positive argument, so large
     # |x| saturates to 0/1 without overflow.
+    x = a.value
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Matrix) -> Matrix:
-    out = _sigmoid_values(a.value)
     return emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import losses as ls
 from .data import MaskBank, MultiViewDataset
 from .errors import ConfigError, ContractError
-from .losses import COMPONENTS, LossBreakdown, cosine_sim01, label_availability_gate, total_loss
+from .losses import COMPONENTS, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
 from .model import ModelParams, forward_all
 from .numerics import Matrix, Tape, backward
@@ -307,19 +307,16 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
 
     Channels are the v shared embeddings followed by the v private ones;
     each channel's mean is taken over the samples whose view is available,
-    on unmasked inputs.  Returns a symmetric 2v x 2v matrix of
-    [0,1]-mapped cosines with unit diagonal.
+    on unmasked inputs, and normalized as the contrastive loss normalizes
+    its rows (a channel with no available row has similarity 0.5 to every
+    other).  Returns a symmetric 2v x 2v matrix of [0,1]-mapped cosines
+    with unit diagonal.
     """
     cache = forward_all(params, dataset, None, training=False)
-    channels: list[Array] = []
-    for feats in (cache.shared, cache.private):
-        for m, f in enumerate(feats):
-            rows = dataset.view_indicator[:, m] == 1
-            channels.append(f.value[rows].mean(axis=0) if rows.any()
-                            else np.zeros(f.cols))
-    k = len(channels)
-    sim = np.ones((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            sim[i, j] = sim[j, i] = cosine_sim01(channels[i], channels[j])
+    available = dataset.view_indicator == 1
+    means = [f.value[available[:, m]].mean(axis=0) if available[:, m].any() else np.zeros(f.cols)
+             for feats in (cache.shared, cache.private) for m, f in enumerate(feats)]
+    unit, _ = ls._unit_rows(np.array(means))
+    sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
+    np.fill_diagonal(sim, 1.0)
     return sim

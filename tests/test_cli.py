@@ -232,6 +232,22 @@ def _train_flag(**flag):
     return lambda data, tmp: train_args(data / "manifest.json", tmp / "run", **flag)
 
 
+def _config_doc(doc):
+    return lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                              "--out", str(tmp / "run"), "--config", _config_file(tmp, doc)]
+
+
+def _heatmap_other_widths(data, tmp):
+    """Train a checkpoint on 5- and 6-wide views, then export its heatmap
+    on a dataset whose views are 4 wide."""
+    main(train_args(data / "manifest.json", tmp / "run"))
+    other = tmp / "other"
+    main(["synth", "--n", "12", "--views", "2", "--labels", "3", "--dims", "4,4",
+          "--seed", "2", "--out", str(other)])
+    return ["heatmap", "--checkpoint", str(tmp / "run" / "checkpoint.json"),
+            "--manifest", str(other / "manifest.json"), "--out", str(tmp / "h")]
+
+
 def _manifest_views_string(data, tmp):
     _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
     return train_args(data / "manifest.json", tmp / "run")
@@ -304,6 +320,25 @@ MALFORMED_INPUTS = [
     ("checkpoint value not finite",
      _malformed_checkpoint(lambda p: p["values"].__setitem__(0, float("nan"))),
      EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
+    ("config file a list of names", _config_doc(["epochs"]), EXIT_VALIDATION, "cfg.json"),
+    ("config file a list of pairs", _config_doc([["epochs", 3]]), EXIT_VALIDATION, "cfg.json"),
+    ("config file null", _config_doc(None), EXIT_VALIDATION, "cfg.json"),
+    ("config file a number", _config_doc(5), EXIT_VALIDATION, "cfg.json"),
+    ("config file a string", _config_doc("x"), EXIT_VALIDATION, "cfg.json"),
+    ("checkpoint hidden width zero", _checkpoint_meta("hidden_dim", 0, "eval"),
+     EXIT_VALIDATION, "hidden_dim"),
+    ("checkpoint hidden width fractional", _checkpoint_meta("hidden_dim", 32.7, "eval"),
+     EXIT_VALIDATION, "hidden_dim"),
+    ("checkpoint view width zero", _checkpoint_meta("view_dims", [5, 0], "eval"),
+     EXIT_VALIDATION, "view_dims"),
+    ("checkpoint view widths empty", _checkpoint_meta("view_dims", [], "heatmap"),
+     EXIT_VALIDATION, "view_dims"),
+    ("checkpoint label count a bool", _checkpoint_meta("n_labels", True, "eval"),
+     EXIT_VALIDATION, "n_labels"),
+    ("checkpoint embedding width negative", _checkpoint_meta("embed_dim", -4, "heatmap"),
+     EXIT_VALIDATION, "embed_dim"),
+    ("heatmap checkpoint on other view widths", _heatmap_other_widths,
+     EXIT_VALIDATION, "checkpoint was trained on views"),
 ]
 
 

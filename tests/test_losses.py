@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import mvmlc.losses as losses
-from mvmlc.errors import ConfigError, ShapeError
+from mvmlc.errors import ConfigError
 from mvmlc.losses import (
     LossBreakdown,
     classification_loss,
-    cosine_sim01,
     instance_contrastive,
     label_availability_gate,
     label_contrastive,
@@ -26,21 +25,25 @@ def rand_feats(rng, n, v, d):
 
 
 class TestCosineSim01:
+    """The [0,1]-mapped cosine of the contrastive blocks: unit rows from
+    ``_unit_rows``, then exp((sim01 - 1) / tau) from ``_exp_block``."""
+
+    @staticmethod
+    def sim01(a, b):
+        unit, _ = losses._unit_rows(np.array([a, b], dtype=np.float64))
+        return 1.0 + math.log(losses._exp_block(unit[:1], unit[1:], 1.0)[0, 0])
+
     def test_identical_vectors(self):
-        assert cosine_sim01([1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert self.sim01([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal(self):
-        assert cosine_sim01([1.0, 0.0], [0.0, 3.0]) == 0.5
+        assert self.sim01([1.0, 0.0], [0.0, 3.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_antipodal(self):
-        assert cosine_sim01([1.0, -2.0], [-1.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
+        assert self.sim01([1.0, -2.0], [-1.0, 2.0]) == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_norm_is_neutral(self):
-        assert cosine_sim01([0.0, 0.0], [1.0, 2.0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            cosine_sim01([1.0], [1.0, 2.0])
+        assert self.sim01([0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestReconstruction:

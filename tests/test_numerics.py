@@ -60,7 +60,6 @@ class TestElementwise:
             "add": (Matrix(a) + Matrix(b), a + b),
             "sub": (Matrix(a) - Matrix(b), a - b),
             "mul": (Matrix(a) * Matrix(b), a * b),
-            "div": (Matrix(a) / Matrix(b), a / b),
         }
         for name, (got, ref) in cases.items():
             loop = np.zeros_like(ref)
@@ -68,8 +67,7 @@ class TestElementwise:
                 for j in range(5):
                     loop[i, j] = {"add": a[i, j] + b[i, j],
                                   "sub": a[i, j] - b[i, j],
-                                  "mul": a[i, j] * b[i, j],
-                                  "div": a[i, j] / b[i, j]}[name]
+                                  "mul": a[i, j] * b[i, j]}[name]
             np.testing.assert_allclose(got.value, loop, atol=1e-12, rtol=0)
 
     def test_broadcast_mismatch(self):
@@ -151,13 +149,8 @@ PRIMITIVES = {
     "add": lambda p, w: _weighted_scalar(p[0] + p[1], w),
     "sub": lambda p, w: _weighted_scalar(p[0] - p[1], w),
     "mul": lambda p, w: _weighted_scalar(p[0] * p[1], w),
-    "div": lambda p, w: _weighted_scalar(p[0] / (nm.square(p[1]) + 1.0), w),
-    "neg": lambda p, w: _weighted_scalar(-p[0], w),
-    "matmul": lambda p, w: _weighted_scalar(p[0] @ p[1].T, w[:, :1] @ w[:, :1].T),
-    "transpose": lambda p, w: _weighted_scalar(p[0].T, w.T),
-    "exp": lambda p, w: _weighted_scalar(nm.exp(p[0]), w),
+    "matmul": lambda p, w: _weighted_scalar(p[0] @ Matrix(np.ones((4, 3))) @ p[1], w),
     "log": lambda p, w: _weighted_scalar(nm.log(nm.square(p[0]) + 1.5), w),
-    "sqrt": lambda p, w: _weighted_scalar(nm.sqrt(nm.square(p[0]) + 1.0), w),
     "square": lambda p, w: _weighted_scalar(nm.square(p[0]), w),
     "sigmoid": lambda p, w: _weighted_scalar(nm.sigmoid(p[0]), w),
     "relu": lambda p, w: _weighted_scalar(nm.relu(p[0]), w),
@@ -165,7 +158,6 @@ PRIMITIVES = {
     "sum_all": lambda p, w: p[0].sum() * float(w[0, 0]),
     "sum_rows": lambda p, w: _weighted_scalar(p[0].sum(axis=0), w[:1, :]),
     "sum_cols": lambda p, w: _weighted_scalar(p[0].sum(axis=1), w[:, :1]),
-    "mean": lambda p, w: p[0].mean() * float(w[0, 0]),
 }
 
 
@@ -208,7 +200,7 @@ class TestGradientCheck:
         def masked_bce(p):
             probs = nm.clip(nm.sigmoid(p[0]), 1e-12, 1.0 - 1e-12)
             ll = Matrix(labels) * nm.log(probs) + Matrix(1.0 - labels) * nm.log(1.0 - probs)
-            return -(ll * Matrix(gate)).sum() * (1.0 / 12.0)
+            return (ll * Matrix(gate)).sum() * (-1.0 / 12.0)
 
         report = gradient_check(masked_bce, [logits], step=1e-5, tol=1e-6)
         assert report.passed, report

@@ -21,6 +21,8 @@ from mvmlc.train import (
 )
 from mvmlc.train import _epoch_losses
 
+from oracles import cos01_oracle
+
 
 def small_dataset(n=12, v=2, c=3, seed=0, view_missing=0.0, label_missing=0.0):
     ds = synth_dataset(n, v, c, dims=tuple([5] * v), noise=0.3, seed=seed)
@@ -379,3 +381,29 @@ class TestChannelSimilarity:
         params = init_params(small_config(), ds.view_dims, ds.n_labels)
         sim = channel_similarity(params, ds)
         assert np.all(sim >= 0.0) and np.all(sim <= 1.0)
+
+    def test_matches_cosine_oracle_on_channel_means(self):
+        # Views 0 and 1 hold the same data through the same shared encoder,
+        # so shared channels 0 and 1 coincide; view 2 has no available row,
+        # so shared channel 2 and private channel 5 are zero.
+        base = small_dataset(n=10, v=3)
+        vi = np.ones((10, 3))
+        vi[:, 2] = 0.0
+        ds = MultiViewDataset(views=[base.views[0], base.views[0], np.zeros((10, 5))],
+                              labels=base.labels, view_indicator=vi,
+                              label_indicator=base.label_indicator)
+        params = init_params(small_config(), ds.view_dims, ds.n_labels)
+        params.shared_encoders[1] = params.shared_encoders[0]
+        sim = channel_similarity(params, ds)
+
+        cache = forward_all(params, ds, None, training=False)
+        means = [f.value[vi[:, m] == 1].mean(axis=0) if vi[:, m].any() else np.zeros(f.cols)
+                 for feats in (cache.shared, cache.private) for m, f in enumerate(feats)]
+        want = np.array([[1.0 if i == j else cos01_oracle(a, b) for j, b in enumerate(means)]
+                         for i, a in enumerate(means)])
+        np.testing.assert_allclose(sim, want, rtol=0, atol=1e-15)
+        assert sim[0, 1] == pytest.approx(1.0, abs=1e-15)
+        for zero in (2, 5):
+            others = [j for j in range(6) if j != zero]
+            np.testing.assert_array_equal(sim[zero, others], 0.5)
+            np.testing.assert_array_equal(sim[others, zero], 0.5)
