@@ -37,7 +37,6 @@ from .train import (
     TrainResult,
     adam_step,
     channel_similarity,
-    init_params,
     train,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "forward_all",
     "generate_indicators",
     "gradient_check",
-    "init_params",
     "instance_contrastive",
     "label_availability_gate",
     "label_contrastive",

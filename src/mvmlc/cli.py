@@ -130,10 +130,10 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
     """Defaults < config file < explicit flags (each flag's dest is its field)."""
     values = TrainConfig().to_dict()
     if args.config is not None:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 from_file = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValidationError(f"config file {args.config}: invalid JSON ({exc})") from None
         if not isinstance(from_file, dict):
             raise ValidationError(f"config file {args.config}: not a JSON object")
@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--manifest", type=Path, required=True, help="dataset manifest path")
     p_train.add_argument("--out", type=Path, required=True, help="output directory")
     p_train.add_argument("--eval-every", type=int, default=0,
-                         help="attach test metrics every K epochs (default off)")
+                         help="attach test metrics every K epochs; needs --train-frac "
+                              "(default off)")
     p_train.add_argument("--log-timing", action="store_true",
                          help="include wall_ms in train_log.csv (breaks byte-identical reruns)")
     _add_protocol_flags(p_train)

@@ -353,10 +353,10 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     data by :func:`apply_indicators`, which zero-fills what they hide.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"manifest {manifest_path}: invalid JSON ({exc})") from None
     indicators = ("view_indicator", "label_indicator")
     files = manifest.get("views") if isinstance(manifest, dict) else None

@@ -39,12 +39,34 @@ def _validate(scores, labels) -> tuple[Array, Array]:
     return scores, labels
 
 
-def _descending_ranks(row: Array) -> Array:
-    """Rank of each label (1 = best), descending score, ties to lower index."""
-    order = np.argsort(-row, kind="stable")
-    ranks = np.empty(row.size, dtype=np.int64)
-    ranks[order] = np.arange(1, row.size + 1)
-    return ranks
+def _relevance_by_rank(scores: Array, labels: Array) -> Array:
+    """Boolean N x C: entry (i, r) says whether row i's label at rank r + 1
+    is relevant, ranking by descending score with ties to the lower index."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return np.take_along_axis(labels == 1, order, axis=1)
+
+
+def _wilcoxon(scores: Array, positive: Array) -> tuple[Array, Array]:
+    """Per row: the (positive, negative) pairs the scores order correctly,
+    ties counted half, and the number of such pairs.
+
+    The correct count is the positives' midrank sum less its least value
+    n_pos (n_pos + 1) / 2.  Midranks come from one stable row-wise sort:
+    a tie group shares the mean of its first and last 1-based positions.
+    """
+    k = scores.shape[1]
+    order = np.argsort(scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    pos = np.take_along_axis(positive, order, axis=1)
+    opens = np.ones(ranked.shape, dtype=bool)  # first entry of a tie group
+    opens[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    starts = np.flatnonzero(opens)  # every row opens a group, so none spans two rows
+    sizes = np.diff(starts, append=opens.size)
+    # twice a midrank, (first + last) 1-based position, stays an exact integer
+    twice_rank = np.repeat(2 * (starts % k) + sizes + 1, sizes).reshape(ranked.shape)
+    n_pos = pos.sum(axis=1)
+    correct = ((twice_rank * pos).sum(axis=1) - n_pos * (n_pos + 1)) / 2.0
+    return correct, n_pos * (k - n_pos)
 
 
 def average_precision(scores, labels) -> float:
@@ -54,19 +76,14 @@ def average_precision(scores, labels) -> float:
     no usable sample raises ContractError.
     """
     scores, labels = _validate(scores, labels)
-    per_sample = []
-    for i in range(scores.shape[0]):
-        relevant = labels[i] == 1
-        if not relevant.any():
-            continue
-        order = np.argsort(-scores[i], kind="stable")
-        rel_sorted = relevant[order]
-        hits = np.cumsum(rel_sorted)
-        positions = np.flatnonzero(rel_sorted) + 1
-        per_sample.append(float(np.mean(hits[positions - 1] / positions)))
-    if not per_sample:
+    relevant = _relevance_by_rank(scores, labels)
+    n_rel = relevant.sum(axis=1)
+    usable = n_rel > 0
+    if not usable.any():
         raise ContractError("average_precision: no sample has a relevant label")
-    return float(np.mean(per_sample))
+    precision = np.cumsum(relevant, axis=1) / np.arange(1, scores.shape[1] + 1)
+    totals = np.where(relevant, precision, 0.0).sum(axis=1)
+    return float(np.mean(totals[usable] / n_rel[usable]))
 
 
 def hamming(scores, labels, threshold: float = 0.5) -> float:
@@ -82,32 +99,11 @@ def ranking_loss(scores, labels) -> float:
     """One minus the mean mis-ranked (relevant, irrelevant) pair fraction,
     ties counted half; samples lacking either kind of label are excluded."""
     scores, labels = _validate(scores, labels)
-    per_sample = []
-    for i in range(scores.shape[0]):
-        rel = scores[i, labels[i] == 1]
-        irr = scores[i, labels[i] == 0]
-        if rel.size == 0 or irr.size == 0:
-            continue
-        diff = rel[:, None] - irr[None, :]
-        bad = np.count_nonzero(diff < 0) + 0.5 * np.count_nonzero(diff == 0)
-        per_sample.append(bad / (rel.size * irr.size))
-    if not per_sample:
+    correct, pairs = _wilcoxon(scores, labels == 1)
+    usable = pairs > 0
+    if not usable.any():
         raise ContractError("ranking_loss: every sample is degenerate")
-    return 1.0 - float(np.mean(per_sample))
-
-
-def _midranks(x: Array) -> Array:
-    """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    return 1.0 - float(np.mean((pairs[usable] - correct[usable]) / pairs[usable]))
 
 
 def macro_auc(scores, labels) -> float:
@@ -115,19 +111,11 @@ def macro_auc(scores, labels) -> float:
     negative) sample pairs the label's scores rank correctly, ties half.
     Labels that are all-positive or all-negative are excluded."""
     scores, labels = _validate(scores, labels)
-    per_label = []
-    for j in range(scores.shape[1]):
-        pos = labels[:, j] == 1
-        n_pos = int(pos.sum())
-        n_neg = labels.shape[0] - n_pos
-        if n_pos == 0 or n_neg == 0:
-            continue
-        ranks = _midranks(scores[:, j])
-        rank_sum = float(ranks[pos].sum())
-        per_label.append((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-    if not per_label:
+    correct, pairs = _wilcoxon(scores.T, labels.T == 1)
+    usable = pairs > 0
+    if not usable.any():
         raise ContractError("macro_auc: every label is degenerate")
-    return float(np.mean(per_label))
+    return float(np.mean(correct[usable] / pairs[usable]))
 
 
 def one_error(scores, labels) -> float:
@@ -149,17 +137,13 @@ def coverage(scores, labels) -> float:
     samples are excluded).
     """
     scores, labels = _validate(scores, labels)
-    c = scores.shape[1]
-    per_sample = []
-    for i in range(scores.shape[0]):
-        relevant = labels[i] == 1
-        if not relevant.any():
-            continue
-        ranks = _descending_ranks(scores[i])
-        per_sample.append((int(ranks[relevant].max()) - 1) / c)
-    if not per_sample:
+    relevant = _relevance_by_rank(scores, labels)
+    usable = relevant.any(axis=1)
+    if not usable.any():
         return 0.0
-    return float(np.mean(per_sample))
+    c = scores.shape[1]
+    deepest = c - 1 - np.argmax(relevant[:, ::-1], axis=1)  # r - 1 of the worst relevant
+    return float(np.mean(deepest[usable] / c))
 
 
 @dataclass

@@ -270,10 +270,10 @@ def save_checkpoint(
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     """Rebuild ModelParams from a checkpoint; shape mismatches are rejected."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from None
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:

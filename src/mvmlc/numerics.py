@@ -160,27 +160,27 @@ def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
     return grad
 
 
-def _broadcast_values(a: Matrix, b: Matrix, op: str) -> Array:
+def _check_broadcast(a: Matrix, b: Matrix, op: str) -> None:
     try:
-        return np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
-    _broadcast_values(a, b, "add")
+    _check_broadcast(a, b, "add")
     return emit(a.value + b.value, (a, b),
                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a: Matrix, b: Matrix) -> Matrix:
-    _broadcast_values(a, b, "sub")
+    _check_broadcast(a, b, "sub")
     return emit(a.value - b.value, (a, b),
                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
-    _broadcast_values(a, b, "mul")
+    _check_broadcast(a, b, "mul")
     return emit(a.value * b.value, (a, b),
                 lambda g: (_unbroadcast(g * b.value, a.shape),
                            _unbroadcast(g * a.value, b.shape)))

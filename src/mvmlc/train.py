@@ -149,15 +149,6 @@ class AdamState:
                    second=[np.zeros(p.shape) for p in params])
 
 
-def init_params(config: TrainConfig, view_dims: tuple[int, ...], n_labels: int) -> ModelParams:
-    """Seeded parameter initialization (uniform +-1/sqrt(fan_in) per layer)."""
-    if not view_dims or any(d < 1 for d in view_dims) or n_labels < 1:
-        raise ConfigError(f"invalid dimensions: views {view_dims}, labels {n_labels}")
-    rng = np.random.default_rng(config.seed)
-    return ModelParams.initialize(rng, tuple(view_dims), n_labels,
-                                  config.embed_dim, config.hidden_dim)
-
-
 def adam_step(
     params: list[Matrix],
     grads: list[Array],
@@ -239,12 +230,14 @@ def train(
 ) -> TrainResult:
     """Run the training loop; see the module docstring for the schedule.
 
-    ``eval_every`` > 0 attaches a metrics report on ``eval_data`` every
-    that many epochs.  ``snapshot_epochs`` collects the channel-similarity
+    ``eval_every`` > 0 attaches a metrics report on ``eval_data``, which it
+    then requires, every that many epochs.  ``snapshot_epochs`` collects the channel-similarity
     matrix after the given number of completed epochs (0 = initialization).
     """
     if eval_every < 0:
         raise ConfigError(f"eval_every must be >= 0, got {eval_every}")
+    if eval_every and eval_data is None:
+        raise ConfigError(f"eval_every={eval_every} needs eval_data to evaluate on")
     for k in snapshot_epochs:
         if not 0 <= k <= config.epochs:
             raise ConfigError(f"snapshot epoch {k} outside the schedule (0..{config.epochs})")
@@ -292,7 +285,7 @@ def train(
         epoch_losses = LossBreakdown.weighted_mean(collected)
         wall_ms = (time.perf_counter() - started) * 1000.0
         report = None
-        if eval_every and eval_data is not None and epoch % eval_every == 0:
+        if eval_every and epoch % eval_every == 0:
             scores = forward_all(params, eval_data, None, training=False).scores.value
             report = evaluate_all(scores, eval_data.labels, seed=config.seed, epoch=epoch)
         result.log.records.append(EpochRecord(epoch=epoch, losses=epoch_losses,

@@ -248,6 +248,12 @@ def _heatmap_other_widths(data, tmp):
             "--manifest", str(other / "manifest.json"), "--out", str(tmp / "h")]
 
 
+def _not_utf8(path):
+    """Write a JSON input whose first bytes (a UTF-16 byte-order mark) are not UTF-8."""
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
 def _manifest_views_string(data, tmp):
     _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
     return train_args(data / "manifest.json", tmp / "run")
@@ -339,6 +345,18 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "embed_dim"),
     ("heatmap checkpoint on other view widths", _heatmap_other_widths,
      EXIT_VALIDATION, "checkpoint was trained on views"),
+    ("manifest not UTF-8",
+     lambda data, tmp: train_args(_not_utf8(data / "manifest.json"), tmp / "run"),
+     EXIT_VALIDATION, "manifest.json"),
+    ("config file not UTF-8",
+     lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "run"), "--config", _not_utf8(tmp / "cfg.json")],
+     EXIT_VALIDATION, "cfg.json"),
+    ("checkpoint not UTF-8",
+     lambda data, tmp: ["eval", "--checkpoint", _not_utf8(tmp / "checkpoint.json"),
+                        "--manifest", str(data / "manifest.json")],
+     EXIT_VALIDATION, "checkpoint.json"),
+    ("eval every without a test split", _train_flag(eval_every="2"), EXIT_USAGE, "eval_every"),
 ]
 
 

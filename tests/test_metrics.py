@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,19 +139,64 @@ ORACLES = {
 }
 
 
+def assert_metrics_match_oracles(scores, labels):
+    for metric, oracle in ORACLES.items():
+        try:
+            want = oracle(scores, labels)
+        except ValueError:
+            with pytest.raises(ContractError):
+                metric(scores, labels)
+            continue
+        got = metric(scores, labels)
+        assert got == pytest.approx(want, abs=1e-12), metric.__name__
+
+
 def test_all_metrics_match_bruteforce_on_200_instances():
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        scores, labels = random_instance(rng)
-        for metric, oracle in ORACLES.items():
-            try:
-                want = oracle(scores, labels)
-            except ValueError:
-                with pytest.raises(ContractError):
-                    metric(scores, labels)
-                continue
-            got = metric(scores, labels)
-            assert got == pytest.approx(want, abs=1e-12), metric.__name__
+        assert_metrics_match_oracles(*random_instance(rng))
+
+
+# Shapes the random sweep never draws: (n, c, which scores are all equal).
+EDGE_SHAPES = {
+    "one label": (12, 1, None),
+    "nine labels": (15, 9, None),
+    "33 labels": (20, 33, None),
+    "one sample": (1, 6, None),
+    "one sample, one label": (1, 1, None),
+    "equal scores within each row": (10, 7, "row"),
+    "equal scores within each label": (10, 7, "label"),
+}
+
+
+@pytest.mark.parametrize("n,c,equal", EDGE_SHAPES.values(), ids=EDGE_SHAPES.keys())
+def test_all_metrics_match_bruteforce_on_edge_shapes(n, c, equal):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.random((n, c)), 1)
+        labels = (rng.random((n, c)) > 0.5).astype(float)
+        if equal == "row":
+            scores[:] = scores[:, :1]
+        elif equal == "label":
+            scores[:] = scores[:1]
+        assert_metrics_match_oracles(scores, labels)
+
+
+@pytest.mark.parametrize("metric", [ranking_loss, macro_auc], ids=lambda m: m.__name__)
+def test_pair_counts_take_memory_linear_in_the_scores(metric):
+    # 1000 x 200 scores are 1.5 MiB; one N x C x C pair tensor would be ~300 MiB.
+    rng = np.random.default_rng(0)
+    scores = np.round(rng.random((1000, 200)), 2)
+    labels = (rng.random((1000, 200)) > 0.9).astype(float)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        metric(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"{metric.__name__} peaked at {peak / 2 ** 20:.1f} MiB"
 
 
 def test_ranking_metrics_invariant_under_monotone_transforms():

@@ -9,14 +9,13 @@ import pytest
 from mvmlc.data import MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
 from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import label_availability_gate
-from mvmlc.model import forward_all
+from mvmlc.model import ModelParams, forward_all
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
 from mvmlc.train import (
     AdamState,
     TrainConfig,
     adam_step,
     channel_similarity,
-    init_params,
     train,
 )
 from mvmlc.train import _epoch_losses
@@ -36,6 +35,13 @@ def small_config(**overrides):
     base = dict(epochs=3, embed_dim=4, hidden_dim=6, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def small_params(view_dims, n_labels, seed=0):
+    """The parameters train() starts from under small_config(seed=seed)."""
+    cfg = small_config(seed=seed)
+    return ModelParams.initialize(np.random.default_rng(seed), view_dims, n_labels,
+                                  cfg.embed_dim, cfg.hidden_dim)
 
 
 class TestTrainConfig:
@@ -82,26 +88,21 @@ class TestTrainConfig:
 
 class TestInitParams:
     def test_deterministic(self):
-        cfg = small_config()
-        a = init_params(cfg, (5, 5), 3)
-        b = init_params(cfg, (5, 5), 3)
+        a = small_params((5, 5), 3)
+        b = small_params((5, 5), 3)
         for (_, x), (_, y) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(x.value, y.value)
 
     def test_shapes(self):
-        params = init_params(small_config(), (5, 7), 3)
+        params = small_params((5, 7), 3)
         assert params.view_dims == (5, 7)
         assert params.embed_dim == 4
         assert params.classifier_weight.shape == (4, 3)
 
     def test_different_seeds_differ(self):
-        a = init_params(small_config(seed=0), (5,), 2)
-        b = init_params(small_config(seed=1), (5,), 2)
+        a = small_params((5,), 2, seed=0)
+        b = small_params((5,), 2, seed=1)
         assert not np.array_equal(a.classifier_weight.value, b.classifier_weight.value)
-
-    def test_invalid_dims(self):
-        with pytest.raises(ConfigError):
-            init_params(small_config(), (), 3)
 
 
 class TestAdamStep:
@@ -273,6 +274,10 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="eval_every"):
             train(ds, small_config(epochs=1), eval_data=ds, eval_every=-1)
 
+    def test_eval_every_without_eval_data_rejected(self):
+        with pytest.raises(ConfigError, match="eval_every"):
+            train(small_dataset(), small_config(epochs=1), eval_every=2)
+
     def test_snapshot_epochs_collected(self):
         ds = small_dataset()
         result = train(ds, small_config(epochs=2), snapshot_epochs=(0, 2))
@@ -316,7 +321,7 @@ class TestEndToEndGradients:
     def test_full_objective_matches_finite_differences(self):
         ds = small_dataset(n=8, v=2, c=3, view_missing=0.25, label_missing=0.3)
         cfg = small_config(alpha=0.1, beta=0.1, gamma=0.1, tau_s=0.5, tau_l=0.5)
-        params = init_params(cfg, ds.view_dims, ds.n_labels)
+        params = small_params(ds.view_dims, ds.n_labels)
         gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
         from mvmlc.data import MaskBank
         bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=7)
@@ -330,7 +335,7 @@ class TestEndToEndGradients:
     def test_fully_missing_view_row_never_affects_gradients(self):
         ds = small_dataset(n=8, view_missing=0.4, label_missing=0.3)
         cfg = small_config()
-        params = init_params(cfg, ds.view_dims, ds.n_labels)
+        params = small_params(ds.view_dims, ds.n_labels)
         gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
 
         def grads_for(data):
@@ -370,7 +375,7 @@ class TestNoiseFreeRecovery:
 class TestChannelSimilarity:
     def test_shape_symmetry_unit_diagonal(self):
         ds = small_dataset(n=10, v=3)
-        ds_params = init_params(small_config(), ds.view_dims, ds.n_labels)
+        ds_params = small_params(ds.view_dims, ds.n_labels)
         sim = channel_similarity(ds_params, ds)
         assert sim.shape == (6, 6)
         np.testing.assert_array_equal(sim, sim.T)
@@ -378,7 +383,7 @@ class TestChannelSimilarity:
 
     def test_values_in_unit_interval(self):
         ds = small_dataset(n=10, v=2, view_missing=0.3)
-        params = init_params(small_config(), ds.view_dims, ds.n_labels)
+        params = small_params(ds.view_dims, ds.n_labels)
         sim = channel_similarity(params, ds)
         assert np.all(sim >= 0.0) and np.all(sim <= 1.0)
 
@@ -392,7 +397,7 @@ class TestChannelSimilarity:
         ds = MultiViewDataset(views=[base.views[0], base.views[0], np.zeros((10, 5))],
                               labels=base.labels, view_indicator=vi,
                               label_indicator=base.label_indicator)
-        params = init_params(small_config(), ds.view_dims, ds.n_labels)
+        params = small_params(ds.view_dims, ds.n_labels)
         params.shared_encoders[1] = params.shared_encoders[0]
         sim = channel_similarity(params, ds)
 
