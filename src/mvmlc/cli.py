@@ -77,53 +77,57 @@ class RunManifest:
             fh.write("\n")
 
 
-def _add_train_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_train_config_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     defaults = TrainConfig()
     grp = parser.add_argument_group("training configuration")
-    grp.add_argument("--config", type=Path, default=None,
-                     help="JSON file with training-config fields; explicit flags override it")
-    grp.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})")
-    grp.add_argument("--lr", dest="learning_rate", type=float,
-                     help=f"Adam learning rate (default {defaults.learning_rate})")
-    grp.add_argument("--adam-beta1", dest="adam_beta1", type=float,
-                     help=f"Adam first-moment decay (default {defaults.adam_beta1})")
-    grp.add_argument("--adam-beta2", dest="adam_beta2", type=float,
-                     help=f"Adam second-moment decay (default {defaults.adam_beta2})")
-    grp.add_argument("--adam-eps", dest="adam_eps", type=float,
-                     help=f"Adam epsilon (default {defaults.adam_eps})")
-    grp.add_argument("--alpha", type=float,
-                     help=f"instance-contrast weight (default {defaults.alpha})")
-    grp.add_argument("--beta", type=float,
-                     help=f"label-contrast weight (default {defaults.beta})")
-    grp.add_argument("--gamma", type=float,
-                     help=f"reconstruction weight (default {defaults.gamma})")
-    grp.add_argument("--tau-s", dest="tau_s", type=float,
-                     help=f"instance-contrast temperature (default {defaults.tau_s})")
-    grp.add_argument("--tau-l", dest="tau_l", type=float,
-                     help=f"label-contrast temperature (default {defaults.tau_l})")
-    grp.add_argument("--mask-ratio", dest="mask_ratio", type=float,
-                     help=f"masked fraction of each input row (default {defaults.mask_ratio})")
-    grp.add_argument("--embed-dim", dest="embed_dim", type=int,
-                     help=f"embedding width (default {defaults.embed_dim})")
-    grp.add_argument("--hidden-dim", dest="hidden_dim", type=int,
-                     help=f"MLP hidden width (default {defaults.hidden_dim})")
-    grp.add_argument("--batch-size", dest="batch_size", type=int,
-                     help="mini-batch size; 0 = full batch (default 0)")
-    grp.add_argument("--seed", type=int, help=f"master RNG seed (default {defaults.seed})")
-    grp.add_argument("--fixed-mask", dest="fixed_mask", action="store_true", default=None,
-                     help="reuse one input mask for all epochs instead of fresh draws")
-    grp.add_argument("--label-gate", dest="label_gate_mode", choices=("view", "label"),
-                     help=f"denominator gate of the label contrast (default {defaults.label_gate_mode})")
+    return [
+        grp.add_argument("--config", type=Path, default=None,
+                         help="JSON file with training-config fields; explicit flags override it"),
+        grp.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})"),
+        grp.add_argument("--lr", dest="learning_rate", type=float,
+                         help=f"Adam learning rate (default {defaults.learning_rate})"),
+        grp.add_argument("--adam-beta1", dest="adam_beta1", type=float,
+                         help=f"Adam first-moment decay (default {defaults.adam_beta1})"),
+        grp.add_argument("--adam-beta2", dest="adam_beta2", type=float,
+                         help=f"Adam second-moment decay (default {defaults.adam_beta2})"),
+        grp.add_argument("--adam-eps", dest="adam_eps", type=float,
+                         help=f"Adam epsilon (default {defaults.adam_eps})"),
+        grp.add_argument("--alpha", type=float,
+                         help=f"instance-contrast weight (default {defaults.alpha})"),
+        grp.add_argument("--beta", type=float,
+                         help=f"label-contrast weight (default {defaults.beta})"),
+        grp.add_argument("--gamma", type=float,
+                         help=f"reconstruction weight (default {defaults.gamma})"),
+        grp.add_argument("--tau-s", dest="tau_s", type=float,
+                         help=f"instance-contrast temperature (default {defaults.tau_s})"),
+        grp.add_argument("--tau-l", dest="tau_l", type=float,
+                         help=f"label-contrast temperature (default {defaults.tau_l})"),
+        grp.add_argument("--mask-ratio", dest="mask_ratio", type=float,
+                         help=f"masked fraction of each input row (default {defaults.mask_ratio})"),
+        grp.add_argument("--embed-dim", dest="embed_dim", type=int,
+                         help=f"embedding width (default {defaults.embed_dim})"),
+        grp.add_argument("--hidden-dim", dest="hidden_dim", type=int,
+                         help=f"MLP hidden width (default {defaults.hidden_dim})"),
+        grp.add_argument("--batch-size", dest="batch_size", type=int,
+                         help="mini-batch size; 0 = full batch (default 0)"),
+        grp.add_argument("--seed", type=int, help=f"master RNG seed (default {defaults.seed})"),
+        grp.add_argument("--fixed-mask", dest="fixed_mask", action="store_true", default=None,
+                         help="reuse one input mask for all epochs instead of fresh draws"),
+        grp.add_argument("--label-gate", dest="label_gate_mode", choices=("view", "label"),
+                         help=f"denominator gate of the label contrast (default {defaults.label_gate_mode})"),
+    ]
 
 
-def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
+def _add_protocol_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     grp = parser.add_argument_group("missingness protocol")
-    grp.add_argument("--view-missing", type=float, default=0.0,
-                     help="fraction of view entries to hide across the whole dataset (default 0)")
-    grp.add_argument("--label-missing", type=float, default=0.0,
-                     help="fraction of training labels to hide (default 0)")
-    grp.add_argument("--train-frac", type=float, default=None,
-                     help="train fraction for a train/test split (default: no split)")
+    return [
+        grp.add_argument("--view-missing", type=float, default=0.0,
+                         help="fraction of view entries to hide across the whole dataset (default 0)"),
+        grp.add_argument("--label-missing", type=float, default=0.0,
+                         help="fraction of training labels to hide (default 0)"),
+        grp.add_argument("--train-frac", type=float, default=None,
+                         help="train fraction for a train/test split (default: no split)"),
+    ]
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
@@ -285,6 +289,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint is not None:
+        ignored = [flag.option_strings[0] for flag in args.training_flags
+                   if getattr(args, flag.dest) != flag.default]
+        if ignored:
+            raise ConfigError("heatmap --checkpoint exports the checkpoint as trained; "
+                              f"it does not take {', '.join(ignored)}")
         params, meta, dataset = _checkpoint_and_dataset(args)
         sim = channel_similarity(params, dataset)
         epoch = meta["epoch"]
@@ -356,12 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--manifest", type=Path, required=True)
     p_heat.add_argument("--out", type=Path, required=True)
     p_heat.add_argument("--checkpoint", type=Path, default=None,
-                        help="export one matrix from this checkpoint instead of training")
-    p_heat.add_argument("--snapshots", type=str, default=None,
-                        help="comma list of snapshot epochs, e.g. 0,20,40,60")
-    _add_protocol_flags(p_heat)
-    _add_train_config_flags(p_heat)
-    p_heat.set_defaults(func=cmd_heatmap)
+                        help="export one matrix from this checkpoint instead of training; "
+                             "takes no --snapshots, protocol or training flag")
+    snapshots = p_heat.add_argument("--snapshots", type=str, default=None,
+                                    help="comma list of snapshot epochs, e.g. 0,20,40,60")
+    # the flags that configure training, which --checkpoint does not run
+    training_flags = [snapshots, *_add_protocol_flags(p_heat), *_add_train_config_flags(p_heat)]
+    p_heat.set_defaults(func=cmd_heatmap, training_flags=training_flags)
 
     return parser
 

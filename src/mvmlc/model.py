@@ -8,6 +8,15 @@ head are single shared copies applied to every view's shared features.
 The classifier bias is one row broadcast across samples so the model
 generalizes to unseen data.  No normalization or dropout layers, which
 keeps finite-difference gradient audits exact.
+
+Each view's stack runs only on the rows where that view is observed.  A
+missing view's zero-filled row would yield features that nothing reads:
+fusion, the reconstruction gate and the contrastive gates all drop them,
+so their adjoints are exactly zero.  Per-view outputs therefore stay
+compact, and rows return to all N samples only through
+:func:`mvmlc.numerics.scatter_rows`, in :func:`fuse` and where the
+training losses take their N-row inputs.  At inference the decoders and
+projection heads, which feed only those losses, do not run.
 """
 
 from __future__ import annotations
@@ -140,11 +149,18 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Every intermediate activation of one forward pass."""
+    """The activations of one forward pass.
 
-    masked_views: list[Matrix]
-    shared: list[Matrix]          # per-view consistent features, N x embed
-    private: list[Matrix]         # per-view proprietary features, N x embed
+    ``shared`` and ``private`` are compact: entry m holds view m's
+    features on its n_m observed rows, in sample order.  The loss inputs
+    ``recon``, ``instance_feats`` and ``label_probs`` span all N rows,
+    zero where the view is missing; a forward without training fills none
+    of them, so they are empty lists.
+    """
+
+    masked_views: list[Matrix]    # encoder inputs before row compaction, N x d_m
+    shared: list[Matrix]          # per-view consistent features, n_m x embed
+    private: list[Matrix]         # per-view proprietary features, n_m x embed
     recon: list[Matrix]           # decoder outputs, N x d_m
     instance_feats: list[Matrix]  # instance head outputs, N x embed
     label_probs: list[Matrix]     # label head outputs through sigmoid, N x C
@@ -152,6 +168,11 @@ class ForwardCache:
     fused_private: Matrix
     blended: Matrix               # sigmoid(fused_private) * fused_shared
     scores: Matrix                # classifier probabilities, N x C
+
+
+def _observed_rows(view_indicator: Array) -> list[Array]:
+    """Per view, the indices of the samples where it is observed."""
+    return [np.flatnonzero(view_indicator[:, m]) for m in range(view_indicator.shape[1])]
 
 
 def encode(params: ModelParams, masked_views: list[Matrix]) -> tuple[list[Matrix], list[Matrix]]:
@@ -173,21 +194,21 @@ def project_labels(params: ModelParams, shared: list[Matrix]) -> list[Matrix]:
 
 
 def fuse(shared: list[Matrix], private: list[Matrix], view_indicator: Array) -> tuple[Matrix, Matrix]:
-    """Average the available views of each sample; missing views contribute
-    nothing and do not affect the divisor."""
+    """Average the available views of each sample.
+
+    Entry m of ``shared`` and ``private`` holds view m's features on its
+    observed rows only (see :func:`_observed_rows`); each mean is one
+    :func:`~mvmlc.numerics.scatter_rows` over all views, scaled by one
+    over the sample's count of available views.
+    """
     counts = view_indicator.sum(axis=1, keepdims=True)
     if np.any(counts == 0):
         raise ContractError("fuse: a sample has no available view")
-    inv_counts = Matrix(1.0 / counts)
-
-    def weighted_mean(feats: list[Matrix]) -> Matrix:
-        total = None
-        for m, f in enumerate(feats):
-            term = f * Matrix(view_indicator[:, m:m + 1])
-            total = term if total is None else total + term
-        return total * inv_counts
-
-    return weighted_mean(shared), weighted_mean(private)
+    rows = _observed_rows(view_indicator)
+    inv_counts = 1.0 / counts
+    n = view_indicator.shape[0]
+    return (nm.scatter_rows(shared, rows, n, inv_counts),
+            nm.scatter_rows(private, rows, n, inv_counts))
 
 
 def interact(fused_shared: Matrix, fused_private: Matrix) -> Matrix:
@@ -207,15 +228,27 @@ def forward_all(
     bank: MaskBank | None = None,
     training: bool = False,
 ) -> ForwardCache:
-    """Run the whole network; input masking applies only when training."""
+    """Run the network, each view's stack on its observed rows only.
+
+    Input masking applies only when training.  Without training only the
+    encoders, fusion and classifier run; the decoders and heads feed only
+    the training losses.
+    """
     if training and bank is not None:
         masked = [Matrix(x) for x in apply_input_mask(dataset, bank)]
     else:
         masked = [Matrix(x) for x in dataset.views]
-    shared, private = encode(params, masked)
-    recon = decode(params, private)
-    instance_feats = project_instances(params, shared)
-    label_probs = project_labels(params, shared)
+    n = dataset.n_samples
+    rows = _observed_rows(dataset.view_indicator)
+    shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
+    recon, instance_feats, label_probs = [], [], []
+    if training:
+        def lift(feats: list[Matrix]) -> list[Matrix]:
+            return [nm.scatter_rows([f], [r], n) for f, r in zip(feats, rows)]
+
+        recon = lift(decode(params, private))
+        instance_feats = lift(project_instances(params, shared))
+        label_probs = lift(project_labels(params, shared))
     fused_shared, fused_private = fuse(shared, private, dataset.view_indicator)
     blended = interact(fused_shared, fused_private)
     scores = classify(params, blended)

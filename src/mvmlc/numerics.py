@@ -2,13 +2,13 @@
 
 The engine holds only the primitives the network uses (``add``, ``sub``,
 ``mul``, ``matmul``, ``log``, ``square``, ``sigmoid``, ``relu``, ``clip``,
-``msum``).  The training objective composes many of them, so gradients are
-obtained by recording every primitive application on a :class:`Tape` and
-replaying it backwards once, instead of deriving each backward pass by
-hand.  The one exception is the fused, row-tiled contrastive loss in
-:mod:`mvmlc.losses`: it is recorded as a single primitive through
-:func:`emit` with a hand-written VJP, which its tests audit against finite
-differences and a naive-loop oracle.  An independent finite-difference
+``msum``, ``scatter_rows``).  The training objective composes many of
+them, so gradients are obtained by recording every primitive application
+on a :class:`Tape` and replaying it backwards once, instead of deriving
+each backward pass by hand.  The one exception is the fused, row-tiled
+contrastive loss in :mod:`mvmlc.losses`: it is recorded as a single
+primitive through :func:`emit` with a hand-written VJP, which its tests
+audit against finite differences and a naive-loop oracle.  An independent finite-difference
 audit is provided by :func:`gradient_check`.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
@@ -236,6 +236,34 @@ def msum(a: Matrix, axis: int | None = None) -> Matrix:
     else:
         value = a.value.sum(axis=axis, keepdims=True)
     return emit(value, (a,), lambda g: (np.broadcast_to(g, a.shape),))
+
+
+def scatter_rows(parts: Sequence[Matrix], rows: Sequence[Array], n: int,
+                 row_scale: Array | None = None) -> Matrix:
+    """Sum of each ``parts[k]`` placed at rows ``rows[k]`` of an n-row zero
+    matrix, every output row then multiplied by ``row_scale`` (n x 1) if
+    given.  The indices within one part must be distinct.
+
+    This is how compact per-view rows return to all n rows: one part lifts
+    a view's outputs, several with a scale of 1/count form a mean.  The VJP
+    gathers the (scaled) adjoint at each part's rows.
+    """
+    if not parts or len(parts) != len(rows):
+        raise ShapeError(f"scatter_rows: {len(parts)} parts for {len(rows)} row sets")
+    cols = parts[0].cols
+    out = np.zeros((n, cols))
+    for k, (x, r) in enumerate(zip(parts, rows)):
+        if x.shape != (len(r), cols):
+            raise ShapeError(f"scatter_rows: part {k} is {x.shape}, expected {(len(r), cols)}")
+        out[r] += x.value
+    if row_scale is not None:
+        out *= row_scale
+
+    def vjp(g: Array) -> tuple[Array, ...]:
+        scaled = g if row_scale is None else g * row_scale
+        return tuple(scaled[r] for r in rows)
+
+    return emit(out, tuple(parts), vjp)
 
 
 def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix]) -> list[Array]:

@@ -306,9 +306,8 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     with unit diagonal.
     """
     cache = forward_all(params, dataset, None, training=False)
-    available = dataset.view_indicator == 1
-    means = [f.value[available[:, m]].mean(axis=0) if available[:, m].any() else np.zeros(f.cols)
-             for feats in (cache.shared, cache.private) for m, f in enumerate(feats)]
+    means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
+             for feats in (cache.shared, cache.private) for f in feats]
     unit, _ = ls._unit_rows(np.array(means))
     sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)

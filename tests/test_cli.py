@@ -248,6 +248,16 @@ def _heatmap_other_widths(data, tmp):
             "--manifest", str(other / "manifest.json"), "--out", str(tmp / "h")]
 
 
+def _heatmap_checkpoint_with_training_flags(data, tmp):
+    """Train a checkpoint, then export its heatmap with flags that only
+    configure a training run, which --checkpoint does not start."""
+    main(train_args(data / "manifest.json", tmp / "run"))
+    return ["heatmap", "--checkpoint", str(tmp / "run" / "checkpoint.json"),
+            "--manifest", str(data / "manifest.json"), "--out", str(tmp / "h"),
+            "--view-missing", "0.6", "--snapshots", "0,5", "--config", _config_file(tmp, {}),
+            "--epochs", "9"]
+
+
 def _not_utf8(path):
     """Write a JSON input whose first bytes (a UTF-16 byte-order mark) are not UTF-8."""
     path.write_bytes(b"\xff\xfe{}")
@@ -357,6 +367,8 @@ MALFORMED_INPUTS = [
                         "--manifest", str(data / "manifest.json")],
      EXIT_VALIDATION, "checkpoint.json"),
     ("eval every without a test split", _train_flag(eval_every="2"), EXIT_USAGE, "eval_every"),
+    ("heatmap checkpoint with training flags", _heatmap_checkpoint_with_training_flags,
+     EXIT_USAGE, "--snapshots, --view-missing, --config, --epochs"),
 ]
 
 

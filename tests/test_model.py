@@ -83,7 +83,7 @@ class TestSharedHeads:
 
 class TestFuse:
     def test_single_available_view(self):
-        s = [Matrix([[1.0, 2.0]]), Matrix([[9.0, 9.0]])]
+        s = [Matrix([[1.0, 2.0]]), Matrix(np.zeros((0, 2)))]
         v = np.array([[1.0, 0.0]])
         fused, _ = fuse(s, s, v)
         np.testing.assert_array_equal(fused.value, [[1.0, 2.0]])
@@ -95,16 +95,25 @@ class TestFuse:
         np.testing.assert_array_equal(fused.value, [[2.0, 4.0]])
 
     def test_masked_values_do_not_matter(self):
+        # Features arrive compact, one row per observed sample of the view;
+        # N-row features of a view with missing rows are refused, so a
+        # missing view's row cannot reach the mean.
         rng = np.random.default_rng(5)
-        a = Matrix(rng.normal(size=(3, 2)))
-        junk1, junk2 = Matrix(rng.normal(size=(3, 2))), Matrix(rng.normal(size=(3, 2)))
-        v = np.array([[1.0, 0.0]] * 3)
-        f1, _ = fuse([a, junk1], [a, junk1], v)
-        f2, _ = fuse([a, junk2], [a, junk2], v)
-        np.testing.assert_array_equal(f1.value, f2.value)
+        full = [rng.normal(size=(6, 2)) for _ in range(3)]
+        v = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 1], [1, 1, 0], [0, 1, 1.0]])
+        compact = [Matrix(f[v[:, m] == 1]) for m, f in enumerate(full)]
+        fused, _ = fuse(compact, compact, v)
+        for i in range(6):
+            total = 0.0
+            for m in range(3):
+                if v[i, m]:
+                    total = total + full[m][i]
+            np.testing.assert_array_equal(fused.value[i], total * (1.0 / v[i].sum()))
+        with pytest.raises(ShapeError, match="part 0"):
+            fuse([Matrix(f) for f in full], compact, v)
 
     def test_all_zero_row_rejected(self):
-        s = [Matrix([[1.0, 2.0]])]
+        s = [Matrix(np.zeros((0, 2)))]
         with pytest.raises(ContractError):
             fuse(s, s, np.array([[0.0]]))
 
@@ -159,16 +168,27 @@ class TestClassify:
 class TestForwardAll:
     def test_cache_shapes(self):
         params = make_params()
-        ds = make_dataset()
-        bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=2)
-        cache = forward_all(params, ds, bank, training=True)
-        assert [s.shape for s in cache.shared] == [(6, 4), (6, 4)]
-        assert [p.shape for p in cache.instance_feats] == [(6, 4), (6, 4)]
-        assert [l.shape for l in cache.label_probs] == [(6, 3), (6, 3)]
-        assert cache.fused_shared.shape == (6, 4)
-        assert cache.blended.shape == (6, 4)
-        assert cache.scores.shape == (6, 3)
-        assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
+        for ds in (make_dataset(), make_dataset(n=10, missing=0.4)):
+            n = ds.n_samples
+            observed = ds.view_indicator.sum(axis=0).astype(int)
+            bank = MaskBank.generate(n, ds.view_dims, 0.3, seed=2)
+            cache = forward_all(params, ds, bank, training=True)
+            assert [s.shape for s in cache.shared] == [(k, 4) for k in observed]
+            assert [p.shape for p in cache.private] == [(k, 4) for k in observed]
+            assert [r.shape for r in cache.recon] == [(n, 4), (n, 5)]
+            assert [p.shape for p in cache.instance_feats] == [(n, 4), (n, 4)]
+            assert [l.shape for l in cache.label_probs] == [(n, 3), (n, 3)]
+            for m, feats in enumerate(cache.label_probs):
+                missing = ds.view_indicator[:, m] == 0
+                np.testing.assert_array_equal(feats.value[missing], 0.0)
+            assert cache.fused_shared.shape == (n, 4)
+            assert cache.blended.shape == (n, 4)
+            assert cache.scores.shape == (n, 3)
+            assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
+            infer = forward_all(params, ds, None, training=False)
+            assert [s.shape for s in infer.shared] == [(k, 4) for k in observed]
+            assert infer.recon == infer.instance_feats == infer.label_probs == []
+            assert infer.scores.shape == (n, 3)
 
     def test_eval_forward_is_deterministic(self):
         params = make_params()
@@ -200,6 +220,48 @@ class TestForwardAll:
         ds2.name = ds.name
         perturbed = forward_all(params, ds2, None, training=False).scores.value
         assert np.array_equal(base, perturbed)
+
+
+class TestRowCompaction:
+    ROLES = ("shared_encoder", "private_encoder", "decoder", "instance_head", "label_head")
+
+    @staticmethod
+    def tally_rows(monkeypatch, params):
+        """Count, per MLP role, the rows every call of that role receives."""
+        roles = {id(net): role for role, nets in (
+            ("shared_encoder", params.shared_encoders),
+            ("private_encoder", params.private_encoders),
+            ("decoder", params.decoders),
+            ("instance_head", [params.instance_head]),
+            ("label_head", [params.label_head])) for net in nets}
+        seen = dict.fromkeys(TestRowCompaction.ROLES, 0)
+        call = md.Mlp.__call__
+
+        def counting(net, x):
+            seen[roles[id(net)]] += x.rows
+            return call(net, x)
+
+        monkeypatch.setattr(md.Mlp, "__call__", counting)
+        return seen
+
+    def test_training_forward_runs_each_mlp_on_observed_rows(self, monkeypatch):
+        params = make_params()
+        ds = make_dataset(n=12, missing=0.4)
+        observed = int(ds.view_indicator.sum())
+        assert observed < ds.n_samples * ds.n_views
+        seen = self.tally_rows(monkeypatch, params)
+        bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=2)
+        forward_all(params, ds, bank, training=True)
+        assert seen == dict.fromkeys(self.ROLES, observed)
+
+    def test_inference_runs_no_decoder_and_no_head(self, monkeypatch):
+        params = make_params()
+        ds = make_dataset(n=12, missing=0.4)
+        observed = int(ds.view_indicator.sum())
+        seen = self.tally_rows(monkeypatch, params)
+        forward_all(params, ds, None, training=False)
+        assert seen == dict(shared_encoder=observed, private_encoder=observed,
+                            decoder=0, instance_head=0, label_head=0)
 
 
 class TestCheckpoint:

@@ -75,6 +75,18 @@ class TestElementwise:
             Matrix(np.zeros((2, 3))) + Matrix(np.zeros((3, 2)))
 
 
+class TestScatterRows:
+    def test_hand_case(self):
+        out = nm.scatter_rows([Matrix([[1.0, 2.0], [3.0, 4.0]]), Matrix([[10.0, 20.0]])],
+                              [np.array([2, 0]), np.array([2])], 4, np.array([[1.0], [1.0], [0.5], [1.0]]))
+        np.testing.assert_array_equal(out.value, [[3.0, 4.0], [0.0, 0.0], [5.5, 11.0], [0.0, 0.0]])
+
+    def test_part_of_the_wrong_height_rejected(self):
+        with pytest.raises(ShapeError, match="part 1"):
+            nm.scatter_rows([Matrix(np.ones((1, 2))), Matrix(np.ones((2, 2)))],
+                            [np.array([0]), np.array([1])], 3)
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert nm.sigmoid(Matrix(0.0)).item() == 0.5
@@ -158,6 +170,15 @@ PRIMITIVES = {
     "sum_all": lambda p, w: p[0].sum() * float(w[0, 0]),
     "sum_rows": lambda p, w: _weighted_scalar(p[0].sum(axis=0), w[:1, :]),
     "sum_cols": lambda p, w: _weighted_scalar(p[0].sum(axis=1), w[:, :1]),
+    # a part with an empty row set, and one placed on rows of a larger output
+    "scatter_rows_empty": lambda p, w: _weighted_scalar(
+        nm.scatter_rows([Matrix(np.zeros((0, 4))), p[0]],
+                        [np.array([], dtype=int), np.array([5, 0, 3])], 6),
+        np.vstack([w, -2.0 * w])),
+    # two parts covering every row, permuted, with a per-row scale
+    "scatter_rows_full": lambda p, w: _weighted_scalar(
+        nm.scatter_rows([p[0], p[1]], [np.array([2, 0, 1]), np.arange(3)], 3,
+                        np.array([[0.5], [1.0], [1.0 / 3.0]])), w),
 }
 
 

@@ -359,6 +359,41 @@ class TestEndToEndGradients:
             assert np.array_equal(g1, g2)
 
 
+class TestUnobservedView:
+    def test_view_with_no_observed_row_gets_zero_gradients(self):
+        base = small_dataset(n=10, v=3, label_missing=0.3)
+        vi = np.ones((10, 3))
+        vi[:, 1] = 0.0
+        views = [base.views[0], np.zeros((10, 5)), base.views[2]]
+        ds = MultiViewDataset(views=views, labels=base.labels, view_indicator=vi,
+                              label_indicator=base.label_indicator)
+        cfg = small_config()
+        params = small_params(ds.view_dims, ds.n_labels)
+        gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
+        from mvmlc.data import MaskBank
+        bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=3)
+        with Tape() as tape:
+            combined, breakdown = _epoch_losses(params, ds, bank, gate, cfg)
+            grads = backward(tape, combined, params.parameters())
+        assert all(np.isfinite(v) for v in breakdown.components().values())
+        named = dict(zip((name for name, _ in params.named_parameters()), grads))
+        for prefix in ("shared_encoder.1.", "private_encoder.1.", "decoder.1."):
+            for name, grad in named.items():
+                if name.startswith(prefix):
+                    np.testing.assert_array_equal(grad, 0.0, err_msg=name)
+        assert np.any(named["shared_encoder.0.hidden.weight"] != 0.0)
+        sim = channel_similarity(params, ds)
+        for empty in (1, 4):  # shared and private channel of view 1
+            others = [j for j in range(6) if j != empty]
+            np.testing.assert_array_equal(sim[empty, others], 0.5)
+
+    def test_single_row_batches_at_high_view_missingness(self):
+        ds = small_dataset(n=10, v=3, view_missing=0.6, label_missing=0.3)
+        result = train(ds, small_config(epochs=2, batch_size=1))
+        for record in result.log.records:
+            assert all(np.isfinite(v) for v in record.losses.components().values())
+
+
 class TestNoiseFreeRecovery:
     def test_training_on_clean_data_reaches_high_ap(self):
         from mvmlc.metrics import evaluate_all
