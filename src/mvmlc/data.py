@@ -12,6 +12,7 @@ sample per row.  Label and indicator entries must be exactly 0 or 1.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,14 +100,18 @@ class MultiViewDataset:
         return tuple(v.shape[1] for v in self.views)
 
     def subset(self, rows: Array) -> "MultiViewDataset":
+        """The dataset of the given rows, not validated again: every check
+        of ``__post_init__`` holds row by row, so rows of a valid dataset
+        pass it."""
         rows = np.asarray(rows, dtype=int)
-        return MultiViewDataset(
-            views=[v[rows] for v in self.views],
-            labels=self.labels[rows],
-            view_indicator=self.view_indicator[rows],
-            label_indicator=self.label_indicator[rows],
-            name=self.name,
-        )
+        if rows.ndim != 1:
+            raise ValidationError(f"subset rows must be a 1-D index array, got shape {rows.shape}")
+        part = copy.copy(self)
+        part.views = [v[rows] for v in self.views]
+        part.labels = self.labels[rows]
+        part.view_indicator = self.view_indicator[rows]
+        part.label_indicator = self.label_indicator[rows]
+        return part
 
 
 @dataclass

@@ -12,6 +12,12 @@
 * masked binary cross-entropy on the classifier scores, counting only
   known labels.
 
+Each term is recorded on the tape as one primitive with a hand-written
+VJP (see :func:`mvmlc.numerics.emit`).  The reconstruction and
+classification terms run, forward and backward, the numpy operations of
+the generic primitives they would otherwise compose, in the same order, so
+their values and gradients are bitwise those of that composition.
+
 Numerical care: contrastive exponentials are shifted by the largest
 attainable exponent (similarity 1 over temperature) before exponentiation
 so small temperatures cannot overflow, and classifier probabilities are
@@ -49,18 +55,32 @@ PROB_CLIP = 1e-12
 
 def reconstruction_loss(recon: list[Matrix], masked_views: list[Matrix], view_indicator: Array) -> Matrix:
     """Mean over views of per-sample squared reconstruction error, gated by
-    view availability and normalized by each view's width."""
+    view availability and normalized by each view's width.
+
+    One taped primitive over every view's reconstruction and input.
+    """
     if len(recon) != len(masked_views):
         raise ShapeError(f"got {len(recon)} reconstructions for {len(masked_views)} views")
+    diffs, gates = [], []
     total = None
     for m, (xbar, xprime) in enumerate(zip(recon, masked_views)):
         if xbar.shape != xprime.shape:
             raise ShapeError(f"view {m}: reconstruction {xbar.shape} vs input {xprime.shape}")
-        row_err = nm.square(xbar - xprime).sum(axis=1)
-        gated = row_err * Matrix(view_indicator[:, m:m + 1])
-        term = gated.sum() * (1.0 / xbar.cols)
+        diff = xbar.value - xprime.value
+        gate = view_indicator[:, m:m + 1]
+        term = ((diff * diff).sum(axis=1, keepdims=True) * gate).sum(dtype=np.float64) * (1.0 / xbar.cols)
         total = term if total is None else total + term
-    return total * (1.0 / len(recon))
+        diffs.append(diff)
+        gates.append(gate)
+    view_scale = 1.0 / len(recon)
+
+    def vjp(g: Array) -> tuple[Array, ...]:
+        d_term = g * view_scale
+        d_diffs = [(d_term * (1.0 / diff.shape[1]) * gate) * (2.0 * diff)
+                   for diff, gate in zip(diffs, gates)]
+        return tuple(d_diffs) + tuple(-d for d in d_diffs)
+
+    return nm.emit(np.array([[total * view_scale]]), tuple(recon) + tuple(masked_views), vjp)
 
 
 class ContrastiveResult(NamedTuple):
@@ -270,15 +290,29 @@ def label_contrastive(
 
 def classification_loss(scores: Matrix, labels: Array, label_indicator: Array) -> Matrix:
     """Binary cross-entropy over all sample/label cells, counting only known
-    labels, averaged over the full N x C grid."""
+    labels, averaged over the full N x C grid.
+
+    One taped primitive; the clamp of the probabilities passes no gradient
+    at or beyond its bounds.
+    """
     if scores.shape != labels.shape or scores.shape != label_indicator.shape:
         raise ShapeError(
             f"scores {scores.shape}, labels {labels.shape} and gate {label_indicator.shape} must match")
     n, c = scores.shape
-    probs = nm.clip(scores, PROB_CLIP, 1.0 - PROB_CLIP)
-    y = Matrix(labels)
-    ll = y * nm.log(probs) + (1.0 - y) * nm.log(1.0 - probs)
-    return (ll * Matrix(label_indicator)).sum() * (-1.0 / (n * c))
+    inside = (scores.value > PROB_CLIP) & (scores.value < 1.0 - PROB_CLIP)
+    probs = np.clip(scores.value, PROB_CLIP, 1.0 - PROB_CLIP)
+    y = np.ascontiguousarray(labels, dtype=np.float64)
+    gate = np.ascontiguousarray(label_indicator, dtype=np.float64)
+    not_y = 1.0 - y
+    rest = 1.0 - probs
+    ll = y * np.log(probs) + not_y * np.log(rest)
+    scale = -1.0 / (n * c)
+
+    def vjp(g: Array) -> tuple[Array]:
+        d_ll = (g * scale) * gate
+        return ((-((d_ll * not_y) / rest) + (d_ll * y) / probs) * inside,)
+
+    return nm.emit(np.array([[(ll * gate).sum(dtype=np.float64) * scale]]), (scores,), vjp)
 
 
 # Logged loss columns and the LossBreakdown field each one reads, in

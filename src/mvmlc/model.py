@@ -3,7 +3,8 @@ shared projection heads, availability-weighted fusion and the linear
 sigmoid classifier.
 
 Architecture choices: every encoder, decoder and projection head is a
-two-layer MLP with a ReLU hidden layer; the instance head and the label
+two-layer MLP with a ReLU hidden layer, recorded on the tape as one
+:func:`mvmlc.numerics.mlp` primitive; the instance head and the label
 head are single shared copies applied to every view's shared features.
 The classifier bias is one row broadcast across samples so the model
 generalizes to unseen data.  No normalization or dropout layers, which
@@ -40,9 +41,6 @@ class Linear:
     weight: Matrix  # n_in x n_out
     bias: Matrix    # 1 x n_out
 
-    def __call__(self, x: Matrix) -> Matrix:
-        return x @ self.weight + self.bias
-
     @classmethod
     def initialize(cls, rng: np.random.Generator, n_in: int, n_out: int) -> "Linear":
         bound = 1.0 / np.sqrt(n_in)
@@ -58,7 +56,7 @@ class Mlp:
     out: Linear
 
     def __call__(self, x: Matrix) -> Matrix:
-        return self.out(nm.relu(self.hidden(x)))
+        return nm.mlp(x, self.hidden.weight, self.hidden.bias, self.out.weight, self.out.bias)
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -> "Mlp":

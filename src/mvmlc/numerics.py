@@ -1,15 +1,17 @@
 """Dense float64 matrices with taped reverse-mode differentiation.
 
-The engine holds only the primitives the network uses (``add``, ``sub``,
-``mul``, ``matmul``, ``log``, ``square``, ``sigmoid``, ``relu``, ``clip``,
-``msum``, ``scatter_rows``).  The training objective composes many of
-them, so gradients are obtained by recording every primitive application
-on a :class:`Tape` and replaying it backwards once, instead of deriving
-each backward pass by hand.  The one exception is the fused, row-tiled
-contrastive loss in :mod:`mvmlc.losses`: it is recorded as a single
-primitive through :func:`emit` with a hand-written VJP, which its tests
-audit against finite differences and a naive-loop oracle.  An independent finite-difference
-audit is provided by :func:`gradient_check`.
+The engine holds only the primitives the network uses: the generic
+``add``, ``sub``, ``mul``, ``matmul``, ``sigmoid``, ``msum`` and
+``scatter_rows``, and the fused two-layer perceptron ``mlp``.  The training
+objective composes them, so gradients are obtained by recording every
+primitive application on a :class:`Tape` and replaying it backwards once.
+A primitive with a hand-written VJP is recorded through :func:`emit`:
+``mlp`` here, and the four training losses in :mod:`mvmlc.losses`.  Each
+is one record where a composition of generic primitives would be several,
+and its tests audit it against finite differences; ``mlp`` and the
+reconstruction and classification losses also repeat the numpy operations
+of that composition in its order, so they are bitwise equal to it.  An
+independent finite-difference audit is provided by :func:`gradient_check`.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
@@ -193,14 +195,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 lambda g: (g @ b.value.T, a.value.T @ g))
 
 
-def log(a: Matrix) -> Matrix:
-    return emit(np.log(a.value), (a,), lambda g: (g / a.value,))
-
-
-def square(a: Matrix) -> Matrix:
-    return emit(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
-
-
 def sigmoid(a: Matrix) -> Matrix:
     # Two-branch form: never exponentiates a positive argument, so large
     # |x| saturates to 0/1 without overflow.
@@ -213,15 +207,33 @@ def sigmoid(a: Matrix) -> Matrix:
     return emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def relu(a: Matrix) -> Matrix:
-    keep = a.value > 0
-    return emit(np.where(keep, a.value, 0.0), (a,), lambda g: (g * keep,))
+def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
+    """``relu(x @ w1 + b1) @ w2 + b2``, recorded as one primitive.
 
+    The biases are single rows.  Forward and VJP run the numpy operations
+    of the ``matmul``, ``add``, ReLU, ``matmul``, ``add`` composition in its
+    order, so values and gradients are bitwise those of that composition.
+    """
+    if x.cols != w1.rows or w1.cols != w2.rows:
+        raise ShapeError(f"mlp: inner dimensions differ, {x.shape} @ {w1.shape} @ {w2.shape}")
+    if b1.shape != (1, w1.cols) or b2.shape != (1, w2.cols):
+        raise ShapeError(f"mlp: biases {b1.shape} and {b2.shape} must be rows "
+                         f"of widths {w1.cols} and {w2.cols}")
+    # In-place steps store the values their out-of-place forms would return.
+    pre = x.value @ w1.value
+    pre += b1.value
+    keep = pre > 0
+    hidden = np.where(keep, pre, 0.0)
+    out = hidden @ w2.value
+    out += b2.value
 
-def clip(a: Matrix, lo: float, hi: float) -> Matrix:
-    # Subgradient 1 strictly inside [lo, hi], 0 at and beyond the bounds.
-    inside = (a.value > lo) & (a.value < hi)
-    return emit(np.clip(a.value, lo, hi), (a,), lambda g: (g * inside,))
+    def vjp(g: Array) -> tuple[Array, ...]:
+        d_pre = g @ w2.value.T
+        d_pre *= keep
+        return (d_pre @ w1.value.T, x.value.T @ d_pre, _unbroadcast(d_pre, b1.shape),
+                hidden.T @ g, _unbroadcast(g, b2.shape))
+
+    return emit(out, (x, w1, b1, w2, b2), vjp)
 
 
 def msum(a: Matrix, axis: int | None = None) -> Matrix:
@@ -287,7 +299,8 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix]) -> list[Array]:
             key = id(operand)
             held = adjoint.get(key)
             adjoint[key] = contrib if held is None else held + contrib
-    return [np.ascontiguousarray(adjoint.get(id(p), np.zeros(p.shape))) for p in params]
+    return [np.ascontiguousarray(adjoint[id(p)]) if id(p) in adjoint else np.zeros(p.shape)
+            for p in params]
 
 
 @dataclass

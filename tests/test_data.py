@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mvmlc import data
 from mvmlc.data import (
     MaskBank,
     MultiViewDataset,
@@ -224,6 +225,68 @@ class TestConstructionValidation:
                 view_indicator=np.array([[1.0, 0.0], [1.0, 1.0]]),
                 label_indicator=np.ones((2, 2)),
             )
+
+
+def _valid_parts():
+    return dict(views=[np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0], [4.0]])],
+                labels=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                view_indicator=np.array([[1.0, 1.0], [0.0, 1.0]]),
+                label_indicator=np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+
+MALFORMED = {
+    "no view": (dict(views=[]), "at least one view"),
+    "1-D view": (dict(views=[np.zeros(2), np.array([[3.0], [4.0]])]), "2-D"),
+    "view row count": (dict(views=[np.zeros((3, 2)), np.array([[3.0], [4.0]])]), "view 0 has 3 rows"),
+    "view indicator shape": (dict(view_indicator=np.ones((2, 3))), "view indicator shape"),
+    "label indicator shape": (dict(label_indicator=np.ones((2, 3))), "label indicator shape"),
+    "non-binary label": (dict(labels=np.array([[1.0, 0.5], [0.0, 0.0]])), "labels: entry at row 0, col 1"),
+    "non-binary view indicator": (dict(view_indicator=np.array([[1.0, 2.0], [0.0, 1.0]])),
+                                  "view indicator: entry"),
+    "non-binary label indicator": (dict(label_indicator=np.array([[1.0, 1.0], [1.0, -1.0]])),
+                                   "label indicator: entry"),
+    "sample without a view": (dict(view_indicator=np.array([[1.0, 1.0], [0.0, 0.0]]),
+                                   views=[np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0], [0.0]])]),
+                              "sample 1 has no available view"),
+    "data in a missing row": (dict(views=[np.array([[1.0, 2.0], [0.0, 5.0]]), np.array([[3.0], [4.0]])]),
+                              "view 0 has nonzero data"),
+    "unknown label set": (dict(labels=np.array([[1.0, 0.0], [0.0, 1.0]])), "label is unknown"),
+}
+
+
+class TestSubset:
+    def test_runs_no_check(self, monkeypatch):
+        ds = tiny_dataset(n=8)
+        calls = []
+        monkeypatch.setattr(data, "_check_binary", lambda *args: calls.append(args))
+        ds.subset(np.array([5, 1, 2]))
+        assert calls == []
+
+    def test_equals_construction_from_the_indexed_arrays(self):
+        v, w = generate_indicators(10, 2, 3, 0.4, 0.3, seed=2)
+        ds = apply_indicators(tiny_dataset(n=10), v, w)
+        rows = np.array([7, 0, 3, 3, 9])
+        part = ds.subset(rows)
+        built = MultiViewDataset(views=[x[rows] for x in ds.views], labels=ds.labels[rows],
+                                 view_indicator=ds.view_indicator[rows],
+                                 label_indicator=ds.label_indicator[rows], name=ds.name)
+        assert part.name == built.name
+        for got, want in zip(part.views + [part.labels, part.view_indicator, part.label_indicator],
+                             built.views + [built.labels, built.view_indicator, built.label_indicator]):
+            assert got.flags.c_contiguous and got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert ds.subset(rows).labels is not ds.labels
+
+    def test_rows_must_be_one_dimensional(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            tiny_dataset().subset(np.array(2))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_construction_still_rejects(self, case):
+        assert MultiViewDataset(**_valid_parts()).n_samples == 2
+        change, message = MALFORMED[case]
+        with pytest.raises(ValidationError, match=message):
+            MultiViewDataset(**{**_valid_parts(), **change})
 
 
 class TestManifestRoundTrip:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvmlc import losses
 from mvmlc import numerics as nm
 from mvmlc.errors import ContractError, ShapeError
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
@@ -87,6 +88,25 @@ class TestScatterRows:
                             [np.array([0]), np.array([1])], 3)
 
 
+class TestMlp:
+    def test_forward_is_the_plain_numpy_expression_bitwise(self):
+        rng = np.random.default_rng(11)
+        x, w1, b1, w2, b2 = (rng.normal(size=shape) for shape in
+                             ((7, 4), (4, 6), (1, 6), (6, 3), (1, 3)))
+        h = x @ w1 + b1
+        want = np.where(h > 0, h, 0.0) @ w2 + b2
+        got = nm.mlp(*map(Matrix, (x, w1, b1, w2, b2))).value
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 4), (1, 4), (4, 2), (1, 2)),
+                                        ((2, 3), (3, 4), (1, 4), (5, 2), (1, 2)),
+                                        ((2, 3), (3, 4), (2, 4), (4, 2), (1, 2)),
+                                        ((2, 3), (3, 4), (1, 4), (4, 2), (1, 3))])
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ShapeError, match="mlp"):
+            nm.mlp(*(Matrix(np.zeros(shape)) for shape in shapes))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert nm.sigmoid(Matrix(0.0)).item() == 0.5
@@ -121,7 +141,7 @@ class TestBackward:
         a = Matrix(2.0)
         b = Matrix(np.ones((2, 2)))
         with Tape() as tape:
-            loss = nm.square(a)
+            loss = a * a
         grads = backward(tape, loss, [a, b])
         assert grads[0][0, 0] == 4.0
         np.testing.assert_array_equal(grads[1], np.zeros((2, 2)))
@@ -162,11 +182,15 @@ PRIMITIVES = {
     "sub": lambda p, w: _weighted_scalar(p[0] - p[1], w),
     "mul": lambda p, w: _weighted_scalar(p[0] * p[1], w),
     "matmul": lambda p, w: _weighted_scalar(p[0] @ Matrix(np.ones((4, 3))) @ p[1], w),
-    "log": lambda p, w: _weighted_scalar(nm.log(nm.square(p[0]) + 1.5), w),
-    "square": lambda p, w: _weighted_scalar(nm.square(p[0]), w),
     "sigmoid": lambda p, w: _weighted_scalar(nm.sigmoid(p[0]), w),
-    "relu": lambda p, w: _weighted_scalar(nm.relu(p[0]), w),
-    "clip": lambda p, w: _weighted_scalar(nm.clip(p[0], -0.9, 0.9), w),
+    "mlp": lambda p, w: _weighted_scalar(nm.mlp(*p), w),
+    # labels from the signs of w, cells with |w| <= 0.4 unknown; the scalar
+    # weight makes the loss's adjoint differ from 1
+    "classification_loss": lambda p, w: losses.classification_loss(
+        p[0], (w > 0).astype(float), (np.abs(w) > 0.4).astype(float)) * float(w[0, 0]),
+    # two views, the second missing where w[:, 1] < -0.5
+    "reconstruction_loss": lambda p, w: losses.reconstruction_loss(
+        p[:2], p[2:], np.hstack([np.ones((3, 1)), (w[:, 1:2] >= -0.5).astype(float)])) * float(w[0, 0]),
     "sum_all": lambda p, w: p[0].sum() * float(w[0, 0]),
     "sum_rows": lambda p, w: _weighted_scalar(p[0].sum(axis=0), w[:1, :]),
     "sum_cols": lambda p, w: _weighted_scalar(p[0].sum(axis=1), w[:, :1]),
@@ -182,27 +206,42 @@ PRIMITIVES = {
 }
 
 
+def _mlp_operands(rng):
+    """x, w1, b1, w2, b2 of a 3 x 4 -> 5 -> 4 perceptron, drawn again until
+    no pre-activation is near the ReLU kink, where central differences fail."""
+    while True:
+        x, w1, b1 = rand(rng, 3, 4), rand(rng, 4, 5), rand(rng, 1, 5)
+        if np.min(np.abs(x.value @ w1.value + b1.value)) > 0.05:
+            return [x, w1, b1, rand(rng, 5, 4), rand(rng, 1, 4)]
+
+
+# Rows whose operands are not a pair of 3 x 4 matrices.
+OPERANDS = {
+    "mlp": _mlp_operands,
+    # probabilities clear of the clamp at 1e-12 and 1 - 1e-12
+    "classification_loss": lambda rng: [Matrix(rng.uniform(0.05, 0.95, size=(3, 4)))],
+    # reconstructions, then inputs, of a width-4 and a width-2 view
+    "reconstruction_loss": lambda rng: [rand(rng, 3, 4), rand(rng, 3, 2), rand(rng, 3, 4), rand(rng, 3, 2)],
+}
+
+
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_primitive_gradients_match_finite_differences(name):
     func = PRIMITIVES[name]
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        a = rand(rng, 3, 4)
-        b = rand(rng, 3, 4)
-        if name == "relu" or name == "clip":
-            # keep values away from the kink so central differences are valid
-            a = Matrix(np.where(np.abs(a.value) < 0.05, 0.2, a.value))
+        operands = OPERANDS[name](rng) if name in OPERANDS else [rand(rng, 3, 4), rand(rng, 3, 4)]
         w = rng.normal(size=(3, 4))
-        report = gradient_check(lambda p: func(p, w), [a, b], step=1e-6, tol=1e-4)
+        report = gradient_check(lambda p: func(p, w), operands, step=1e-6, tol=1e-4)
         assert report.passed, f"{name} seed {seed}: max rel err {report.max_rel_err}"
 
 
 class TestGradientCheck:
     def test_square_at_three(self):
         x = Matrix(3.0)
-        report = gradient_check(lambda p: nm.square(p[0]), [x], step=1e-5)
+        report = gradient_check(lambda p: p[0] * p[0], [x], step=1e-5)
         with Tape() as tape:
-            loss = nm.square(x)
+            loss = x * x
         (grad,) = backward(tape, loss, [x])
         assert grad[0, 0] == pytest.approx(6.0, abs=1e-8)
         assert report.passed
@@ -219,9 +258,7 @@ class TestGradientCheck:
         gate = (rng.random((4, 3)) > 0.3).astype(float)
 
         def masked_bce(p):
-            probs = nm.clip(nm.sigmoid(p[0]), 1e-12, 1.0 - 1e-12)
-            ll = Matrix(labels) * nm.log(probs) + Matrix(1.0 - labels) * nm.log(1.0 - probs)
-            return (ll * Matrix(gate)).sum() * (-1.0 / 12.0)
+            return losses.classification_loss(nm.sigmoid(p[0]), labels, gate)
 
         report = gradient_check(masked_bce, [logits], step=1e-5, tol=1e-6)
         assert report.passed, report

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mvmlc.data import MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
+from mvmlc.data import MaskBank, MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
 from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import label_availability_gate
 from mvmlc.model import ModelParams, forward_all
@@ -323,7 +323,6 @@ class TestEndToEndGradients:
         cfg = small_config(alpha=0.1, beta=0.1, gamma=0.1, tau_s=0.5, tau_l=0.5)
         params = small_params(ds.view_dims, ds.n_labels)
         gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
-        from mvmlc.data import MaskBank
         bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=7)
 
         def objective(_):
@@ -359,6 +358,27 @@ class TestEndToEndGradients:
             assert np.array_equal(g1, g2)
 
 
+class TestTapeLength:
+    def test_full_batch_step_records_each_mlp_and_loss_once(self):
+        # 15 MLPs for 3 views, each one record; per-layer recording would
+        # add 4 records per MLP and a taped loss several more per term.
+        ds = small_dataset(n=12, v=3, view_missing=0.3, label_missing=0.3)
+        cfg = small_config()
+        params = small_params(ds.view_dims, ds.n_labels)
+        gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
+        bank = MaskBank.generate(ds.n_samples, ds.view_dims, cfg.mask_ratio, seed=5)
+        with Tape() as tape:
+            _epoch_losses(params, ds, bank, gate, cfg)
+        nets = (params.shared_encoders + params.private_encoders + params.decoders
+                + [params.instance_head, params.label_head])
+        weights = {(id(net.hidden.weight), id(net.hidden.bias), id(net.out.weight), id(net.out.bias))
+                   for net in nets}
+        mlp_records = [inputs for _, inputs, _ in tape._records
+                       if tuple(map(id, inputs[1:])) in weights]
+        assert len(mlp_records) == 15
+        assert len(tape) == 44
+
+
 class TestUnobservedView:
     def test_view_with_no_observed_row_gets_zero_gradients(self):
         base = small_dataset(n=10, v=3, label_missing=0.3)
@@ -370,7 +390,6 @@ class TestUnobservedView:
         cfg = small_config()
         params = small_params(ds.view_dims, ds.n_labels)
         gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
-        from mvmlc.data import MaskBank
         bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=3)
         with Tape() as tape:
             combined, breakdown = _epoch_losses(params, ds, bank, gate, cfg)
