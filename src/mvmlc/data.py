@@ -42,9 +42,10 @@ def _check_binary(arr: Array, what: str) -> None:
 class MultiViewDataset:
     """Per-view features plus labels and availability indicators.
 
-    Invariants enforced at construction: all views share the sample count,
-    the view indicator covers every sample with at least one view, rows of
-    unavailable views are all zeros, and unknown labels are stored as 0.
+    Invariants enforced at construction: all views share the sample count
+    and hold only finite values, the view indicator covers every sample
+    with at least one view, rows of unavailable views are all zeros, and
+    unknown labels are stored as 0.
     """
 
     views: list[Array]
@@ -64,6 +65,11 @@ class MultiViewDataset:
         for m, v in enumerate(self.views):
             if v.shape[0] != n:
                 raise ValidationError(f"view {m} has {v.shape[0]} rows, labels have {n}")
+            bad = ~np.isfinite(v)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
+                                      "expected a finite value")
         if self.view_indicator.shape != (n, len(self.views)):
             raise ValidationError(
                 f"view indicator shape {self.view_indicator.shape} != ({n}, {len(self.views)})")

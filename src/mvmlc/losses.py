@@ -18,20 +18,23 @@ classification terms run, forward and backward, the numpy operations of
 the generic primitives they would otherwise compose, in the same order, so
 their values and gradients are bitwise those of that composition.
 
-Numerical care: contrastive exponentials are shifted by the largest
-attainable exponent (similarity 1 over temperature) before exponentiation
-so small temperatures cannot overflow, and classifier probabilities are
-clamped away from 0/1 before the logs.  The self-pair enters each
-contrastive denominator at its exact value (1, or exp(-1/(2 tau)) for an
-all-zero row) rather than as the rounded exponential of u.u, so its
-removal cancels exactly: an anchor whose only gated key is itself has a
-denominator of exactly 0 and is skipped.  Both contrastive terms run as
-one taped primitive that forms its similarity blocks in row tiles of
-``TILE_ROWS`` anchors, in forward and again in backward, so memory grows
-with N * TILE_ROWS rather than N^2.  Blocks span only each view's live
-rows, those a gate admits as anchor or key.  No other row's similarity
-can reach the loss, so dropping them is exact, and with half of all
-sample-view cells missing the block work falls about fourfold.
+Numerical care: contrastive exponents are shifted by the largest
+attainable one (similarity 1 over temperature) so small temperatures
+cannot overflow.  The shift happens inside the similarity product: anchor
+rows carry an extra column -1/(2 tau) against a key column of ones, so one
+product yields the shifted exponents and one in-place ``exp`` the block.
+Classifier probabilities are clamped away from 0/1 before the logs.  The
+self-pair enters each contrastive denominator at its exact value (1, or
+exp(-1/(2 tau)) for an all-zero row) rather than as the rounded
+exponential of u.u, so its removal cancels exactly: an anchor whose only
+gated key is itself has a denominator of exactly 0 and is skipped.  Both
+contrastive terms run as one taped primitive that forms its similarity
+blocks in row tiles of ``TILE_ROWS`` anchors, in forward and again in
+backward, so memory grows with N * TILE_ROWS rather than N^2.  Blocks
+span only each view's live rows, those a gate admits as anchor or key.
+No other row's similarity can reach the loss, so dropping them is exact,
+and with half of all sample-view cells missing the block work falls about
+fourfold.
 """
 
 from __future__ import annotations
@@ -104,14 +107,20 @@ def _unit_rows(x: Array) -> tuple[Array, Array]:
     return x * inv, inv
 
 
-def _exp_block(anchors: Array, keys: Array, inv_tau: float) -> Array:
-    """exp((sim01 - 1) / tau) for every anchor/key pair, sim01 the
-    [0, 1]-mapped cosine of unit rows; computed in place in one buffer."""
+def _exponent_rows(units: Array, inv_tau: float) -> tuple[Array, Array]:
+    """Anchor rows ``[s u, -s]`` and key rows ``[u, 1]`` of unit rows u,
+    with s = 0.5/tau.  The product of anchor row i and key row j is
+    s (u_i . u_j - 1) = (sim01 - 1)/tau, sim01 = (u_i . u_j + 1)/2 the
+    [0, 1]-mapped cosine, so one product yields a block's exponents."""
+    s = 0.5 * inv_tau
+    ones = np.ones((units.shape[0], 1))
+    return np.hstack([s * units, -s * ones]), np.hstack([units, ones])
+
+
+def _exp_block(anchors: Array, keys: Array) -> Array:
+    """exp((sim01 - 1) / tau) for every pair of anchor and key rows from
+    :func:`_exponent_rows`: one product, exponentiated in place."""
     block = anchors @ keys.T
-    block += 1.0
-    block *= 0.5
-    block -= 1.0
-    block *= inv_tau
     return np.exp(block, out=block)
 
 
@@ -156,11 +165,13 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     units, inv_norms = zip(*(_unit_rows(f.value) for f in feats))
     live = [np.flatnonzero((outer_gate[:, k] != 0) | (denom_gate[:, k] != 0))
             for k in range(n_views)]
-    # Per view, restricted to its live rows: unit rows, denominator gates and
-    # the self-pair's exact exponential (similarity 1, or the neutral 0.5 for
-    # a zero row; with it an anchor whose only gated key is itself gets a
-    # denominator of exactly 0 and is skipped).
+    # Per view, restricted to its live rows: unit rows and their exponent
+    # rows, denominator gates and the self-pair's exact exponential
+    # (similarity 1, or the neutral 0.5 for a zero row; with it an anchor
+    # whose only gated key is itself gets a denominator of exactly 0 and is
+    # skipped).
     live_units = [u[rows] for u, rows in zip(units, live)]
+    anchor_rows, key_rows = zip(*(_exponent_rows(u, inv_tau) for u in live_units))
     gates = [denom_gate[rows, k] for k, rows in enumerate(live)]
     self_exp = [np.where(inv[rows, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau))
                 for inv, rows in zip(inv_norms, live)]
@@ -172,7 +183,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     live_sums = {(a, k): np.zeros(len(live[a])) for a in range(n_views) for k in range(n_views)}
     for a, k in blocks:
         for lo, hi in _row_tiles(len(live[a])):
-            block = _exp_block(live_units[a][lo:hi], live_units[k], inv_tau)
+            block = _exp_block(anchor_rows[a][lo:hi], key_rows[k])
             if k == a:
                 block[np.arange(hi - lo), np.arange(lo, hi)] = self_exp[a][lo:hi]
             live_sums[a, k][lo:hi] = block @ gates[k]
@@ -232,7 +243,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
             keys = np.hstack([gates[k][:, None] * live_units[k],
                               live_d[k, a][:, None] * live_units[k]])
             for lo, hi in _row_tiles(len(live[a])):
-                block = _exp_block(live_units[a][lo:hi], live_units[k], inv_tau)
+                block = _exp_block(anchor_rows[a][lo:hi], key_rows[k])
                 to_anchor = block @ keys
                 live_grads[a][lo:hi] += scale * (live_d[a, k][lo:hi, None] * to_anchor[:, :d]
                                                  + gates[a][lo:hi, None] * to_anchor[:, d:])

@@ -196,14 +196,20 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def sigmoid(a: Matrix) -> Matrix:
-    # Two-branch form: never exponentiates a positive argument, so large
-    # |x| saturates to 0/1 without overflow.
+    # exp(-|x|) never overflows, so large |x| saturates to 0/1.  The
+    # numerator is 1 for x >= 0 (1 >= exp(-|x|)) and exp(x) below 0, so
+    # this is, bitwise, the two-branch form 1/(1 + exp(-x)) and
+    # exp(x)/(1 + exp(x)), without the masked gathers and scatters that
+    # made it several passes over the array.  min(x, -x) rather than -|x|
+    # keeps a NaN's sign bit as that form does; the steps run in place, so
+    # only two arrays of x's size are held.
     x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.negative(x)
+    np.minimum(x, ex, out=ex)
+    np.exp(ex, out=ex)
+    out = np.maximum(ex, x >= 0)
+    ex += 1.0
+    out /= ex
     return emit(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -222,8 +228,11 @@ def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     # In-place steps store the values their out-of-place forms would return.
     pre = x.value @ w1.value
     pre += b1.value
+    # np.maximum is one pass where np.where(keep, pre, 0.0) is several, and
+    # bitwise equal to it on finite input (-0.0 and 0.0 both map to 0.0);
+    # datasets reject non-finite values.
     keep = pre > 0
-    hidden = np.where(keep, pre, 0.0)
+    hidden = np.maximum(pre, 0.0)
     out = hidden @ w2.value
     out += b2.value
 

@@ -2,7 +2,9 @@
 
 Everything here is written with plain python loops and math functions, on
 purpose: these oracles must stay independent of the vectorized/taped code
-paths they are used to check.
+paths they are used to check.  The one exception is ``sigmoid_oracle``, a
+reference for bitwise equality, which must therefore run the same numpy
+``exp`` as the library.
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ def matmul_oracle(a, b):
             for t in range(k):
                 acc += a[i, t] * b[t, j]
             out[i, j] = acc
+    return out
+
+
+def sigmoid_oracle(x):
+    """The two-branch logistic: 1/(1 + exp(-x)) for x >= 0 and
+    exp(x)/(1 + exp(x)) below, so no positive argument is exponentiated."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvmlc
 from mvmlc.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 
 
@@ -25,6 +30,15 @@ def dataset_dir(tmp_path):
     out = tmp_path / "data"
     assert main(synth_args(out)) == EXIT_OK
     return out
+
+
+def test_runs_as_a_module():
+    src = str(Path(mvmlc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "mvmlc", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "usage: mvmlc" in done.stdout
 
 
 class TestSynth:

@@ -238,6 +238,10 @@ MALFORMED = {
     "no view": (dict(views=[]), "at least one view"),
     "1-D view": (dict(views=[np.zeros(2), np.array([[3.0], [4.0]])]), "2-D"),
     "view row count": (dict(views=[np.zeros((3, 2)), np.array([[3.0], [4.0]])]), "view 0 has 3 rows"),
+    "NaN view value": (dict(views=[np.array([[1.0, np.nan], [0.0, 0.0]]), np.array([[3.0], [4.0]])]),
+                       "view 0: entry at row 0, col 1 is nan"),
+    "infinite view value": (dict(views=[np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0], [-np.inf]])]),
+                            "view 1: entry at row 1, col 0 is -inf"),
     "view indicator shape": (dict(view_indicator=np.ones((2, 3))), "view indicator shape"),
     "label indicator shape": (dict(label_indicator=np.ones((2, 3))), "label indicator shape"),
     "non-binary label": (dict(labels=np.array([[1.0, 0.5], [0.0, 0.0]])), "labels: entry at row 0, col 1"),

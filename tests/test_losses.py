@@ -26,12 +26,30 @@ def rand_feats(rng, n, v, d):
 
 class TestCosineSim01:
     """The [0,1]-mapped cosine of the contrastive blocks: unit rows from
-    ``_unit_rows``, then exp((sim01 - 1) / tau) from ``_exp_block``."""
+    ``_unit_rows``, their exponent rows from ``_exponent_rows``, then
+    exp((sim01 - 1) / tau) from ``_exp_block``."""
 
     @staticmethod
     def sim01(a, b):
         unit, _ = losses._unit_rows(np.array([a, b], dtype=np.float64))
-        return 1.0 + math.log(losses._exp_block(unit[:1], unit[1:], 1.0)[0, 0])
+        anchors, keys = losses._exponent_rows(unit, 1.0)
+        return 1.0 + math.log(losses._exp_block(anchors[:1], keys[1:])[0, 0])
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5, 0.05])
+    def test_block_matches_the_four_pass_form(self, tau):
+        # The shift by -1/tau happens inside the product; the former form
+        # mapped the cosine to [0, 1], shifted and scaled it in four passes.
+        rng = np.random.default_rng(17)
+        unit, _ = losses._unit_rows(rng.normal(size=(40, 6)))
+        unit[3] = 0.0  # a zero row: every exponent is exactly -0.5/tau
+        want = unit[:15] @ unit.T
+        want += 1.0
+        want *= 0.5
+        want -= 1.0
+        want *= 1.0 / tau
+        np.exp(want, out=want)
+        anchors, keys = losses._exponent_rows(unit, 1.0 / tau)
+        np.testing.assert_allclose(losses._exp_block(anchors[:15], keys), want, rtol=1e-14, atol=0)
 
     def test_identical_vectors(self):
         assert self.sim01([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
@@ -302,8 +320,8 @@ class TestFusedContrastive:
         sizes = []
         exp_block = losses._exp_block
 
-        def tally(anchors, keys, inv_tau):
-            block = exp_block(anchors, keys, inv_tau)
+        def tally(anchors, keys):
+            block = exp_block(anchors, keys)
             sizes.append(block.size)
             return block
 

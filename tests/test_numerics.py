@@ -6,7 +6,7 @@ from mvmlc import numerics as nm
 from mvmlc.errors import ContractError, ShapeError
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
 
-from oracles import matmul_oracle
+from oracles import matmul_oracle, sigmoid_oracle
 
 
 def rand(rng, r, c):
@@ -98,6 +98,27 @@ class TestMlp:
         got = nm.mlp(*map(Matrix, (x, w1, b1, w2, b2))).value
         assert got.tobytes() == want.tobytes()
 
+    def test_zero_and_negative_pre_activations_bitwise(self):
+        # x @ w1 + b1 is exactly 0 in the first two hidden units and negative
+        # in the third; only the last unit passes, and only its column of the
+        # first weight gets a gradient.
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        w1 = np.array([[0.0, -0.0, -1.0, 2.0], [-0.0, 0.0, -3.0, 0.5]])
+        b1 = np.array([[0.0, -0.0, 0.0, 0.0]])
+        w2 = np.arange(1.0, 9.0).reshape(4, 2)
+        b2 = np.array([[0.25, -0.5]])
+        h = x @ w1 + b1
+        assert np.all(h[:, :2] == 0.0) and np.all(h[:, 2] < 0) and np.all(h[:, 3] > 0)
+        want = np.where(h > 0, h, 0.0) @ w2 + b2
+        args = list(map(Matrix, (x, w1, b1, w2, b2)))
+        with Tape() as tape:
+            out = nm.mlp(*args)
+            loss = out.sum()
+        assert out.value.tobytes() == want.tobytes()
+        d_w1 = backward(tape, loss, args)[1]
+        np.testing.assert_array_equal(d_w1[:, :3], 0.0)
+        assert np.all(d_w1[:, 3] != 0.0)
+
     @pytest.mark.parametrize("shapes", [((2, 3), (4, 4), (1, 4), (4, 2), (1, 2)),
                                         ((2, 3), (3, 4), (1, 4), (5, 2), (1, 2)),
                                         ((2, 3), (3, 4), (2, 4), (4, 2), (1, 2)),
@@ -119,6 +140,15 @@ class TestSigmoid:
 
     def test_value_at_one(self):
         assert nm.sigmoid(Matrix(1.0)).item() == pytest.approx(0.7310585786, abs=1e-10)
+
+    def test_bitwise_equal_to_the_two_branch_form(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+                   750.0, -750.0, 1e4, -1e4]
+        rng = np.random.default_rng(16)
+        x = np.concatenate([special] + [scale * rng.normal(size=5000) for scale in (1.0, 30.0, 700.0)])
+        got = nm.sigmoid(Matrix(x.reshape(1, -1))).value.ravel()
+        want = sigmoid_oracle(x)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestBackward:
