@@ -35,7 +35,7 @@ def _check_binary(arr: Array, what: str) -> None:
     bad = ~np.isin(arr, (0.0, 1.0))
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise ValidationError(f"{what}: entry at row {i}, col {j} is {arr[i, j]!r}, expected 0 or 1")
+        raise ValidationError(f"{what}: entry at row {i}, col {j} is {arr[i, j]}, expected 0 or 1")
 
 
 @dataclass

@@ -28,13 +28,14 @@ self-pair enters each contrastive denominator at its exact value (1, or
 exp(-1/(2 tau)) for an all-zero row) rather than as the rounded
 exponential of u.u, so its removal cancels exactly: an anchor whose only
 gated key is itself has a denominator of exactly 0 and is skipped.  Both
-contrastive terms run as one taped primitive that forms its similarity
-blocks in row tiles of ``TILE_ROWS`` anchors, in forward and again in
-backward, so memory grows with N * TILE_ROWS rather than N^2.  Blocks
-span only each view's live rows, those a gate admits as anchor or key.
+contrastive terms run as one taped primitive over the live rows of all
+views, those a gate admits as anchor or key, stacked into one matrix.
 No other row's similarity can reach the loss, so dropping them is exact,
-and with half of all sample-view cells missing the block work falls about
-fourfold.
+and with half of all sample-view cells missing the similarity work falls
+about fourfold.  The stacked rows' similarities are symmetric, so only
+the square ``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal
+are formed, one at a time, in forward and again in backward: memory grows
+with TILE_ROWS^2 per tile, not with N^2.
 """
 
 from __future__ import annotations
@@ -91,8 +92,9 @@ class ContrastiveResult(NamedTuple):
     skipped: int  # gated-in anchors dropped because their denominator was <= 0
 
 
-# Anchors per row tile of the contrastive loss: at most TILE_ROWS x N
-# similarities are held at once, in forward and in backward.
+# Side of the square tiles the contrastive loss forms its similarities in:
+# at most TILE_ROWS x TILE_ROWS of them are held at once, in forward and in
+# backward.
 TILE_ROWS = 256
 
 
@@ -124,9 +126,14 @@ def _exp_block(anchors: Array, keys: Array) -> Array:
     return np.exp(block, out=block)
 
 
-def _row_tiles(n: int):
+def _tile_pairs(n: int):
+    """Square tiles (rows, cols) of an n x n symmetric matrix, as slices,
+    that cover its upper triangle once: diagonal tiles whole, and the
+    tiles above them.  Row bands come in order, each starting with its
+    diagonal tile."""
     for lo in range(0, n, TILE_ROWS):
-        yield lo, min(lo + TILE_ROWS, n)
+        for col in range(lo, n, TILE_ROWS):
+            yield slice(lo, min(lo + TILE_ROWS, n)), slice(col, min(col + TILE_ROWS, n))
 
 
 def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, tau: float) -> ContrastiveResult:
@@ -138,18 +145,20 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     [0,1]-mapped cosines.  Exponents are shifted by -1/tau, the largest
     attainable value, so the self-pair subtraction becomes an exact -1.
 
-    Only the v(v+1)/2 blocks of view pairs a <= k are formed, since block
-    (k, a) is the transpose of block (a, k): one pass over a block yields
-    the gated row sums of both.  Blocks are formed TILE_ROWS anchors at a
-    time and formed again in the backward pass instead of being kept.
-
-    Blocks span only each view's live rows, those with a nonzero outer or
-    denominator gate.  Any other row is neither a weighted anchor nor a
-    gated key, so none of its similarities reaches the loss or a gradient:
-    block (a, k) is formed over live_a x live_k, and its row sums and
-    gradients are scattered back to all N rows.  Rows and columns of an
-    (a, a) block share one index set, so the self-pair stays on its
-    diagonal.  The positive cosines cost O(N d) and stay over all N rows.
+    Only live rows take part, those with a nonzero outer or denominator
+    gate in their view.  Any other row is neither a weighted anchor nor a
+    gated key, so none of its similarities reaches the loss or a gradient.
+    The live rows of all views are stacked, in view order, into L rows,
+    and every denominator is a gated row sum of their L x L exponentials:
+    an L x v matrix of gates, each row's in its view's column, turns one
+    product per tile into the row sums over every view's keys at once.
+    That matrix is symmetric, so only the square TILE_ROWS x TILE_ROWS
+    tiles on or above its diagonal are formed; a tile above it yields the
+    row sums of its transpose as well.  Tiles are formed again in the
+    backward pass instead of being kept.  The self-pair sits on the
+    diagonal of the diagonal tiles.  Row sums and positive cosines meet in
+    N x v x v arrays, one entry per sample and ordered view pair, zero off
+    the live rows.
     """
     n_views = len(feats)
     n = feats[0].rows
@@ -162,55 +171,52 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         return ContrastiveResult(Matrix(0.0), 0)
 
     inv_tau = 1.0 / tau
-    units, inv_norms = zip(*(_unit_rows(f.value) for f in feats))
-    live = [np.flatnonzero((outer_gate[:, k] != 0) | (denom_gate[:, k] != 0))
-            for k in range(n_views)]
-    # Per view, restricted to its live rows: unit rows and their exponent
-    # rows, denominator gates and the self-pair's exact exponential
-    # (similarity 1, or the neutral 0.5 for a zero row; with it an anchor
-    # whose only gated key is itself gets a denominator of exactly 0 and is
-    # skipped).
-    live_units = [u[rows] for u, rows in zip(units, live)]
-    anchor_rows, key_rows = zip(*(_exponent_rows(u, inv_tau) for u in live_units))
-    gates = [denom_gate[rows, k] for k, rows in enumerate(live)]
-    self_exp = [np.where(inv[rows, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau))
-                for inv, rows in zip(inv_norms, live)]
-    blocks = [(a, k) for a in range(n_views) for k in range(a, n_views)]
+    live = (outer_gate != 0) | (denom_gate != 0)
+    view_of, row_of = np.nonzero(live.T)  # the stacked live rows, in view order
+    units, inv_norms = _unit_rows(np.concatenate([f.value[live[:, k]] for k, f in enumerate(feats)]))
+    n_live, d = units.shape
+    # Only the key rows [u, 1] are held: the unit rows are their first d
+    # columns, and a tile's anchor rows, key rows times [s, ..., s, -s], are
+    # bitwise the anchor rows [s u, -s] of _exponent_rows.
+    keys = np.hstack([units, np.ones((n_live, 1))])
+    units = keys[:, :d]
+    s = 0.5 * inv_tau
+    anchor_scale = np.append(np.full(d, s), -s)
+    gates = np.zeros((n_live, n_views))
+    gates[np.arange(n_live), view_of] = denom_gate[row_of, view_of]
+    # The self-pair's exact exponential: similarity 1, or the neutral 0.5 for
+    # a zero row.  With it an anchor whose only gated key is itself gets a
+    # denominator of exactly 0 and is skipped.
+    self_exp = np.where(inv_norms[:, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau))
 
-    # live_sums[a, k][i]: row sum of exp((sim - 1)/tau) over the gated keys
-    # of view k, for live anchor i of view a; exp_sums holds them over all N
-    # rows, zero off the live ones.
-    live_sums = {(a, k): np.zeros(len(live[a])) for a in range(n_views) for k in range(n_views)}
-    for a, k in blocks:
-        for lo, hi in _row_tiles(len(live[a])):
-            block = _exp_block(anchor_rows[a][lo:hi], key_rows[k])
-            if k == a:
-                block[np.arange(hi - lo), np.arange(lo, hi)] = self_exp[a][lo:hi]
-            live_sums[a, k][lo:hi] = block @ gates[k]
-            if k != a:
-                live_sums[k, a] += gates[a][lo:hi] @ block
-    exp_sums = {key: np.zeros(n) for key in live_sums}
-    for (a, k), sums in live_sums.items():
-        exp_sums[a, k][live[a]] = sums
+    live_sums = np.zeros((n_live, n_views))
+    for rows, cols in _tile_pairs(n_live):
+        if rows == cols:  # a new row band
+            anchors = keys[rows] * anchor_scale
+        block = _exp_block(anchors, keys[cols])
+        if rows == cols:
+            np.fill_diagonal(block, self_exp[rows])
+        else:
+            live_sums[cols] += block.T @ gates[rows]
+        live_sums[rows] += block @ gates[cols]
+    # exp_sums[i, a, k]: row sum of exp((sim - 1)/tau) over the gated keys of
+    # view k, for anchor i of view a; sample_units[i, a]: unit row i of view
+    # a.  Both are zero off the live rows.
+    exp_sums = np.zeros((n, n_views, n_views))
+    exp_sums[row_of, view_of] = live_sums
+    sample_units = np.zeros((n, n_views, d))
+    sample_units[row_of, view_of] = units
 
-    total = -0.0
-    skipped = 0
-    # Per ordered pair: effective anchor weights and the denominators used.
-    pairs: dict[tuple[int, int], tuple[Array, Array]] = {}
-    for a in range(n_views):
-        for b in range(n_views):
-            if b == a:
-                continue
-            pos01 = (np.sum(units[a] * units[b], axis=1) + 1.0) * 0.5
-            denom = exp_sums[a, a] + exp_sums[a, b] - 1.0
-            gate = outer_gate[:, a] * outer_gate[:, b]
-            valid = denom > 0
-            skipped += int(np.count_nonzero((gate > 0) & ~valid))
-            effective = gate * valid
-            safe = np.where(valid, denom, 1.0)
-            terms = (pos01 - 1.0) * inv_tau - np.log(safe)
-            total += float(np.sum(terms * effective)) * (-1.0 / n)
-            pairs[a, b] = effective, safe
+    # Per ordered pair (a, b), a != b: the anchor weight, denominator and term.
+    pos01 = (np.einsum("iad,ibd->iab", sample_units, sample_units) + 1.0) * 0.5
+    denom = np.diagonal(exp_sums, axis1=1, axis2=2)[:, :, None] + exp_sums - 1.0
+    gate = outer_gate[:, :, None] * outer_gate[:, None, :] * (1.0 - np.eye(n_views))
+    valid = denom > 0
+    skipped = int(np.count_nonzero((gate > 0) & ~valid))
+    effective = gate * valid
+    safe = np.where(valid, denom, 1.0)
+    terms = (pos01 - 1.0) * inv_tau - np.log(safe)
+    total = float(np.sum(terms * effective)) * (-0.5 / n)
     if skipped:
         logger.warning("contrastive loss: %d anchors had no available comparison", skipped)
 
@@ -218,48 +224,37 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         # The loss is -0.5/n times the weighted sum over pairs of
         # pos01/tau - log(exp_sums[a,a] + exp_sums[a,b] - 1); first the
         # adjoints of the positive cosines and of the row sums.
-        grad_units = [np.zeros_like(u) for u in units]
-        d_sums = {key: np.zeros(n) for key in exp_sums}
-        for (a, b), (effective, safe) in pairs.items():
-            weight = effective * (-0.5 / n * g[0, 0])
-            d_pos = (weight * (0.5 * inv_tau))[:, None]
-            grad_units[a] += d_pos * units[b]
-            grad_units[b] += d_pos * units[a]
-            d_denom = -weight / safe
-            d_sums[a, a] += d_denom
-            d_sums[a, b] += d_denom
-        # With E the block's exponentials, d_sums[a,k] (x) gates[k] + gates[a]
-        # (x) d_sums[k,a] is d loss / d E and E * 0.5/tau is dE / d cosine;
-        # both outer products fold into one product with stacked keys.  An
-        # (a, a) block is symmetric and yields its own transpose.  Its
-        # diagonal, the self-pair, is left in: the gradient it sends to a row
-        # is along the row, which the normalization below removes.  Blocks
-        # span live rows only: d_sums is zero off them, so the gradient is too.
-        scale = 0.5 * inv_tau
-        d = units[0].shape[1]
-        live_grads = [du[rows] for du, rows in zip(grad_units, live)]
-        live_d = {(a, k): d_sums[a, k][live[a]] for a, k in d_sums}
-        for a, k in blocks:
-            keys = np.hstack([gates[k][:, None] * live_units[k],
-                              live_d[k, a][:, None] * live_units[k]])
-            for lo, hi in _row_tiles(len(live[a])):
-                block = _exp_block(anchor_rows[a][lo:hi], key_rows[k])
-                to_anchor = block @ keys
-                live_grads[a][lo:hi] += scale * (live_d[a, k][lo:hi, None] * to_anchor[:, :d]
-                                                 + gates[a][lo:hi, None] * to_anchor[:, d:])
-                if k != a:
-                    anchors = live_units[a][lo:hi]
-                    to_key = block.T @ np.hstack([live_d[a, k][lo:hi, None] * anchors,
-                                                  gates[a][lo:hi, None] * anchors])
-                    live_grads[k] += scale * (gates[k][:, None] * to_key[:, :d]
-                                              + live_d[k, a][:, None] * to_key[:, d:])
-        for du, rows, live_du in zip(grad_units, live, live_grads):
-            du[rows] = live_du
-        # Through the normalization: remove the radial part, divide by the norm.
-        return tuple((du - u * np.sum(u * du, axis=1, keepdims=True)) * inv
-                     for du, u, inv in zip(grad_units, units, inv_norms))
+        weight = effective * (-0.5 / n * g[0, 0])
+        d_pos = weight * s
+        d_units = (d_pos + d_pos.transpose(0, 2, 1)) @ sample_units
+        d_sums = -weight / safe
+        diag = np.arange(n_views)
+        d_sums[:, diag, diag] = d_sums.sum(axis=2)
+        # With E the exponentials and D the row sums' adjoints on the stacked
+        # rows, d loss / d E is D gates^T, and E symmetric folds in its
+        # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
+        # E * s is dE / d cosine; s goes into D.  The diagonal, the
+        # self-pair, is left in: the gradient it sends to a row is along the
+        # row, which the normalization below removes.
+        d_live = d_sums[row_of, view_of] * s
+        left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
+        du = d_units[row_of, view_of]
+        for rows, cols in _tile_pairs(n_live):
+            if rows == cols:
+                anchors = keys[rows] * anchor_scale
+            w = left[rows] @ right[cols].T
+            w *= _exp_block(anchors, keys[cols])
+            du[rows] += w @ units[cols]
+            if rows != cols:
+                du[cols] += w.T @ units[rows]
+        # Through the normalization: remove the radial part, divide by the
+        # norm; then back from the stacked rows to each view's N rows.
+        du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms
+        grads = np.zeros((n_views, n, d))
+        grads[view_of, row_of] = du
+        return tuple(grads)
 
-    return ContrastiveResult(nm.emit(np.array([[total * 0.5]]), tuple(feats), vjp), skipped)
+    return ContrastiveResult(nm.emit(np.array([[total]]), tuple(feats), vjp), skipped)
 
 
 def instance_contrastive(instance_feats: list[Matrix], view_indicator: Array, tau: float) -> ContrastiveResult:

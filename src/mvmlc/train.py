@@ -68,7 +68,7 @@ class TrainConfig:
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
             if kind is float and not _finite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:

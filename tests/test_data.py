@@ -244,11 +244,11 @@ MALFORMED = {
                             "view 1: entry at row 1, col 0 is -inf"),
     "view indicator shape": (dict(view_indicator=np.ones((2, 3))), "view indicator shape"),
     "label indicator shape": (dict(label_indicator=np.ones((2, 3))), "label indicator shape"),
-    "non-binary label": (dict(labels=np.array([[1.0, 0.5], [0.0, 0.0]])), "labels: entry at row 0, col 1"),
+    "non-binary label": (dict(labels=np.array([[1.0, 0.5], [0.0, 0.0]])), "labels: entry at row 0, col 1 is 0.5, expected 0 or 1"),
     "non-binary view indicator": (dict(view_indicator=np.array([[1.0, 2.0], [0.0, 1.0]])),
-                                  "view indicator: entry"),
+                                  "view indicator: entry at row 0, col 1 is 2.0, expected 0 or 1"),
     "non-binary label indicator": (dict(label_indicator=np.array([[1.0, 1.0], [1.0, -1.0]])),
-                                   "label indicator: entry"),
+                                   "label indicator: entry at row 1, col 1 is -1.0, expected 0 or 1"),
     "sample without a view": (dict(view_indicator=np.array([[1.0, 1.0], [0.0, 0.0]]),
                                    views=[np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0], [0.0]])]),
                               "sample 1 has no available view"),

@@ -193,8 +193,10 @@ COMPACTION_GATES = {
 
 
 class TestFusedContrastive:
-    """The contrastive core is one primitive with a hand-written VJP that
-    forms similarity blocks losses.TILE_ROWS anchors at a time."""
+    """The contrastive core is one primitive with a hand-written VJP.  It
+    stacks every view's live rows into one matrix and forms their symmetric
+    exponentials in square losses.TILE_ROWS tiles on or above the diagonal,
+    so tiles may straddle view boundaries."""
 
     def test_gradients_match_finite_differences_across_tiles(self, monkeypatch):
         monkeypatch.setattr(losses, "TILE_ROWS", 3)
@@ -315,8 +317,10 @@ class TestFusedContrastive:
         assert report.passed, report
 
     def test_blocks_span_only_live_rows(self, monkeypatch):
-        # Forward and backward each form block (a, k), a <= k, over live_a x
-        # live_k; N x N blocks would form 2 * 6 * n^2 similarities here.
+        # Forward and backward each form the tiles on or above the diagonal of
+        # the L x L matrix of stacked live rows: 2 * sum over tile pairs
+        # (cols >= rows) of |rows| * |cols|.  N x N blocks per view pair would
+        # form 2 * 6 * n^2 similarities here, and every tile pair 2 * L^2.
         sizes = []
         exp_block = losses._exp_block
 
@@ -333,7 +337,46 @@ class TestFusedContrastive:
         infonce_with_grads(rand_feats(rng, n, v, 5), outer, denom, 0.5)
         live = [np.count_nonzero((outer[:, k] > 0) | (denom[:, k] > 0)) for k in range(v)]
         assert max(live) < n
-        assert sum(sizes) == 2 * sum(live[a] * live[k] for a in range(v) for k in range(a, v))
+        tiles = [min(16, sum(live) - lo) for lo in range(0, sum(live), 16)]
+        assert len(tiles) > 2 and tiles[-1] < 16
+        assert sum(sizes) == 2 * sum(tiles[i] * tiles[j]
+                                     for i in range(len(tiles)) for j in range(i, len(tiles)))
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 11], ids=["0", "1", "T", "T+1", "2T+3"])
+    def test_tile_pairs_cover_the_upper_triangle_once(self, monkeypatch, n):
+        monkeypatch.setattr(losses, "TILE_ROWS", 4)
+        covered = np.zeros((n, n), dtype=int)
+        band = None
+        for rows, cols in losses._tile_pairs(n):
+            if rows != band:  # each row band starts with its diagonal tile
+                assert cols == rows and (band is None or band.stop == rows.start)
+                band = rows
+            assert rows == cols or rows.stop <= cols.start  # on or above the diagonal
+            assert rows.stop - rows.start <= 4 and cols.stop - cols.start <= 4
+            covered[rows, cols] += 1
+        np.testing.assert_array_equal(covered[np.triu_indices(n)], 1)
+
+    def test_tiles_straddling_views_around_a_view_without_live_rows(self, monkeypatch):
+        # Live counts 4, 0 and 7 stack into 11 rows; tiles of 3 rows put rows
+        # of views 0 and 2 in one tile, on and off the diagonal.
+        monkeypatch.setattr(losses, "TILE_ROWS", 3)
+        rng = np.random.default_rng(53)
+        n, v = 9, 3
+        outer, denom = np.zeros((n, v)), np.zeros((n, v))
+        outer[[0, 2, 5], 0] = 1.0
+        denom[[0, 2, 5, 7], 0] = 1.0
+        outer[[0, 1, 2, 3, 5, 6, 8], 2] = 1.0
+        denom[[0, 1, 3, 5, 6, 8], 2] = 1.0
+        feats = rand_feats(rng, n, v, 4)
+        res, grads = infonce_with_grads(feats, outer, denom, 0.5)
+        want, skipped = masked_infonce_oracle([f.value for f in feats], outer, denom, 0.5)
+        assert abs(res.loss.item() - want) <= 1e-10
+        assert res.skipped == skipped
+        assert res.loss.item() != 0.0
+        np.testing.assert_array_equal(grads[1], 0.0)
+        report = gradient_check(lambda p: losses._masked_infonce(list(p), outer, denom, 0.5).loss,
+                                feats, step=1e-6, tol=1e-5)
+        assert report.passed, report
 
     def test_memory_grows_with_tile_not_with_n_squared(self):
         # One 3000 x 3000 float64 block is 69 MiB and the v^2 = 9 blocks of a

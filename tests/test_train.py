@@ -65,12 +65,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "numpy nan"])
     def test_non_finite_float_field_rejected(self, value):
+        # The value prints plain: numpy 2's repr of np.float64("nan") is
+        # "np.float64(nan)".
         names = [f.name for f in dataclasses.fields(TrainConfig) if type(f.default) is float]
         assert "learning_rate" in names and "adam_eps" in names
         for name in names:
-            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got {value}$"):
                 TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("field,value", [
