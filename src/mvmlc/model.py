@@ -23,14 +23,14 @@ projection heads, which feed only those losses, do not run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import numerics as nm
 from .data import MaskBank, MultiViewDataset, apply_input_mask
-from .errors import ContractError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 from .numerics import Matrix
 
 Array = np.ndarray
@@ -40,12 +40,6 @@ Array = np.ndarray
 class Linear:
     weight: Matrix  # n_in x n_out
     bias: Matrix    # 1 x n_out
-
-    @classmethod
-    def initialize(cls, rng: np.random.Generator, n_in: int, n_out: int) -> "Linear":
-        bound = 1.0 / np.sqrt(n_in)
-        return cls(weight=Matrix(rng.uniform(-bound, bound, size=(n_in, n_out))),
-                   bias=Matrix(rng.uniform(-bound, bound, size=(1, n_out))))
 
 
 @dataclass
@@ -58,10 +52,27 @@ class Mlp:
     def __call__(self, x: Matrix) -> Matrix:
         return nm.mlp(x, self.hidden.weight, self.hidden.bias, self.out.weight, self.out.bias)
 
-    @classmethod
-    def initialize(cls, rng: np.random.Generator, n_in: int, n_hidden: int, n_out: int) -> "Mlp":
-        return cls(hidden=Linear.initialize(rng, n_in, n_hidden),
-                   out=Linear.initialize(rng, n_hidden, n_out))
+
+def parameter_layout(view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
+                     hidden_dim: int) -> list[tuple[str, tuple[int, int]]]:
+    """Name and shape of every learnable matrix, in canonical order.
+
+    This is the order of :meth:`ModelParams.named_parameters`, of the
+    matrices' slices of :attr:`ModelParams.vector` and of the draws of
+    :meth:`ModelParams.initialize`.
+    """
+    nets = [(f"shared_encoder.{m}", d, embed_dim) for m, d in enumerate(view_dims)]
+    nets += [(f"private_encoder.{m}", d, embed_dim) for m, d in enumerate(view_dims)]
+    nets += [(f"decoder.{m}", embed_dim, d) for m, d in enumerate(view_dims)]
+    nets += [("instance_head", embed_dim, embed_dim), ("label_head", embed_dim, n_labels)]
+    layout = []
+    for prefix, n_in, n_out in nets:
+        layout += [(f"{prefix}.hidden.weight", (n_in, hidden_dim)),
+                   (f"{prefix}.hidden.bias", (1, hidden_dim)),
+                   (f"{prefix}.out.weight", (hidden_dim, n_out)),
+                   (f"{prefix}.out.bias", (1, n_out))]
+    return layout + [("classifier.weight", (embed_dim, n_labels)),
+                     ("classifier.bias", (1, n_labels))]
 
 
 @dataclass
@@ -71,6 +82,12 @@ class ModelParams:
     ``shared_encoders[m]`` and ``private_encoders[m]`` map view m's input
     width to the embedding width; ``decoders[m]`` maps it back.  The
     instance head and label head are shared across views.
+
+    Every value lives in the one contiguous float64 ``vector``: each
+    matrix's ``value`` is a row-major view of its own slice, the slices
+    following :func:`parameter_layout`.  Gradients and Adam moments are
+    vectors of the same layout, so the optimizer, the finite check and
+    checkpoints each work on whole vectors or named slices of them.
     """
 
     shared_encoders: list[Mlp]
@@ -80,6 +97,39 @@ class ModelParams:
     label_head: Mlp          # embed -> n_labels
     classifier_weight: Matrix  # embed x n_labels
     classifier_bias: Matrix    # 1 x n_labels
+    vector: Array = field(repr=False, compare=False)  # every value above, in order
+
+    @classmethod
+    def allocate(cls, view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
+                 hidden_dim: int) -> "ModelParams":
+        """Parameters of this architecture over one new, uninitialized vector.
+
+        A vector too large to allocate is a :class:`ConfigError` that
+        names the widths and the parameter count.
+        """
+        layout = parameter_layout(view_dims, n_labels, embed_dim, hidden_dim)
+        size = sum(rows * cols for _, (rows, cols) in layout)
+        try:
+            vector = np.empty(size)
+        except MemoryError:
+            raise ConfigError(
+                f"view_dims {list(view_dims)}, embed_dim {embed_dim} and hidden_dim "
+                f"{hidden_dim} need {size} parameters, more than memory holds") from None
+        mats, start = {}, 0
+        for name, (rows, cols) in layout:
+            mats[name] = Matrix(vector[start:start + rows * cols].reshape(rows, cols))
+            start += rows * cols
+
+        def mlp(prefix: str) -> Mlp:
+            return Mlp(*(Linear(mats[f"{prefix}.{layer}.weight"], mats[f"{prefix}.{layer}.bias"])
+                         for layer in ("hidden", "out")))
+
+        views = range(len(view_dims))
+        return cls([mlp(f"shared_encoder.{m}") for m in views],
+                   [mlp(f"private_encoder.{m}") for m in views],
+                   [mlp(f"decoder.{m}") for m in views],
+                   mlp("instance_head"), mlp("label_head"),
+                   mats["classifier.weight"], mats["classifier.bias"], vector)
 
     @classmethod
     def initialize(
@@ -90,15 +140,22 @@ class ModelParams:
         embed_dim: int,
         hidden_dim: int,
     ) -> "ModelParams":
-        shared = [Mlp.initialize(rng, d, hidden_dim, embed_dim) for d in view_dims]
-        private = [Mlp.initialize(rng, d, hidden_dim, embed_dim) for d in view_dims]
-        decoders = [Mlp.initialize(rng, embed_dim, hidden_dim, d) for d in view_dims]
-        instance_head = Mlp.initialize(rng, embed_dim, hidden_dim, embed_dim)
-        label_head = Mlp.initialize(rng, embed_dim, hidden_dim, n_labels)
-        bound = 1.0 / np.sqrt(embed_dim)
-        clf_w = Matrix(rng.uniform(-bound, bound, size=(embed_dim, n_labels)))
-        clf_b = Matrix(rng.uniform(-bound, bound, size=(1, n_labels)))
-        return cls(shared, private, decoders, instance_head, label_head, clf_w, clf_b)
+        """Each layer's weight and bias uniform on +-1/sqrt(fan-in).
+
+        One draw fills the whole vector, in canonical order, and each layer
+        then scales and shifts its slices: bitwise what one
+        ``rng.uniform(-bound, bound, shape)`` per matrix in that order
+        gives, from the same generator state.
+        """
+        params = cls.allocate(view_dims, n_labels, embed_dim, hidden_dim)
+        rng.random(out=params.vector)
+        mats = params.parameters()
+        for weight, bias in zip(mats[::2], mats[1::2]):
+            bound = 1.0 / np.sqrt(weight.rows)
+            for p in (weight, bias):
+                p.value *= 2.0 * bound
+                p.value -= bound
+        return params
 
     @property
     def n_views(self) -> int:
@@ -143,6 +200,14 @@ class ModelParams:
 
     def parameters(self) -> list[Matrix]:
         return [p for _, p in self.named_parameters()]
+
+    def named_slices(self) -> list[tuple[str, slice]]:
+        """Each parameter's name and its slice of :attr:`vector`."""
+        named, start = [], 0
+        for name, p in self.named_parameters():
+            named.append((name, slice(start, start + p.value.size)))
+            start += p.value.size
+        return named
 
 
 @dataclass
@@ -275,11 +340,12 @@ def save_checkpoint(
     epoch: int,
     config: dict | None = None,
 ) -> None:
-    """Serialize every parameter matrix with shape metadata as JSON.
+    """Serialize each parameter's slice of the vector, with its shape, as JSON.
 
     Floats are written with shortest round-trip repr, so identical
     parameters produce byte-identical files.
     """
+    values = params.vector.tolist()
     doc = {
         "version": CHECKPOINT_VERSION,
         "view_dims": list(params.view_dims),
@@ -290,8 +356,8 @@ def save_checkpoint(
         "epoch": epoch,
         "config": config or {},
         "parameters": {
-            name: {"shape": list(p.shape), "values": [float(x) for x in p.value.ravel()]}
-            for name, p in params.named_parameters()
+            name: {"shape": list(p.shape), "values": values[part]}
+            for (name, p), (_, part) in zip(params.named_parameters(), params.named_slices())
         },
     }
     with open(path, "w") as fh:
@@ -300,7 +366,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
-    """Rebuild ModelParams from a checkpoint; shape mismatches are rejected."""
+    """Rebuild ModelParams from a checkpoint; shape mismatches are rejected.
+
+    Every stored matrix is checked against :func:`parameter_layout` before
+    the parameter vector is allocated; the matrices then fill their slices.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -329,21 +399,23 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
         if isinstance(meta[field], bool) or not isinstance(meta[field], int):
             raise ValidationError(f"checkpoint {path}: {field} must be an integer, "
                                   f"got {meta[field]!r}")
-    params = ModelParams.initialize(np.random.default_rng(0), tuple(view_dims),
-                                    meta["n_labels"], meta["embed_dim"], meta["hidden_dim"])
-    expected = params.named_parameters()
-    if not isinstance(stored, dict) or set(stored) != {name for name, _ in expected}:
+    architecture = (tuple(view_dims), meta["n_labels"], meta["embed_dim"], meta["hidden_dim"])
+    layout = parameter_layout(*architecture)
+    if not isinstance(stored, dict) or set(stored) != {name for name, _ in layout}:
         raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")
-    for name, p in expected:
+    parts = []
+    for name, expected in layout:
         try:
             shape = tuple(stored[name]["shape"])
             values = np.asarray(stored[name]["values"], dtype=np.float64).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"checkpoint {path}: {name} is malformed ({exc!r})") from None
-        if shape != p.shape:
+        if shape != expected:
             raise ValidationError(
-                f"checkpoint {path}: {name} has shape {shape}, expected {p.shape}")
+                f"checkpoint {path}: {name} has shape {shape}, expected {expected}")
         if not np.isfinite(values).all():
             raise ValidationError(f"checkpoint {path}: {name} has non-finite values")
-        p.value[...] = values
+        parts.append(values)
+    params = ModelParams.allocate(*architecture)
+    np.concatenate(parts, axis=None, out=params.vector)
     return params, meta

@@ -1,10 +1,10 @@
 """Dense float64 matrices with taped reverse-mode differentiation.
 
 The engine holds only the primitives the network uses: the generic
-``add``, ``sub``, ``mul``, ``matmul``, ``sigmoid``, ``msum`` and
-``scatter_rows``, and the fused two-layer perceptron ``mlp``.  The training
-objective composes them, so gradients are obtained by recording every
-primitive application on a :class:`Tape` and replaying it backwards once.
+``add``, ``mul``, ``matmul``, ``sigmoid`` and ``scatter_rows``, and the
+fused two-layer perceptron ``mlp``.  The training objective composes them,
+so gradients are obtained by recording every primitive application on a
+:class:`Tape` and replaying it backwards once.
 A primitive with a hand-written VJP is recorded through :func:`emit`:
 ``mlp`` here, and the four training losses in :mod:`mvmlc.losses`.  Each
 is one record where a composition of generic primitives would be several,
@@ -107,17 +107,8 @@ class Matrix:
             raise ContractError(f"item() requires a 1x1 matrix, got {self.shape}")
         return float(self.value[0, 0])
 
-    def sum(self, axis: int | None = None) -> "Matrix":
-        return msum(self, axis)
-
     def __add__(self, other) -> "Matrix":
         return add(self, _lift(other))
-
-    def __sub__(self, other) -> "Matrix":
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other) -> "Matrix":
-        return sub(_lift(other), self)
 
     def __mul__(self, other) -> "Matrix":
         return mul(self, _lift(other))
@@ -173,12 +164,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     _check_broadcast(a, b, "add")
     return emit(a.value + b.value, (a, b),
                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a: Matrix, b: Matrix) -> Matrix:
-    _check_broadcast(a, b, "sub")
-    return emit(a.value - b.value, (a, b),
-                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -245,20 +230,6 @@ def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     return emit(out, (x, w1, b1, w2, b2), vjp)
 
 
-def msum(a: Matrix, axis: int | None = None) -> Matrix:
-    """Sum over all entries (axis=None), rows (axis=0) or columns (axis=1).
-
-    The result stays 2-D: 1x1, 1xcols or rowsx1 respectively.
-    """
-    if axis not in (None, 0, 1):
-        raise ContractError(f"msum: axis must be None, 0 or 1, got {axis}")
-    if axis is None:
-        value = a.value.sum(dtype=np.float64).reshape(1, 1)
-    else:
-        value = a.value.sum(axis=axis, keepdims=True)
-    return emit(value, (a,), lambda g: (np.broadcast_to(g, a.shape),))
-
-
 def scatter_rows(parts: Sequence[Matrix], rows: Sequence[Array], n: int,
                  row_scale: Array | None = None) -> Matrix:
     """Sum of each ``parts[k]`` placed at rows ``rows[k]`` of an n-row zero
@@ -287,29 +258,58 @@ def scatter_rows(parts: Sequence[Matrix], rows: Sequence[Array], n: int,
     return emit(out, tuple(parts), vjp)
 
 
-def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix]) -> list[Array]:
+def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
+             out: Array | None = None) -> list[Array]:
     """Replay ``tape`` backwards from ``loss`` and return d(loss)/d(p).
 
-    ``loss`` must be a 1x1 matrix produced through taped primitives.  The
-    returned list is aligned with ``params``; parameters the loss does not
-    depend on get exact zero gradients.  The sweep is a single reversed
-    pass in recording order, so repeated replays are bitwise identical.
+    ``loss`` must be a 1x1 matrix produced through taped primitives, and
+    ``params`` distinct leaves.  The gradients are stored in ``out``, a
+    flat float64 vector holding each parameter's gradient in turn, row
+    major (a new one if None); the returned list holds views of it aligned
+    with ``params``.  A parameter's first adjoint contribution is copied
+    into its slice and later ones are added there in place, so the stored
+    sums are bitwise those accumulated out of place; parameters the loss
+    does not depend on get exact zero gradients.  The sweep is a single
+    reversed pass in recording order, so repeated replays are bitwise
+    identical.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar (1x1), got {loss.shape}")
+    size = sum(p.value.size for p in params)
+    if out is None:
+        out = np.empty(size)
+    elif out.shape != (size,):
+        raise ContractError(f"backward: out must be a vector of {size} values, got {out.shape}")
+    grads, start = [], 0
+    for p in params:
+        grads.append(out[start:start + p.value.size].reshape(p.shape))
+        start += p.value.size
+    slots = {id(p): g for p, g in zip(params, grads)}
+    if len(slots) != len(params):
+        raise ContractError("backward: a parameter is listed twice")
+    filled: set[int] = set()
     adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for out, inputs, vjp in reversed(tape._records):
-        grad_out = adjoint.pop(id(out), None)
+    for node, inputs, vjp in reversed(tape._records):
+        grad_out = adjoint.pop(id(node), None)
         if grad_out is None:
             continue
         for operand, contrib in zip(inputs, vjp(grad_out)):
             if contrib is None:
                 continue
             key = id(operand)
-            held = adjoint.get(key)
-            adjoint[key] = contrib if held is None else held + contrib
-    return [np.ascontiguousarray(adjoint[id(p)]) if id(p) in adjoint else np.zeros(p.shape)
-            for p in params]
+            slot = slots.get(key)
+            if slot is None:
+                held = adjoint.get(key)
+                adjoint[key] = contrib if held is None else held + contrib
+            elif key in filled:
+                np.add(slot, contrib, out=slot)
+            else:
+                np.copyto(slot, contrib)
+                filled.add(key)
+    for key, slot in slots.items():
+        if key not in filled:
+            slot.fill(0.0)
+    return grads
 
 
 @dataclass

@@ -7,6 +7,12 @@ denominators range over every sample in the batch, so the default is one
 full batch per epoch; mini-batching is available but restricts negatives
 to the batch.
 
+Parameters, gradients and both Adam moments are flat vectors of one
+layout (see :class:`~mvmlc.model.ModelParams`): the backward writes each
+parameter's gradient into its slice of one buffer that every step reuses,
+the finite check is one pass over that buffer, and :func:`adam_step`
+updates the parameter vector in place with preallocated scratch vectors.
+
 All randomness flows from the config seed through one generator consumed
 in a fixed order (parameter init, then per-epoch draws), so a (dataset,
 config) pair fully determines the trajectory.
@@ -139,44 +145,62 @@ class TrainResult:
 
 @dataclass
 class AdamState:
-    first: list[Array]
-    second: list[Array]
+    """First and second moments, flat vectors of the parameter layout, and
+    two scratch vectors of that size that each step reuses."""
+
+    first: Array
+    second: Array
     step: int = 0
+    scratch: tuple[Array, Array] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.first), np.empty_like(self.first))
 
     @classmethod
-    def initialize(cls, params: list[Matrix]) -> "AdamState":
-        return cls(first=[np.zeros(p.shape) for p in params],
-                   second=[np.zeros(p.shape) for p in params])
+    def initialize(cls, size: int) -> "AdamState":
+        return cls(first=np.zeros(size), second=np.zeros(size))
 
 
 def adam_step(
-    params: list[Matrix],
-    grads: list[Array],
+    params: Array,
+    grads: Array,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-) -> tuple[list[Matrix], AdamState]:
-    """One bias-corrected Adam update, applied in place."""
-    if len(grads) != len(params) or len(state.first) != len(params):
-        raise ContractError("adam_step: params, grads and state lengths differ")
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        if g.shape != p.shape:
-            raise ContractError(f"adam_step: gradient shape {g.shape} != parameter {p.shape}")
-        if m.shape != p.shape:
-            raise ContractError(f"adam_step: state shape {m.shape} != parameter {p.shape}")
+) -> None:
+    """One bias-corrected Adam update of the flat vector ``params``, in place.
+
+    The passes are those of ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g`` and
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` evaluated left to right,
+    each run in place over whole vectors, so every value is bitwise the
+    one the out-of-place expressions give.
+    """
+    if not params.shape == grads.shape == state.first.shape == (params.size,):
+        raise ContractError(f"adam_step: parameters {params.shape}, gradients {grads.shape} "
+                            f"and state {state.first.shape} must be vectors of one length")
     state.step += 1
     t = state.step
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p.value -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
-    return params, state
+    m, v = state.first, state.second
+    a, b = state.scratch
+    m *= beta1
+    np.multiply(1.0 - beta1, grads, out=a)
+    m += a
+    v *= beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(m, correct1, out=a)
+    a *= lr
+    np.divide(v, correct2, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    params -= a
 
 
 def _epoch_losses(
@@ -214,11 +238,15 @@ def _epoch_losses(
                       instance_skipped=inst_skipped, label_skipped=lab_skipped)
 
 
-def _check_finite(epoch: int, what: str, named: Iterable[tuple[str, float | Array]]) -> None:
-    """Abort on the first non-finite loss component or gradient, by name."""
-    for name, value in named:
-        if not np.isfinite(value).all():
-            raise ContractError(f"epoch {epoch}: {what} '{name}' is not finite")
+def _check_finite(epoch: int, what: str, values: Array,
+                  named_slices: Iterable[tuple[str, slice]]) -> None:
+    """Abort if ``values`` is not all finite, naming the slice that holds
+    the first non-finite entry; the slices are searched only then."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = int(finite.argmin())
+        name = next(name for name, part in named_slices if first < part.stop)
+        raise ContractError(f"epoch {epoch}: {what} '{name}' is not finite")
 
 
 def train(
@@ -244,8 +272,9 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, dataset.view_dims, dataset.n_labels,
                                     config.embed_dim, config.hidden_dim)
-    names, leaves = zip(*params.named_parameters())
-    state = AdamState.initialize(leaves)
+    leaves, slices = params.parameters(), params.named_slices()
+    grad = np.empty_like(params.vector)
+    state = AdamState.initialize(params.vector.size)
     full_gate = label_availability_gate(dataset.label_indicator, dataset.view_indicator)
 
     result = TrainResult(params=params, log=TrainLog())
@@ -276,10 +305,12 @@ def train(
             batch_gate = full_gate if len(rows) == n else full_gate[rows]
             with Tape() as tape:
                 combined, breakdown = _epoch_losses(params, batch, batch_bank, batch_gate, config)
-                _check_finite(epoch, "loss component", breakdown.components().items())
-                grads = backward(tape, combined, leaves)
-            _check_finite(epoch, "gradient of", zip(names, grads))
-            adam_step(leaves, grads, state, config.learning_rate,
+                components = breakdown.components()
+                _check_finite(epoch, "loss component", np.fromiter(components.values(), float),
+                              ((name, slice(k, k + 1)) for k, name in enumerate(components)))
+                backward(tape, combined, leaves, out=grad)
+            _check_finite(epoch, "gradient of", grad, slices)
+            adam_step(params.vector, grad, state, config.learning_rate,
                       config.adam_beta1, config.adam_beta2, config.adam_eps)
             collected.append((len(rows) / n, breakdown))
         epoch_losses = LossBreakdown.weighted_mean(collected)

@@ -2,9 +2,9 @@
 
 Everything here is written with plain python loops and math functions, on
 purpose: these oracles must stay independent of the vectorized/taped code
-paths they are used to check.  The one exception is ``sigmoid_oracle``, a
-reference for bitwise equality, which must therefore run the same numpy
-``exp`` as the library.
+paths they are used to check.  The two exceptions are references for
+bitwise equality, which must therefore run the same numpy operations as
+the library: ``sigmoid_oracle`` and ``adam_oracle``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,20 @@ def sigmoid_oracle(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def adam_oracle(params, grads, first, second, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update of each array of ``params``, in place,
+    one array at a time and with out-of-place temporaries; ``first`` and
+    ``second`` are the per-array moments and ``step`` the 1-based count."""
+    correct1 = 1.0 - beta1 ** step
+    correct2 = 1.0 - beta2 ** step
+    for p, g, m, v in zip(params, grads, first, second):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + eps)
 
 
 def cos01_oracle(a, b):

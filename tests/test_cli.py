@@ -394,3 +394,14 @@ def test_malformed_input_maps_to_exit_code(dataset_dir, tmp_path, capsys, what, 
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
+
+
+def test_parameters_beyond_memory_are_a_usage_error(dataset_dir, tmp_path, capsys,
+                                                    refuse_large_allocations):
+    args = train_args(dataset_dir / "manifest.json", tmp_path / "run")
+    args[args.index("--embed-dim") + 1] = "100000000"
+    capsys.readouterr()
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: view_dims [5, 6], embed_dim 100000000 and hidden_dim 6 need ")
+    assert "parameters, more than memory holds" in err

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlc import model as md
 from mvmlc.data import MaskBank, MultiViewDataset, synth_dataset, generate_indicators, apply_indicators
-from mvmlc.errors import ContractError, ShapeError, ValidationError
+from mvmlc.errors import ConfigError, ContractError, ShapeError, ValidationError
 from mvmlc.model import ModelParams, forward_all, fuse, interact, classify
 from mvmlc.numerics import Matrix
 
@@ -18,6 +20,40 @@ def make_dataset(n=6, seed=0, missing=0.0):
         v, _ = generate_indicators(n, 2, 3, missing, 0.0, seed=seed + 1)
         ds = apply_indicators(ds, v, None)
     return ds
+
+
+class TestParameterVector:
+    def test_each_value_is_a_view_of_its_slice(self):
+        params = make_params(view_dims=(4, 5, 2))
+        named, slices = params.named_parameters(), params.named_slices()
+        assert [(name, p.shape) for name, p in named] == \
+            md.parameter_layout((4, 5, 2), 3, 4, 6)
+        assert [name for name, _ in slices] == [name for name, _ in named]
+        assert slices[0][1].start == 0 and slices[-1][1].stop == params.vector.size
+        for (name, p), (_, part) in zip(named, slices):
+            assert p.value.base is not None and np.shares_memory(p.value, params.vector)
+            assert p.value.ravel().tobytes() == params.vector[part].tobytes()
+            params.vector[part] = np.arange(part.stop - part.start)
+            np.testing.assert_array_equal(p.value.ravel(), np.arange(p.value.size), err_msg=name)
+
+    @pytest.mark.parametrize("seed,dims", [(0, (4, 5)), (7, (1, 9, 3))])
+    def test_initialize_is_bitwise_one_uniform_draw_per_matrix(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        want = []
+        for k, (_, shape) in enumerate(md.parameter_layout(dims, 3, 4, 6)):
+            if k % 2 == 0:  # a weight, then its bias with the same fan-in
+                bound = 1.0 / np.sqrt(shape[0])
+            want.append(rng.uniform(-bound, bound, size=shape))
+        got = np.random.default_rng(seed)
+        params = ModelParams.initialize(got, dims, 3, 4, 6)
+        assert params.vector.tobytes() == np.concatenate(want, axis=None).tobytes()
+        assert got.random() == rng.random()
+
+    def test_allocation_failure_names_the_widths(self, refuse_large_allocations):
+        size = sum(r * c for _, (r, c) in md.parameter_layout((5,), 3, 10 ** 8, 128))
+        with pytest.raises(ConfigError, match=rf"view_dims \[5\], embed_dim 100000000 and "
+                                              rf"hidden_dim 128 need {size} parameters"):
+            make_params(view_dims=(5,), embed=10 ** 8, hidden=128)
 
 
 class TestEncodeDecode:
@@ -280,6 +316,23 @@ class TestCheckpoint:
         md.save_checkpoint(tmp_path / "a.json", params, seed=1, epoch=0)
         md.save_checkpoint(tmp_path / "b.json", params, seed=1, epoch=0)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), n_labels=st.integers(1, 4),
+           embed=st.integers(1, 4), hidden=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))
+    def test_round_trip_of_the_vector_bitwise(self, tmp_path_factory, dims, n_labels, embed,
+                                              hidden, seed, scale):
+        params = ModelParams.allocate(tuple(dims), n_labels, embed, hidden)
+        rng = np.random.default_rng(seed)
+        params.vector[:] = rng.normal(size=params.vector.size) * scale
+        params.vector[rng.random(params.vector.size) < 0.1] = -0.0
+        folder = tmp_path_factory.mktemp("ckpt", numbered=True)
+        md.save_checkpoint(folder / "a.json", params, seed=seed, epoch=1)
+        loaded, _ = md.load_checkpoint(folder / "a.json")
+        assert loaded.vector.tobytes() == params.vector.tobytes()
+        md.save_checkpoint(folder / "b.json", loaded, seed=seed, epoch=1)
+        assert (folder / "a.json").read_bytes() == (folder / "b.json").read_bytes()
 
     def test_shape_tamper_rejected(self, tmp_path):
         import json

@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlc.data import MaskBank, MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
 from mvmlc.errors import ConfigError, ContractError
@@ -20,7 +22,7 @@ from mvmlc.train import (
 )
 from mvmlc.train import _epoch_losses
 
-from oracles import cos01_oracle
+from oracles import adam_oracle, cos01_oracle
 
 
 def small_dataset(n=12, v=2, c=3, seed=0, view_missing=0.0, label_missing=0.0):
@@ -110,36 +112,70 @@ class TestInitParams:
 
 class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = Matrix(np.ones((2, 2)))
-        state = AdamState.initialize([p])
-        adam_step([p], [np.zeros((2, 2))], state, lr=0.1)
-        np.testing.assert_array_equal(p.value, np.ones((2, 2)))
+        p = np.ones(4)
+        state = AdamState.initialize(4)
+        adam_step(p, np.zeros(4), state, lr=0.1)
+        np.testing.assert_array_equal(p, np.ones(4))
         assert state.step == 1
 
     def test_first_step_magnitude_is_lr(self):
-        p = Matrix(0.0)
-        state = AdamState.initialize([p])
-        adam_step([p], [np.ones((1, 1))], state, lr=1e-3, eps=1e-8)
-        assert p.value[0, 0] == pytest.approx(-1e-3, rel=1e-6)
+        p = np.zeros(1)
+        state = AdamState.initialize(1)
+        adam_step(p, np.ones(1), state, lr=1e-3, eps=1e-8)
+        assert p[0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_two_runs_identical(self):
         rng = np.random.default_rng(0)
-        grads = [rng.normal(size=(3, 3)) for _ in range(5)]
+        grads = [rng.normal(size=9) for _ in range(5)]
 
         def run():
-            p = Matrix(np.ones((3, 3)))
-            state = AdamState.initialize([p])
+            p = np.ones(9)
+            state = AdamState.initialize(9)
             for g in grads:
-                adam_step([p], [g], state, lr=0.01)
-            return p.value.copy()
+                adam_step(p, g, state, lr=0.01)
+            return p
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch_rejected(self):
-        p = Matrix(np.ones((2, 2)))
-        state = AdamState.initialize([p])
+        p = np.ones(4)
         with pytest.raises(ContractError):
-            adam_step([p], [np.zeros((3, 3))], state, lr=0.1)
+            adam_step(p, np.zeros(9), AdamState.initialize(4), lr=0.1)
+        with pytest.raises(ContractError):
+            adam_step(p, np.zeros(4), AdamState.initialize(9), lr=0.1)
+
+    def test_matches_per_array_oracle_bitwise_on_model_layout(self):
+        params = small_params((5, 7, 3), 4)
+        arrays = [p.value.copy() for p in params.parameters()]
+        first = [np.zeros_like(a) for a in arrays]
+        second = [np.zeros_like(a) for a in arrays]
+        state = AdamState.initialize(params.vector.size)
+        rng = np.random.default_rng(8)
+        for step in range(1, 7):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=a.shape) for a in arrays]
+            adam_step(params.vector, np.concatenate(grads, axis=None), state, lr=0.01)
+            adam_oracle(arrays, grads, first, second, step, lr=0.01)
+            assert params.vector.tobytes() == np.concatenate(arrays, axis=None).tobytes()
+        assert state.first.tobytes() == np.concatenate(first, axis=None).tobytes()
+        assert state.second.tobytes() == np.concatenate(second, axis=None).tobytes()
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 5),
+           lr=st.floats(1e-4, 1.0), beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.9999),
+           eps=st.floats(1e-12, 1e-2))
+    def test_matches_per_array_oracle_bitwise(self, shapes, seed, steps, lr, beta1, beta2, eps):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        flat = np.concatenate(arrays, axis=None)
+        state = AdamState.initialize(flat.size)
+        for step in range(1, steps + 1):
+            grads = [rng.normal(size=shape) for shape in shapes]
+            adam_step(flat, np.concatenate(grads, axis=None), state, lr, beta1, beta2, eps)
+            adam_oracle(arrays, grads, first, second, step, lr, beta1, beta2, eps)
+        assert flat.tobytes() == np.concatenate(arrays, axis=None).tobytes()
 
 
 class TestTrainLoop:
@@ -184,9 +220,10 @@ class TestTrainLoop:
         params = ModelParams.initialize(rng, ds.view_dims, ds.n_labels,
                                         cfg.embed_dim, cfg.hidden_dim)
         leaves = params.parameters()
-        state = AdamState.initialize(leaves)
+        state = AdamState.initialize(params.vector.size)
         gate = label_availability_gate(ds.label_indicator, ds.view_indicator)
 
+        grad = np.empty_like(params.vector)
         for _ in range(cfg.epochs):
             bank = MaskBank.generate(ds.n_samples, ds.view_dims, cfg.mask_ratio,
                                      seed=int(rng.integers(2 ** 63)))
@@ -197,8 +234,8 @@ class TestTrainLoop:
                 lab = ls.label_contrastive(cache.label_probs, gate, ds.view_indicator, cfg.tau_l).loss
                 rec = ls.reconstruction_loss(cache.recon, cache.masked_views, ds.view_indicator)
                 combined = clf + 0.0 * inst + 0.0 * lab + 0.0 * rec
-                grads = backward(tape, combined, leaves)
-            adam_step(leaves, grads, state, cfg.learning_rate,
+                backward(tape, combined, leaves, out=grad)
+            adam_step(params.vector, grad, state, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
         for (_, x), (_, y) in zip(result.params.named_parameters(), params.named_parameters()):
             assert np.array_equal(x.value, y.value)
@@ -224,9 +261,9 @@ class TestTrainLoop:
     def test_nonfinite_gradient_aborts_before_adam_naming_parameter(self, monkeypatch):
         train_mod = importlib.import_module("mvmlc.train")  # the package re-exports train()
 
-        def nan_backward(tape, loss, params):
-            grads = backward(tape, loss, params)
-            grads[3] = np.full_like(grads[3], np.nan)
+        def nan_backward(tape, loss, params, out):
+            grads = backward(tape, loss, params, out=out)
+            grads[3][...] = np.nan
             return grads
 
         stepped = []
@@ -235,6 +272,23 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="gradient of 'shared_encoder.0.out.bias'"):
             train(small_dataset(), small_config(epochs=1))
         assert stepped == []
+
+    @pytest.mark.parametrize("which", [0, 17, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first offset", "last offset"])
+    def test_nonfinite_gradient_named_from_slice_offsets(self, monkeypatch, which, at):
+        train_mod = importlib.import_module("mvmlc.train")
+        ds, cfg = small_dataset(), small_config(epochs=1)
+        name, part = small_params(ds.view_dims, ds.n_labels).named_slices()[which]
+        offset = range(part.start, part.stop)[at]
+
+        def inf_backward(tape, loss, params, out):
+            grads = backward(tape, loss, params, out=out)
+            out[offset] = np.inf
+            return grads
+
+        monkeypatch.setattr(train_mod, "backward", inf_backward)
+        with pytest.raises(ContractError, match=f"gradient of '{name}' is not finite"):
+            train(ds, cfg)
 
     def test_threaded_runs_match_sequential_runs_bitwise(self):
         ds = small_dataset(n=200, v=3, c=4)
