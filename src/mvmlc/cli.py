@@ -34,7 +34,7 @@ from .data import (
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
 from .metrics import MetricsReport, evaluate_all
 from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
-from .train import TrainConfig, TrainResult, channel_similarity, train
+from .train import TrainConfig, channel_similarity, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,30 +152,31 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**values)
 
 
-def _prepare_protocol(dataset: MultiViewDataset, args: argparse.Namespace,
-                      seed: int) -> tuple[MultiViewDataset, MultiViewDataset | None]:
-    """Apply --view-missing / --train-frac / --label-missing; returns
-    (train_data, test_data or None)."""
+def _training_inputs(args: argparse.Namespace) -> tuple[
+        TrainConfig, MultiViewDataset, MultiViewDataset | None]:
+    """Load --manifest, build the training config, then apply --view-missing
+    / --train-frac / --label-missing; returns (config, train_data, test_data
+    or None)."""
+    dataset = load_dataset(args.manifest)
+    config = build_train_config(args)
     if args.view_missing:
         vi, _ = generate_indicators(dataset.n_samples, dataset.n_views, dataset.n_labels,
-                                    args.view_missing, 0.0, seed=seed + 1)
+                                    args.view_missing, 0.0, seed=config.seed + 1)
         dataset = apply_indicators(dataset, vi, None)
     test_data = None
     if args.train_frac is not None:
-        dataset, test_data = split(dataset, args.train_frac, seed=seed + 2)
+        dataset, test_data = split(dataset, args.train_frac, seed=config.seed + 2)
     if args.label_missing:
         _, wi = generate_indicators(dataset.n_samples, dataset.n_views, dataset.n_labels,
-                                    0.0, args.label_missing, seed=seed + 3)
+                                    0.0, args.label_missing, seed=config.seed + 3)
         dataset = apply_indicators(dataset, None, wi)
-    return dataset, test_data
+    return config, dataset, test_data
 
 
-def _final_report(result: TrainResult, train_data: MultiViewDataset,
-                  test_data: MultiViewDataset | None, seed: int) -> MetricsReport:
-    target = test_data if test_data is not None else train_data
-    scores = forward_all(result.params, target, None, training=False).scores.value
-    return evaluate_all(scores, target.labels, seed=seed,
-                        epoch=result.log.records[-1].epoch)
+def _evaluate(params: ModelParams, data: MultiViewDataset, seed: int, epoch: int) -> MetricsReport:
+    """The metrics report of the untaped forward on ``data``."""
+    scores = forward_all(params, data, None, training=False).scores.value
+    return evaluate_all(scores, data.labels, seed=seed, epoch=epoch)
 
 
 def _write_report(report: MetricsReport, out: Path) -> None:
@@ -211,19 +212,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
-    config = build_train_config(args)
-    train_data, test_data = _prepare_protocol(dataset, args, config.seed)
+    config, train_data, test_data = _training_inputs(args)
     result = train(train_data, config, eval_data=test_data,
                    eval_every=args.eval_every)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     RunManifest("train", str(out), config.seed, config.to_dict(),
                 manifest_path=str(args.manifest)).write()
     save_checkpoint(out / "checkpoint.json", result.params, seed=config.seed,
                     epoch=config.epochs, config=config.to_dict())
     result.log.write_csv(out / "train_log.csv", include_timing=args.log_timing)
-    report = _final_report(result, train_data, test_data, config.seed)
+    report = _evaluate(result.params, test_data if test_data is not None else train_data,
+                       config.seed, config.epochs)
     _write_report(report, out)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -242,12 +241,9 @@ def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params, meta, dataset = _checkpoint_and_dataset(args)
-    scores = forward_all(params, dataset, None, training=False).scores.value
-    report = evaluate_all(scores, dataset.labels, seed=meta["seed"],
-                          epoch=meta["epoch"])
+    report = _evaluate(params, dataset, meta["seed"], meta["epoch"])
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         RunManifest("eval", str(out), meta["seed"],
                     {"checkpoint": str(args.checkpoint)},
                     manifest_path=str(args.manifest)).write()
@@ -257,24 +253,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.manifest)
-    config = build_train_config(args)
-    train_data, test_data = _prepare_protocol(dataset, args, config.seed)
-    if test_data is None:
-        test_data = train_data
+    config, train_data, test_data = _training_inputs(args)
+    target = test_data if test_data is not None else train_data
     rows = []
     for use_instance, use_label, use_recon in ABLATION_GRID:
         run_cfg = replace(config,
                           alpha=config.alpha * use_instance,
                           beta=config.beta * use_label,
                           gamma=config.gamma * use_recon)
-        result = train(train_data, run_cfg)
-        scores = forward_all(result.params, test_data, None, training=False).scores.value
-        report = evaluate_all(scores, test_data.labels, seed=run_cfg.seed,
-                              epoch=run_cfg.epochs)
+        report = _evaluate(train(train_data, run_cfg).params, target, run_cfg.seed, run_cfg.epochs)
         rows.append((use_instance, use_label, use_recon, report))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     RunManifest("ablate", str(out), config.seed, config.to_dict(),
                 manifest_path=str(args.manifest)).write()
     lines = ["instance_loss,label_loss,recon_loss,ap,auc"]
@@ -306,9 +295,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if not args.snapshots:
         raise ConfigError("heatmap needs --snapshots (training snapshots) or --checkpoint")
     epochs = tuple(_int_list(args.snapshots, "--snapshots"))
-    dataset = load_dataset(args.manifest)
-    config = build_train_config(args)
-    train_data, _ = _prepare_protocol(dataset, args, config.seed)
+    config, train_data, _ = _training_inputs(args)
     result = train(train_data, config, snapshot_epochs=epochs)
     RunManifest("heatmap", str(out), config.seed,
                 dict(config.to_dict(), epochs=list(epochs)),

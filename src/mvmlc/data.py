@@ -124,15 +124,13 @@ class MultiViewDataset:
 class MaskBank:
     """Per-view binary input masks with one contiguous zero run per row.
 
-    Each row of a mask carries a single zero run of length
-    ``round(mask_ratio * d)`` starting at a per-row random offset, wrapping
-    at the row end; all other entries are 1.  ``mask_ratio`` 0 yields
-    all-ones masks.
+    Each row of a mask from :meth:`generate` carries a single zero run of
+    length ``round(mask_ratio * d)`` starting at a per-row random offset,
+    wrapping at the row end; all other entries are 1.  ``mask_ratio`` 0
+    yields all-ones masks.
     """
 
     masks: list[Array]
-    mask_ratio: float
-    seed: int
 
     @classmethod
     def generate(cls, n_samples: int, view_dims: tuple[int, ...], mask_ratio: float, seed: int) -> "MaskBank":
@@ -148,12 +146,11 @@ class MaskBank:
                 cols = (starts[:, None] + np.arange(span)[None, :]) % d
                 mask[np.arange(n_samples)[:, None], cols] = 0.0
             masks.append(mask)
-        return cls(masks=masks, mask_ratio=mask_ratio, seed=seed)
+        return cls(masks=masks)
 
     def subset(self, rows: Array) -> "MaskBank":
         rows = np.asarray(rows, dtype=int)
-        return MaskBank(masks=[m[rows] for m in self.masks],
-                        mask_ratio=self.mask_ratio, seed=self.seed)
+        return MaskBank(masks=[m[rows] for m in self.masks])
 
 
 def apply_input_mask(dataset: MultiViewDataset, bank: MaskBank) -> list[Array]:

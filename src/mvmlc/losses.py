@@ -18,30 +18,34 @@ classification terms run, forward and backward, the numpy operations of
 the generic primitives they would otherwise compose, in the same order, so
 their values and gradients are bitwise those of that composition.
 
-Numerical care: contrastive exponents are shifted by the largest
-attainable one (similarity 1 over temperature) so small temperatures
-cannot overflow.  The shift happens inside the similarity product: anchor
-rows carry an extra column -1/(2 tau) against a key column of ones, so one
-product yields the shifted exponents and one in-place ``exp`` the block.
-Classifier probabilities are clamped away from 0/1 before the logs.  The
-self-pair enters each contrastive denominator at its exact value (1, or
-exp(-1/(2 tau)) for an all-zero row) rather than as the rounded
-exponential of u.u, so its removal cancels exactly: an anchor whose only
-gated key is itself has a denominator of exactly 0 and is skipped.  Both
-contrastive terms run as one taped primitive over the live rows of all
-views, those a gate admits as anchor or key, stacked into one matrix.
-No other row's similarity can reach the loss, so dropping them is exact,
-and with half of all sample-view cells missing the similarity work falls
-about fourfold.  The stacked rows' similarities are symmetric, so only
-the square ``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal
-are formed, one at a time, in forward and again in backward: memory grows
-with TILE_ROWS^2 per tile, not with N^2.
+Numerical care: contrastive exponents are shifted by the largest one
+exact arithmetic attains (similarity 1 over temperature).  Rounding can
+leave the product of two unit rows a few ulps above 1 (two copies of the
+row [0, 0.3, -0.27] give 1 + 4.4e-16), so an exponent can still be
+positive, by about 2.2e-16/tau: harmless at tau = 1e-3, but ``exp``
+overflows for tau below about 3e-19.  The shift happens inside the
+similarity product: anchor rows carry an extra column -1/(2 tau) against
+a key column of ones, so one product yields the shifted exponents and one
+in-place ``exp`` the block.  Classifier probabilities are clamped away
+from 0/1 before the logs.  The self-pair enters each contrastive
+denominator at its exact value (1, or exp(-1/(2 tau)) for an all-zero
+row) rather than as the rounded exponential of u.u, so its removal
+cancels exactly: an anchor whose only gated key is itself has a
+denominator of exactly 0 and is skipped.  Both contrastive terms run as
+one taped primitive over the live rows of all views, those a gate admits
+as anchor or key, stacked into one matrix.  No other row's similarity can
+reach the loss, so dropping them is exact, and with half of all
+sample-view cells missing the similarity work falls about fourfold.  The
+stacked rows' similarities are symmetric, so only the square
+``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal are formed,
+one at a time, in forward and again in backward: memory grows with
+TILE_ROWS^2 per tile, not with N^2.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -110,17 +114,18 @@ def _unit_rows(x: Array) -> tuple[Array, Array]:
 
 
 def _exponent_rows(units: Array, inv_tau: float) -> tuple[Array, Array]:
-    """Anchor rows ``[s u, -s]`` and key rows ``[u, 1]`` of unit rows u,
-    with s = 0.5/tau.  The product of anchor row i and key row j is
-    s (u_i . u_j - 1) = (sim01 - 1)/tau, sim01 = (u_i . u_j + 1)/2 the
-    [0, 1]-mapped cosine, so one product yields a block's exponents."""
+    """Key rows ``[u, 1]`` of unit rows u, and the scale ``[s, ..., s, -s]``,
+    s = 0.5/tau, that makes a key row the anchor row ``[s u, -s]``.  The
+    product of anchor row i and key row j is s (u_i . u_j - 1) =
+    (sim01 - 1)/tau, sim01 = (u_i . u_j + 1)/2 the [0, 1]-mapped cosine, so
+    one product yields a block's exponents."""
     s = 0.5 * inv_tau
-    ones = np.ones((units.shape[0], 1))
-    return np.hstack([s * units, -s * ones]), np.hstack([units, ones])
+    keys = np.hstack([units, np.ones((units.shape[0], 1))])
+    return keys, np.append(np.full(units.shape[1], s), -s)
 
 
 def _exp_block(anchors: Array, keys: Array) -> Array:
-    """exp((sim01 - 1) / tau) for every pair of anchor and key rows from
+    """exp((sim01 - 1) / tau) for every pair of anchor and key rows of
     :func:`_exponent_rows`: one product, exponentiated in place."""
     block = anchors @ keys.T
     return np.exp(block, out=block)
@@ -175,13 +180,11 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     view_of, row_of = np.nonzero(live.T)  # the stacked live rows, in view order
     units, inv_norms = _unit_rows(np.concatenate([f.value[live[:, k]] for k, f in enumerate(feats)]))
     n_live, d = units.shape
-    # Only the key rows [u, 1] are held: the unit rows are their first d
-    # columns, and a tile's anchor rows, key rows times [s, ..., s, -s], are
-    # bitwise the anchor rows [s u, -s] of _exponent_rows.
-    keys = np.hstack([units, np.ones((n_live, 1))])
+    # Only the key rows are held; the unit rows are their first d columns,
+    # and each row band's anchor rows are formed from them.
+    keys, anchor_scale = _exponent_rows(units, inv_tau)
     units = keys[:, :d]
     s = 0.5 * inv_tau
-    anchor_scale = np.append(np.full(d, s), -s)
     gates = np.zeros((n_live, n_views))
     gates[np.arange(n_live), view_of] = denom_gate[row_of, view_of]
     # The self-pair's exact exponential: similarity 1, or the neutral 0.5 for
@@ -334,15 +337,13 @@ COMPONENTS = (
 
 @dataclass
 class LossBreakdown:
-    """Scalar values of each term plus the weights that combined them."""
+    """Scalar value of each term and of their weighted sum, and the anchors
+    each contrastive term skipped."""
 
     classification: float
     instance_contrast: float
     label_contrast: float
     reconstruction: float
-    alpha: float
-    beta: float
-    gamma: float
     total: float
     instance_skipped: int = 0
     label_skipped: int = 0
@@ -353,13 +354,12 @@ class LossBreakdown:
     @classmethod
     def weighted_mean(cls, parts: list[tuple[float, "LossBreakdown"]]) -> "LossBreakdown":
         """Weighted mean of the components of (weight, breakdown) pairs; skipped
-        anchors add up, alpha/beta/gamma come from the first.  Sums start at
-        -0.0, the additive identity, so one part of weight 1 passes unchanged."""
+        anchors add up.  Sums start at -0.0, the additive identity, so one
+        part of weight 1 passes unchanged."""
         means = {name: sum((w * getattr(b, name) for w, b in parts), -0.0)
                  for _, name in COMPONENTS}
-        return replace(parts[0][1], **means,
-                       instance_skipped=sum(b.instance_skipped for _, b in parts),
-                       label_skipped=sum(b.label_skipped for _, b in parts))
+        return cls(**means, instance_skipped=sum(b.instance_skipped for _, b in parts),
+                   label_skipped=sum(b.label_skipped for _, b in parts))
 
 
 def total_loss(
@@ -382,9 +382,6 @@ def total_loss(
         instance_contrast=instance_contrast.item(),
         label_contrast=label_contrast.item(),
         reconstruction=reconstruction.item(),
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
         total=combined.item(),
         instance_skipped=instance_skipped,
         label_skipped=label_skipped,

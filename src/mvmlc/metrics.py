@@ -160,7 +160,6 @@ class MetricsReport:
     n_labels: int
     seed: int | None = None
     epoch: int | None = None
-    auc_mode: str = "macro"
 
     def __post_init__(self) -> None:
         for name in METRICS:
@@ -172,7 +171,7 @@ class MetricsReport:
         lines = [f"{k} {getattr(self, k)!r}" for k in METRICS]
         lines.append(f"n_samples {self.n_samples}")
         lines.append(f"n_labels {self.n_labels}")
-        lines.append(f"auc_mode {self.auc_mode}")
+        lines.append("auc_mode macro")
         if self.seed is not None:
             lines.append(f"seed {self.seed}")
         if self.epoch is not None:

@@ -87,7 +87,9 @@ class ModelParams:
     matrix's ``value`` is a row-major view of its own slice, the slices
     following :func:`parameter_layout`.  Gradients and Adam moments are
     vectors of the same layout, so the optimizer, the finite check and
-    checkpoints each work on whole vectors or named slices of them.
+    checkpoints each work on whole vectors or named slices of them.  The
+    names, matrices and slices are those :meth:`allocate` built from the
+    layout; no other code lists them.
     """
 
     shared_encoders: list[Mlp]
@@ -98,6 +100,8 @@ class ModelParams:
     classifier_weight: Matrix  # embed x n_labels
     classifier_bias: Matrix    # 1 x n_labels
     vector: Array = field(repr=False, compare=False)  # every value above, in order
+    _matrices: dict[str, Matrix] = field(repr=False, compare=False)  # by name, in order
+    _slices: dict[str, slice] = field(repr=False, compare=False)  # of vector, by name
 
     @classmethod
     def allocate(cls, view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
@@ -115,9 +119,10 @@ class ModelParams:
             raise ConfigError(
                 f"view_dims {list(view_dims)}, embed_dim {embed_dim} and hidden_dim "
                 f"{hidden_dim} need {size} parameters, more than memory holds") from None
-        mats, start = {}, 0
+        mats, slices, start = {}, {}, 0
         for name, (rows, cols) in layout:
-            mats[name] = Matrix(vector[start:start + rows * cols].reshape(rows, cols))
+            slices[name] = slice(start, start + rows * cols)
+            mats[name] = Matrix(vector[slices[name]].reshape(rows, cols))
             start += rows * cols
 
         def mlp(prefix: str) -> Mlp:
@@ -129,7 +134,7 @@ class ModelParams:
                    [mlp(f"private_encoder.{m}") for m in views],
                    [mlp(f"decoder.{m}") for m in views],
                    mlp("instance_head"), mlp("label_head"),
-                   mats["classifier.weight"], mats["classifier.bias"], vector)
+                   mats["classifier.weight"], mats["classifier.bias"], vector, mats, slices)
 
     @classmethod
     def initialize(
@@ -178,36 +183,14 @@ class ModelParams:
         return self.classifier_weight.cols
 
     def named_parameters(self) -> list[tuple[str, Matrix]]:
-        named: list[tuple[str, Matrix]] = []
-
-        def mlp(prefix: str, net: Mlp) -> None:
-            named.append((f"{prefix}.hidden.weight", net.hidden.weight))
-            named.append((f"{prefix}.hidden.bias", net.hidden.bias))
-            named.append((f"{prefix}.out.weight", net.out.weight))
-            named.append((f"{prefix}.out.bias", net.out.bias))
-
-        for m, net in enumerate(self.shared_encoders):
-            mlp(f"shared_encoder.{m}", net)
-        for m, net in enumerate(self.private_encoders):
-            mlp(f"private_encoder.{m}", net)
-        for m, net in enumerate(self.decoders):
-            mlp(f"decoder.{m}", net)
-        mlp("instance_head", self.instance_head)
-        mlp("label_head", self.label_head)
-        named.append(("classifier.weight", self.classifier_weight))
-        named.append(("classifier.bias", self.classifier_bias))
-        return named
+        return list(self._matrices.items())
 
     def parameters(self) -> list[Matrix]:
-        return [p for _, p in self.named_parameters()]
+        return list(self._matrices.values())
 
     def named_slices(self) -> list[tuple[str, slice]]:
         """Each parameter's name and its slice of :attr:`vector`."""
-        named, start = [], 0
-        for name, p in self.named_parameters():
-            named.append((name, slice(start, start + p.value.size)))
-            start += p.value.size
-        return named
+        return list(self._slices.items())
 
 
 @dataclass

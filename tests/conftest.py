@@ -3,8 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and keep no example
+# database; the first example of a run also pays for imports and caches,
+# so no deadline.
+settings.register_profile("mvmlc", derandomize=True, database=None, deadline=None)
+settings.load_profile("mvmlc")
 
 
 @pytest.fixture()

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvmlc
-from mvmlc.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser,
+                       build_train_config, main)
+from mvmlc.train import TrainConfig
 
 
 def synth_args(out, n=24, views=2, labels=3, seed=1):
@@ -405,3 +408,39 @@ def test_parameters_beyond_memory_are_a_usage_error(dataset_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: view_dims [5, 6], embed_dim 100000000 and hidden_dim 6 need ")
     assert "parameters, more than memory holds" in err
+
+
+# Per TrainConfig field: the words that set it on the command line, and the
+# value they set, which is valid and not the default.
+CONFIG_FLAGS = {
+    "epochs": (["--epochs", "7"], 7),
+    "learning_rate": (["--lr", "0.02"], 0.02),
+    "adam_beta1": (["--adam-beta1", "0.5"], 0.5),
+    "adam_beta2": (["--adam-beta2", "0.9"], 0.9),
+    "adam_eps": (["--adam-eps", "1e-06"], 1e-06),
+    "alpha": (["--alpha", "0.3"], 0.3),
+    "beta": (["--beta", "0.4"], 0.4),
+    "gamma": (["--gamma", "0.6"], 0.6),
+    "tau_s": (["--tau-s", "0.25"], 0.25),
+    "tau_l": (["--tau-l", "0.75"], 0.75),
+    "mask_ratio": (["--mask-ratio", "0.2"], 0.2),
+    "embed_dim": (["--embed-dim", "5"], 5),
+    "hidden_dim": (["--hidden-dim", "7"], 7),
+    "batch_size": (["--batch-size", "16"], 16),
+    "seed": (["--seed", "9"], 9),
+    "fixed_mask": (["--fixed-mask"], True),
+    "label_gate_mode": (["--label-gate", "label"], "label"),
+}
+
+
+@pytest.mark.parametrize("subcommand", ["train", "ablate", "heatmap"])
+@pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)])
+def test_every_config_field_is_set_by_its_flag(tmp_path, subcommand, name):
+    # build_train_config copies each field's flag by name, so a field added
+    # without a flag would be silently unreachable from the command line.
+    assert name in CONFIG_FLAGS, f"TrainConfig.{name} has no entry, or no flag"
+    words, value = CONFIG_FLAGS[name]
+    assert value != getattr(TrainConfig(), name)
+    args = build_parser().parse_args([subcommand, "--manifest", str(tmp_path / "manifest.json"),
+                                      "--out", str(tmp_path / "out"), *words])
+    assert build_train_config(args) == TrainConfig(**{name: value})

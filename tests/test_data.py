@@ -73,7 +73,7 @@ class TestApplyInputMask:
             view_indicator=np.ones((1, 1)),
             label_indicator=np.ones((1, 1)),
         )
-        bank = MaskBank(masks=[np.array([[1.0, 0.0, 0.0, 1.0]])], mask_ratio=0.5, seed=0)
+        bank = MaskBank(masks=[np.array([[1.0, 0.0, 0.0, 1.0]])])
         np.testing.assert_array_equal(apply_input_mask(ds, bank)[0], [[1.0, 0.0, 0.0, 4.0]])
 
     def test_idempotent_under_reapplication(self):

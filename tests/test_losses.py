@@ -32,8 +32,8 @@ class TestCosineSim01:
     @staticmethod
     def sim01(a, b):
         unit, _ = losses._unit_rows(np.array([a, b], dtype=np.float64))
-        anchors, keys = losses._exponent_rows(unit, 1.0)
-        return 1.0 + math.log(losses._exp_block(anchors[:1], keys[1:])[0, 0])
+        keys, anchor_scale = losses._exponent_rows(unit, 1.0)
+        return 1.0 + math.log(losses._exp_block(keys[:1] * anchor_scale, keys[1:])[0, 0])
 
     @pytest.mark.parametrize("tau", [1.0, 0.5, 0.05])
     def test_block_matches_the_four_pass_form(self, tau):
@@ -48,8 +48,9 @@ class TestCosineSim01:
         want -= 1.0
         want *= 1.0 / tau
         np.exp(want, out=want)
-        anchors, keys = losses._exponent_rows(unit, 1.0 / tau)
-        np.testing.assert_allclose(losses._exp_block(anchors[:15], keys), want, rtol=1e-14, atol=0)
+        keys, anchor_scale = losses._exponent_rows(unit, 1.0 / tau)
+        np.testing.assert_allclose(losses._exp_block(keys[:15] * anchor_scale, keys), want,
+                                   rtol=1e-14, atol=0)
 
     def test_identical_vectors(self):
         assert self.sim01([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
@@ -546,18 +547,18 @@ class TestTotalLoss:
         combined, breakdown = total_loss(Matrix(1.0), Matrix(2.0), Matrix(3.0), Matrix(4.0), 0.1, 0.01, 1.0)
         assert combined.item() == pytest.approx(5.23, abs=1e-12)
         assert breakdown.total == combined.item()
-        assert (breakdown.alpha, breakdown.beta, breakdown.gamma) == (0.1, 0.01, 1.0)
+        assert (breakdown.classification, breakdown.instance_contrast,
+                breakdown.label_contrast, breakdown.reconstruction) == (1.0, 2.0, 3.0, 4.0)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             total_loss(Matrix(1.0), Matrix(1.0), Matrix(1.0), Matrix(1.0), -0.1, 0.0, 0.0)
 
 
-def _breakdown(value, skipped=0, alpha=0.1):
+def _breakdown(value, skipped=0):
     return LossBreakdown(classification=value, instance_contrast=2 * value,
                          label_contrast=3 * value, reconstruction=4 * value,
-                         alpha=alpha, beta=0.2, gamma=0.3, total=5 * value,
-                         instance_skipped=skipped, label_skipped=2 * skipped)
+                         total=5 * value, instance_skipped=skipped, label_skipped=2 * skipped)
 
 
 class TestLossBreakdown:
@@ -572,12 +573,12 @@ class TestLossBreakdown:
             assert repr(LossBreakdown.weighted_mean([(1.0, part)])) == repr(part)
 
     def test_weighted_mean_of_parts(self):
-        mean = LossBreakdown.weighted_mean([(0.25, _breakdown(4.0, 1, alpha=0.5)),
-                                            (0.75, _breakdown(8.0, 2, alpha=0.9))])
+        mean = LossBreakdown.weighted_mean([(0.25, _breakdown(4.0, 1)),
+                                            (0.75, _breakdown(8.0, 2))])
         assert mean.components() == {"loss_recon": 28.0, "loss_instance": 14.0,
                                      "loss_label": 21.0, "loss_classify": 7.0,
                                      "loss_total": 35.0}
-        assert (mean.instance_skipped, mean.label_skipped, mean.alpha) == (3, 6, 0.5)
+        assert (mean.instance_skipped, mean.label_skipped) == (3, 6)
 
 
 class TestPermutationEquivariance:

@@ -317,7 +317,7 @@ class TestCheckpoint:
         md.save_checkpoint(tmp_path / "b.json", params, seed=1, epoch=0)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=25)
     @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), n_labels=st.integers(1, 4),
            embed=st.integers(1, 4), hidden=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]))

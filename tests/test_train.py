@@ -159,7 +159,7 @@ class TestAdamStep:
         assert state.first.tobytes() == np.concatenate(first, axis=None).tobytes()
         assert state.second.tobytes() == np.concatenate(second, axis=None).tobytes()
 
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=40)
     @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
            seed=st.integers(0, 2 ** 32 - 1), steps=st.integers(1, 5),
            lr=st.floats(1e-4, 1.0), beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.9999),
