@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
@@ -53,28 +53,15 @@ ABLATION_GRID = (
 )
 
 
-@dataclass
-class RunManifest:
-    """What gets persisted so a run can be replayed."""
-
-    subcommand: str
-    out_dir: str
-    seed: int
-    config: dict
-    manifest_path: str | None = None
-
-    def write(self) -> None:
-        out = Path(self.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "config": self.config,
-            "manifest": self.manifest_path,
-        }
-        with open(out / "run_config.json", "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _write_run_config(out: Path, subcommand: str, seed: int, config: dict,
+                      manifest: Path | None) -> None:
+    """Persist what replays the run as ``out/run_config.json``."""
+    out.mkdir(parents=True, exist_ok=True)
+    doc = {"subcommand": subcommand, "seed": seed, "config": config,
+           "manifest": None if manifest is None else str(manifest)}
+    with open(out / "run_config.json", "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _add_train_config_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -204,9 +191,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
                             noise=args.noise, seed=args.seed)
     out = Path(args.out)
     manifest = save_dataset(dataset, out)
-    RunManifest("synth", str(out), args.seed,
-                {"n": args.n, "views": args.views, "labels": args.labels,
-                 "dims": args.dims or "32", "noise": args.noise}).write()
+    _write_run_config(out, "synth", args.seed,
+                      {"n": args.n, "views": args.views, "labels": args.labels,
+                       "dims": args.dims or "32", "noise": args.noise}, None)
     print(f"wrote {manifest}")
     return EXIT_OK
 
@@ -216,8 +203,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = train(train_data, config, eval_data=test_data,
                    eval_every=args.eval_every)
     out = Path(args.out)
-    RunManifest("train", str(out), config.seed, config.to_dict(),
-                manifest_path=str(args.manifest)).write()
+    _write_run_config(out, "train", config.seed, config.to_dict(), args.manifest)
     save_checkpoint(out / "checkpoint.json", result.params, seed=config.seed,
                     epoch=config.epochs, config=config.to_dict())
     result.log.write_csv(out / "train_log.csv", include_timing=args.log_timing)
@@ -244,9 +230,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = _evaluate(params, dataset, meta["seed"], meta["epoch"])
     if args.out is not None:
         out = Path(args.out)
-        RunManifest("eval", str(out), meta["seed"],
-                    {"checkpoint": str(args.checkpoint)},
-                    manifest_path=str(args.manifest)).write()
+        _write_run_config(out, "eval", meta["seed"], {"checkpoint": str(args.checkpoint)},
+                          args.manifest)
         _write_report(report, out)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -264,8 +249,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         report = _evaluate(train(train_data, run_cfg).params, target, run_cfg.seed, run_cfg.epochs)
         rows.append((use_instance, use_label, use_recon, report))
     out = Path(args.out)
-    RunManifest("ablate", str(out), config.seed, config.to_dict(),
-                manifest_path=str(args.manifest)).write()
+    _write_run_config(out, "ablate", config.seed, config.to_dict(), args.manifest)
     lines = ["instance_loss,label_loss,recon_loss,ap,auc"]
     for li, ll, lr, report in rows:
         lines.append(f"{li},{ll},{lr},{report.ap!r},{report.auc!r}")
@@ -287,9 +271,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         sim = channel_similarity(params, dataset)
         epoch = meta["epoch"]
         write_matrix_csv(out / f"channel_similarity_epoch{epoch}.csv", sim)
-        RunManifest("heatmap", str(out), meta["seed"],
-                    {"checkpoint": str(args.checkpoint)},
-                    manifest_path=str(args.manifest)).write()
+        _write_run_config(out, "heatmap", meta["seed"], {"checkpoint": str(args.checkpoint)},
+                          args.manifest)
         print(f"wrote channel_similarity_epoch{epoch}.csv")
         return EXIT_OK
     if not args.snapshots:
@@ -297,9 +280,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     epochs = tuple(_int_list(args.snapshots, "--snapshots"))
     config, train_data, _ = _training_inputs(args)
     result = train(train_data, config, snapshot_epochs=epochs)
-    RunManifest("heatmap", str(out), config.seed,
-                dict(config.to_dict(), epochs=list(epochs)),
-                manifest_path=str(args.manifest)).write()
+    _write_run_config(out, "heatmap", config.seed,
+                      dict(config.to_dict(), epochs=list(epochs)), args.manifest)
     for k in epochs:
         write_matrix_csv(out / f"channel_similarity_epoch{k}.csv", result.snapshots[k])
     print(f"wrote {len(epochs)} channel-similarity matrices")

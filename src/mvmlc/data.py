@@ -65,20 +65,22 @@ class MultiViewDataset:
         for m, v in enumerate(self.views):
             if v.shape[0] != n:
                 raise ValidationError(f"view {m} has {v.shape[0]} rows, labels have {n}")
-            bad = ~np.isfinite(v)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
-                                      "expected a finite value")
         if self.view_indicator.shape != (n, len(self.views)):
             raise ValidationError(
                 f"view indicator shape {self.view_indicator.shape} != ({n}, {len(self.views)})")
         if self.label_indicator.shape != self.labels.shape:
             raise ValidationError(
                 f"label indicator shape {self.label_indicator.shape} != {self.labels.shape}")
-        _check_binary(self.labels, "labels")
+        # Indicators first, so a NaN apply_indicators multiplied in is blamed on them.
         _check_binary(self.view_indicator, "view indicator")
         _check_binary(self.label_indicator, "label indicator")
+        _check_binary(self.labels, "labels")
+        for m, v in enumerate(self.views):
+            bad = ~np.isfinite(v)
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
+                                      "expected a finite value")
         uncovered = np.where(self.view_indicator.sum(axis=1) == 0)[0]
         if uncovered.size:
             raise ValidationError(f"sample {uncovered[0]} has no available view")
@@ -261,6 +263,8 @@ def synth_dataset(
         raise ConfigError(f"view dims must be >= 1, got {dims}")
     if not (np.isfinite(noise) and noise >= 0):
         raise ConfigError(f"noise must be finite and >= 0, got {noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     latent_dim = n_labels + 2
@@ -325,8 +329,6 @@ def _read_matrix_csv(path: Path, what: str) -> Array:
         arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{what} ({path}): {exc}") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} ({path}): non-finite entry")
     return arr
 
 

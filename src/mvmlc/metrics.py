@@ -1,12 +1,12 @@
 """Multi-label evaluation: AP, 1-HL, 1-RL, AUC, OE and coverage.
 
-Conventions: label rankings are by descending score with stable
-tie-breaking on the label index; pairwise statistics give half credit to
-ties; AUC is macro (per-label Wilcoxon statistic, averaged over labels
-that have both positive and negative samples); coverage is normalized by
-the number of labels so every metric lies in [0, 1].  Samples or labels
-without the required positives/negatives are excluded from the metrics
-that need them.
+Conventions: Hamming predicts a label where its score is at least 0.5;
+label rankings are by descending score with stable tie-breaking on the
+label index; pairwise statistics give half credit to ties; AUC is macro
+(per-label Wilcoxon statistic, averaged over labels that have both
+positive and negative samples); coverage is normalized by the number of
+labels so every metric lies in [0, 1].  Samples or labels without the
+required positives/negatives are excluded from the metrics that need them.
 """
 
 from __future__ import annotations
@@ -86,12 +86,10 @@ def average_precision(scores, labels) -> float:
     return float(np.mean(totals[usable] / n_rel[usable]))
 
 
-def hamming(scores, labels, threshold: float = 0.5) -> float:
-    """One minus the fraction of thresholded predictions disagreeing with labels."""
+def hamming(scores, labels) -> float:
+    """One minus the fraction of predictions (score >= 0.5) disagreeing with labels."""
     scores, labels = _validate(scores, labels)
-    if not 0.0 < threshold < 1.0:
-        raise ContractError(f"threshold must be in (0, 1), got {threshold}")
-    predictions = (scores >= threshold).astype(np.float64)
+    predictions = (scores >= 0.5).astype(np.float64)
     return 1.0 - float(np.mean(predictions != labels))
 
 
@@ -190,13 +188,12 @@ class MetricsReport:
         return ",".join(cells)
 
 
-def evaluate_all(scores, labels, threshold: float = 0.5,
-                 seed: int | None = None, epoch: int | None = None) -> MetricsReport:
+def evaluate_all(scores, labels, seed: int | None = None, epoch: int | None = None) -> MetricsReport:
     """Assemble all six metrics into one report; deterministic."""
     scores, labels = _validate(scores, labels)
     return MetricsReport(
         ap=average_precision(scores, labels),
-        one_minus_hl=hamming(scores, labels, threshold),
+        one_minus_hl=hamming(scores, labels),
         one_minus_rl=ranking_loss(scores, labels),
         auc=macro_auc(scores, labels),
         oe=one_error(scores, labels),

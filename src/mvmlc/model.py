@@ -163,10 +163,6 @@ class ModelParams:
         return params
 
     @property
-    def n_views(self) -> int:
-        return len(self.shared_encoders)
-
-    @property
     def view_dims(self) -> tuple[int, ...]:
         return tuple(enc.hidden.weight.rows for enc in self.shared_encoders)
 

@@ -94,6 +94,8 @@ class TrainConfig:
             raise ConfigError("embed_dim and hidden_dim must be >= 1")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.label_gate_mode not in ("view", "label"):
             raise ConfigError(f"label_gate_mode must be 'view' or 'label', got {self.label_gate_mode!r}")
 

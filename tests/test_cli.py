@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvmlc
 from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser,
@@ -281,6 +286,14 @@ def _not_utf8(path):
     return str(path)
 
 
+def _view_value_nan(data, tmp):
+    """Make the value at row 2, col 0 of view 1's CSV a NaN."""
+    lines = (data / "view_1.csv").read_text().splitlines()
+    lines[2] = ",".join(["nan"] + lines[2].split(",")[1:])
+    (data / "view_1.csv").write_text("\n".join(lines) + "\n")
+    return train_args(data / "manifest.json", tmp / "run")
+
+
 def _manifest_views_string(data, tmp):
     _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
     return train_args(data / "manifest.json", tmp / "run")
@@ -386,6 +399,14 @@ MALFORMED_INPUTS = [
     ("eval every without a test split", _train_flag(eval_every="2"), EXIT_USAGE, "eval_every"),
     ("heatmap checkpoint with training flags", _heatmap_checkpoint_with_training_flags,
      EXIT_USAGE, "--snapshots, --view-missing, --config, --epochs"),
+    ("seed negative", _train_flag(seed="-1"), EXIT_USAGE, "seed must be >= 0"),
+    ("config seed negative", _config_doc({"seed": -3}), EXIT_USAGE, "seed must be >= 0"),
+    ("synth seed negative",
+     lambda data, tmp: ["synth", "--n", "5", "--views", "2", "--labels", "2",
+                        "--seed", "-1", "--out", str(tmp / "s")],
+     EXIT_USAGE, "seed must be >= 0"),
+    ("view value not finite", _view_value_nan,
+     EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
 ]
 
 
@@ -444,3 +465,42 @@ def test_every_config_field_is_set_by_its_flag(tmp_path, subcommand, name):
     args = build_parser().parse_args([subcommand, "--manifest", str(tmp_path / "manifest.json"),
                                       "--out", str(tmp_path / "out"), *words])
     assert build_train_config(args) == TrainConfig(**{name: value})
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["synth", "--n", "30", "--views", "3", "--labels", "3", "--dims", "3,4,2",
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    return out / "manifest.json"
+
+
+# A ratio in [0, 0.99] seven draws in eight, otherwise one out of range, so
+# that most runs get past validation.
+RATIOS = st.integers(0, 7).flatmap(
+    lambda k: st.sampled_from([-0.1, 1.0, 1.5]) if k == 0 else st.floats(0.0, 0.99))
+
+
+@settings(max_examples=40)
+@given(command=st.sampled_from([["train"], ["ablate"], ["heatmap", "--snapshots", "0,1"]]),
+       epochs=st.integers(1, 2),
+       seed=st.one_of(st.integers(-3, 3), st.integers(0, 2 ** 70)),
+       batch_size=st.integers(0, 40),
+       view_missing=RATIOS, label_missing=RATIOS, mask_ratio=RATIOS,
+       train_frac=st.one_of(st.none(), st.floats(-0.2, 1.2)))
+def test_integer_and_ratio_flags_end_in_an_exit_code(tiny_manifest, tmp_path_factory, command,
+                                                     epochs, seed, batch_size, view_missing,
+                                                     label_missing, mask_ratio, train_frac):
+    # Any value of these flags either runs or is refused with a usage or
+    # validation error: no traceback and no warning.  Values follow "=", as
+    # argparse reads "-1e-05" after a space as a flag.
+    args = [*command, "--manifest", str(tiny_manifest), "--out", str(tmp_path_factory.mktemp("run")),
+            "--embed-dim", "3", "--hidden-dim", "4", f"--epochs={epochs}", f"--seed={seed}",
+            f"--batch-size={batch_size}", f"--view-missing={view_missing!r}",
+            f"--label-missing={label_missing!r}", f"--mask-ratio={mask_ratio!r}"]
+    if train_frac is not None:
+        args.append(f"--train-frac={train_frac!r}")
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        assert main(args) in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION)

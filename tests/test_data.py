@@ -360,6 +360,12 @@ class TestManifestRoundTrip:
         ("view_indicator.csv", "1,1,1\n" * 4, r"view indicator shape \(4, 3\)"),
         ("label_indicator.csv", "1,1\n" * 4, r"label indicator shape \(4, 2\)"),
         ("view_indicator.csv", "1,0\n0,0\n1,1\n1,1\n", "sample 1 has no available view"),
+        # a NaN indicator entry is blamed on its indicator, not on the view
+        # or label it was multiplied into
+        ("view_indicator.csv", "1,1\n1,1\n1,nan\n1,1\n",
+         "view indicator: entry at row 2, col 1 is nan, expected 0 or 1"),
+        ("label_indicator.csv", "1,1,1\n1,nan,1\n1,1,1\n1,1,1\n",
+         "label indicator: entry at row 1, col 1 is nan, expected 0 or 1"),
     ])
     def test_bad_indicator_file_is_rejected_naming_manifest(self, tmp_path, name, text, message):
         save_dataset(tiny_dataset(n=4), tmp_path)

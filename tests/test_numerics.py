@@ -292,6 +292,18 @@ class TestGradientCheck:
         report = gradient_check(masked_bce, [logits], step=1e-5, tol=1e-6)
         assert report.passed, report
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_analytic_gradient_fails(self, bad):
+        # A NaN error compares False against the running maximum, and inf / inf
+        # is NaN, so either would pass unless non-finite derivatives fail.
+        def broken_sum(p):
+            x = p[0]
+            return nm.emit(x.value.sum(keepdims=True), (x,), lambda g: (np.full(x.shape, bad),))
+
+        report = gradient_check(broken_sum, [Matrix(np.ones((2, 3)))], step=1e-5)
+        assert not report.passed
+        assert report.max_rel_err == np.inf and report.n_coords == 6
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ContractError):
             gradient_check(lambda p: total(p[0]), [Matrix(1.0)], step=0.0)

@@ -58,6 +58,8 @@ class TestTrainConfig:
             TrainConfig(tau_s=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(label_gate_mode="wrong")
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", "5"), ("epochs", 2.0), ("seed", True), ("learning_rate", "0.1"),
