@@ -282,7 +282,10 @@ def synth_dataset(
         projection = rng.normal(size=(latent_dim, d)) / np.sqrt(latent_dim)
         x = latent @ projection
         if noise > 0:
-            x = x + noise * rng.normal(size=x.shape)
+            with np.errstate(over="ignore"):
+                x = x + noise * rng.normal(size=x.shape)
+            if not np.isfinite(x).all():
+                raise ConfigError(f"noise must keep the view values finite, got {noise}")
         views.append(x)
 
     ones_v = np.ones((n_samples, n_views))

@@ -274,27 +274,16 @@ def label_availability_gate(label_indicator: Array, view_indicator: Array) -> Ar
     return view_indicator * has_known[:, None]
 
 
-def label_contrastive(
-    label_probs: list[Matrix],
-    label_gate: Array,
-    view_indicator: Array,
-    tau: float,
-    denominator_gate: str = "view",
-) -> ContrastiveResult:
+def label_contrastive(label_probs: list[Matrix], label_gate: Array, denom_gate: Array,
+                      tau: float) -> ContrastiveResult:
     """Cross-view contrast of label-head features.
 
     The anchor pair is gated by ``label_gate`` (see
-    :func:`label_availability_gate`); the denominator is gated by view
-    availability, or by ``label_gate`` itself when ``denominator_gate`` is
-    ``"label"``.
+    :func:`label_availability_gate`) and the denominator by ``denom_gate``:
+    training passes the view indicator, or ``label_gate`` itself under
+    ``label_gate_mode="label"``.
     """
-    if denominator_gate == "view":
-        denom = view_indicator
-    elif denominator_gate == "label":
-        denom = label_gate
-    else:
-        raise ConfigError(f"denominator_gate must be 'view' or 'label', got {denominator_gate!r}")
-    return _masked_infonce(label_probs, label_gate, denom, tau)
+    return _masked_infonce(label_probs, label_gate, denom_gate, tau)
 
 
 def classification_loss(scores: Matrix, labels: Array, label_indicator: Array) -> Matrix:
@@ -370,8 +359,6 @@ def total_loss(
     alpha: float,
     beta: float,
     gamma: float,
-    instance_skipped: int = 0,
-    label_skipped: int = 0,
 ) -> tuple[Matrix, LossBreakdown]:
     """Weighted sum of the four terms; each component is kept for logging."""
     if alpha < 0 or beta < 0 or gamma < 0:
@@ -383,7 +370,5 @@ def total_loss(
         label_contrast=label_contrast.item(),
         reconstruction=reconstruction.item(),
         total=combined.item(),
-        instance_skipped=instance_skipped,
-        label_skipped=label_skipped,
     )
     return combined, breakdown

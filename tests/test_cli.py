@@ -363,6 +363,10 @@ MALFORMED_INPUTS = [
      lambda data, tmp: ["synth", "--n", "5", "--views", "2", "--labels", "2",
                         "--noise", "nan", "--out", str(tmp / "s")],
      EXIT_USAGE, "noise"),
+    ("synth noise overflows the views",
+     lambda data, tmp: ["synth", "--n", "10", "--views", "2", "--labels", "3",
+                        "--noise", "1e308", "--out", str(tmp / "s")],
+     EXIT_USAGE, "noise must keep the view values finite"),
     ("checkpoint value not finite",
      _malformed_checkpoint(lambda p: p["values"].__setitem__(0, float("nan"))),
      EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvmlc import data
 from mvmlc.data import (
@@ -148,7 +151,7 @@ class TestSynthDataset:
         counts = ds.labels.sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
 
-    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, sys.float_info.max])
     def test_invalid_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise"):
             synth_dataset(5, 2, 2, dims=3, noise=noise, seed=0)
@@ -266,10 +269,18 @@ class TestSubset:
         ds.subset(np.array([5, 1, 2]))
         assert calls == []
 
-    def test_equals_construction_from_the_indexed_arrays(self):
-        v, w = generate_indicators(10, 2, 3, 0.4, 0.3, seed=2)
-        ds = apply_indicators(tiny_dataset(n=10), v, w)
-        rows = np.array([7, 0, 3, 3, 9])
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 12), seeds=st.tuples(st.integers(0, 2 ** 32 - 1),
+                                                 st.integers(0, 2 ** 32 - 1)),
+           view_missing=st.sampled_from([0.0, 0.2, 0.4]), label_missing=st.floats(0.0, 0.9),
+           picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=15))
+    @example(n=10, seeds=(0, 2), view_missing=0.4, label_missing=0.3,
+             picks=[0.75, 0.05, 0.35, 0.35, 0.95])  # rows 7, 0, 3, 3, 9
+    def test_equals_construction_from_the_indexed_arrays(self, n, seeds, view_missing,
+                                                          label_missing, picks):
+        v, w = generate_indicators(n, 2, 3, view_missing, label_missing, seed=seeds[1])
+        ds = apply_indicators(tiny_dataset(n=n, seed=seeds[0]), v, w)
+        rows = (np.array(picks) * n).astype(int)
         part = ds.subset(rows)
         built = MultiViewDataset(views=[x[rows] for x in ds.views], labels=ds.labels[rows],
                                  view_indicator=ds.view_indicator[rows],
@@ -278,7 +289,7 @@ class TestSubset:
         for got, want in zip(part.views + [part.labels, part.view_indicator, part.label_indicator],
                              built.views + [built.labels, built.view_indicator, built.label_indicator]):
             assert got.flags.c_contiguous and got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ds.subset(rows).labels is not ds.labels
 
     def test_rows_must_be_one_dimensional(self):
@@ -294,6 +305,28 @@ class TestSubset:
 
 
 class TestManifestRoundTrip:
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 12), v=st.integers(1, 3), c=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e300]),
+           view_missing=st.sampled_from([0.0, 0.3, 0.6]), label_missing=st.sampled_from([0.0, 0.5]))
+    def test_every_matrix_round_trips_bitwise(self, tmp_path_factory, n, v, c, seed, scale,
+                                              view_missing, label_missing):
+        # tobytes() tells -0.0 from 0.0, which the zero-fill of a missing
+        # view's negative entries produces.
+        rng = np.random.default_rng(seed)
+        ds = MultiViewDataset(views=[rng.normal(size=(n, d)) * scale for d in rng.integers(1, 5, v)],
+                              labels=(rng.random((n, c)) > 0.5).astype(float),
+                              view_indicator=np.ones((n, v)), label_indicator=np.ones((n, c)))
+        ind_v, ind_w = generate_indicators(n, v, c, view_missing * (v - 1) / v, label_missing,
+                                           seed=seed)
+        ds = apply_indicators(ds, ind_v, ind_w)
+        loaded = load_dataset(save_dataset(ds, tmp_path_factory.mktemp("ds", numbered=True)))
+        for got, want in zip(loaded.views + [loaded.labels, loaded.view_indicator,
+                                             loaded.label_indicator],
+                             ds.views + [ds.labels, ds.view_indicator, ds.label_indicator],
+                             strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_defaults_when_indicators_absent(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = MultiViewDataset(

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mvmlc.losses as losses
 from mvmlc.errors import ConfigError
@@ -310,7 +312,7 @@ class TestFusedContrastive:
         gate = label_availability_gate(label_ind, view_ind)
 
         def loss(p):
-            return label_contrastive(list(p), gate, view_ind, 0.5, denominator_gate="label").loss
+            return label_contrastive(list(p), gate, gate, 0.5).loss
 
         want, _ = masked_infonce_oracle([p.value for p in probs], gate, gate, 0.5)
         assert abs(loss(probs).item() - want) <= 1e-10
@@ -471,11 +473,9 @@ class TestLabelContrastive:
         view_ind = np.ones((5, 2))
         label_ind = (rng.random((5, 3)) > 0.5).astype(float)
         gate = label_availability_gate(label_ind, view_ind)
-        got = label_contrastive(probs, gate, view_ind, 0.5, denominator_gate="label").loss.item()
+        got = label_contrastive(probs, gate, gate, 0.5).loss.item()
         want, _ = masked_infonce_oracle([p.value for p in probs], gate, gate, 0.5)
         assert got == pytest.approx(want, abs=1e-10)
-        with pytest.raises(ConfigError):
-            label_contrastive(probs, gate, view_ind, 0.5, denominator_gate="bogus")
 
 
 class TestLabelAvailabilityGate:
@@ -484,6 +484,101 @@ class TestLabelAvailabilityGate:
         label_ind = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         gate = label_availability_gate(label_ind, view_ind)
         np.testing.assert_array_equal(gate, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+
+
+def _close(a, b):
+    # The absolute floor is for a loss that cancels to about zero: its
+    # rounding residue can change sign with the order of the sums.
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b)) + 1e-15
+
+
+def _contrast_terms(feats, probs, view_ind, label_ind, tau):
+    """(loss, skipped) of the instance term and of the label term with the
+    view and with the label-gate denominator."""
+    feats, probs = [Matrix(f) for f in feats], [Matrix(p) for p in probs]
+    gate = label_availability_gate(label_ind, view_ind)
+    results = (instance_contrastive(feats, view_ind, tau),
+               label_contrastive(probs, gate, view_ind, tau),
+               label_contrastive(probs, gate, gate, tau))
+    return [(r.loss.item(), r.skipped) for r in results]
+
+
+def _assert_same_terms(got, want):
+    for (a, skipped_a), (b, skipped_b) in zip(got, want, strict=True):
+        assert _close(a, b), (a, b)
+        assert skipped_a == skipped_b
+
+
+# n samples, v views, a temperature and the seed of the arrays.
+contrast_cases = st.tuples(st.integers(1, 40), st.integers(2, 4), st.floats(0.2, 1.0),
+                           st.integers(0, 2 ** 32 - 1))
+
+
+def _draw_terms_input(n, v, seed):
+    """Instance features, label probabilities, both indicators, and the
+    generator that drew them."""
+    rng = np.random.default_rng(seed)
+    d, c = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    feats = [rng.normal(size=(n, d)) for _ in range(v)]
+    probs = [rng.random((n, c)) for _ in range(v)]
+    view_ind = (rng.random((n, v)) > 0.3).astype(float)
+    label_ind = (rng.random((n, c)) > 0.4).astype(float)
+    return feats, probs, view_ind, label_ind, rng
+
+
+class TestContrastiveInvariance:
+    """Both contrastive terms treat samples and views as unordered sets and
+    see a feature row only through its direction."""
+
+    @given(contrast_cases)
+    def test_permuting_samples_with_their_gates(self, case):
+        n, v, tau, seed = case
+        feats, probs, view_ind, label_ind, rng = _draw_terms_input(n, v, seed)
+        perm = rng.permutation(n)
+        _assert_same_terms(
+            _contrast_terms([f[perm] for f in feats], [p[perm] for p in probs],
+                            view_ind[perm], label_ind[perm], tau),
+            _contrast_terms(feats, probs, view_ind, label_ind, tau))
+
+    @given(contrast_cases)
+    def test_permuting_views(self, case):
+        n, v, tau, seed = case
+        feats, probs, view_ind, label_ind, rng = _draw_terms_input(n, v, seed)
+        perm = rng.permutation(v)
+        _assert_same_terms(
+            _contrast_terms([feats[k] for k in perm], [probs[k] for k in perm],
+                            view_ind[:, perm], label_ind, tau),
+            _contrast_terms(feats, probs, view_ind, label_ind, tau))
+
+    @given(contrast_cases)
+    def test_scaling_rows_by_positive_factors(self, case):
+        n, v, tau, seed = case
+        feats, probs, view_ind, label_ind, rng = _draw_terms_input(n, v, seed)
+        scale = rng.uniform(0.25, 4.0, size=(n, v))
+        _assert_same_terms(
+            _contrast_terms([f * scale[:, k:k + 1] for k, f in enumerate(feats)],
+                            [p * scale[:, k:k + 1] for k, p in enumerate(probs)],
+                            view_ind, label_ind, tau),
+            _contrast_terms(feats, probs, view_ind, label_ind, tau))
+
+    @given(contrast_cases)
+    def test_appending_a_view_missing_everywhere(self, case):
+        n, v, tau, seed = case
+        feats, probs, view_ind, label_ind, rng = _draw_terms_input(n, v, seed)
+        extra_feats = rng.normal(size=feats[0].shape)
+        extra_probs = rng.random(probs[0].shape)
+        wider = np.hstack([view_ind, np.zeros((n, 1))])
+        _assert_same_terms(
+            _contrast_terms(feats + [extra_feats], probs + [extra_probs], wider, label_ind, tau),
+            _contrast_terms(feats, probs, view_ind, label_ind, tau))
+        # Reconstruction is a mean over the view count: the missing view adds
+        # nothing to the sum, so the mean scales by v / (v + 1).
+        recon = [Matrix(f) for f in feats]
+        inputs = [Matrix(f * 0.5) for f in feats]
+        narrow = reconstruction_loss(recon, inputs, view_ind).item()
+        appended = reconstruction_loss(recon + [Matrix(extra_feats)],
+                                       inputs + [Matrix(np.zeros_like(extra_feats))], wider).item()
+        assert _close(appended * (v + 1), narrow * v)
 
 
 class TestClassificationLoss:
@@ -639,7 +734,7 @@ class TestGatingCompleteness:
         label_ind[1] = 0.0  # sample 1 has no known labels
         gate = label_availability_gate(label_ind, view_ind)
         with Tape() as tape:
-            loss = label_contrastive(probs, gate, gate, 0.5, denominator_gate="label").loss
+            loss = label_contrastive(probs, gate, gate, 0.5).loss
         grads = backward(tape, loss, probs)
         assert np.all(grads[0][1] == 0.0)
         assert np.all(grads[1][1] == 0.0)

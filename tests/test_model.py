@@ -217,8 +217,6 @@ class TestForwardAll:
             for m, feats in enumerate(cache.label_probs):
                 missing = ds.view_indicator[:, m] == 0
                 np.testing.assert_array_equal(feats.value[missing], 0.0)
-            assert cache.fused_shared.shape == (n, 4)
-            assert cache.blended.shape == (n, 4)
             assert cache.scores.shape == (n, 3)
             assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
             infer = forward_all(params, ds, None, training=False)

@@ -196,6 +196,28 @@ class TestBackward:
         for x, y in zip(g1, g2):
             assert np.array_equal(x, y)
 
+    def test_nested_tape_records_until_it_exits(self):
+        a = Matrix(2.0)
+        with Tape() as outer:
+            b = a * a
+            with Tape() as inner:
+                c = b * a
+            d = b + c
+            d * a
+        a * a  # no tape is active
+        assert (len(outer), len(inner)) == (3, 1)
+
+    def test_stale_out_buffer_leaves_no_trace(self):
+        rng = np.random.default_rng(3)
+        a, unreached, b = rand(rng, 3, 3), rand(rng, 2, 2), rand(rng, 3, 3)
+        with Tape() as tape:
+            loss = total(nm.sigmoid(a @ b) * a)
+        fresh = backward(tape, loss, [a, unreached, b])
+        buf = np.full(22, np.nan)
+        stale = backward(tape, loss, [a, unreached, b], out=buf)
+        assert buf.tobytes() == np.concatenate([g.ravel() for g in fresh]).tobytes()
+        assert stale[1].tobytes() == np.zeros((2, 2)).tobytes()
+
     def test_bias_broadcast_gradient(self):
         rng = np.random.default_rng(9)
         x = rand(rng, 5, 3)
