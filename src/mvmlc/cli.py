@@ -1,10 +1,11 @@
 """Batch front door: synthesize data, inject missingness, train, evaluate,
 ablate and export channel-similarity diagnostics.
 
-Every subcommand writes ``run_config.json`` (flags + seed) into its output
-directory so results are replayable, and all outputs are byte-identical
-across reruns with the same flags.  Exit codes: 0 success, 2 usage or
-configuration error, 3 validation error, 4 I/O error.
+Every output directory gets a ``run_config.json`` recording the parsed
+flags, from which the run replays, and the resolved training config (see
+:func:`_write_run_config`); reruns with the same flags are byte-identical.
+Exit codes: 0 success, 2 usage or configuration error, 3 validation error,
+4 I/O error.
 
 Seed derivation for the train/ablate/heatmap protocol flags: view
 missingness uses seed+1 over the full dataset (so evaluation also sees
@@ -53,12 +54,15 @@ ABLATION_GRID = (
 )
 
 
-def _write_run_config(out: Path, subcommand: str, seed: int, config: dict,
-                      manifest: Path | None) -> None:
-    """Persist what replays the run as ``out/run_config.json``."""
+def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig | None = None) -> None:
+    """Write ``out/run_config.json``, creating ``out``.  ``flags`` holds every
+    parsed flag but ``--out`` by its dest, paths as strings: passed back with
+    any ``--out`` they rewrite the same files.  ``config`` is the resolved
+    training config, or null for a run that does not train."""
     out.mkdir(parents=True, exist_ok=True)
-    doc = {"subcommand": subcommand, "seed": seed, "config": config,
-           "manifest": None if manifest is None else str(manifest)}
+    flags = {key: str(value) if isinstance(value, Path) else value
+             for key, value in vars(args).items() if key not in ("out", "func", "training_flags")}
+    doc = {"flags": flags, "config": None if config is None else config.to_dict()}
     with open(out / "run_config.json", "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -189,11 +193,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         dims = 32
     dataset = synth_dataset(args.n, args.views, args.labels, dims,
                             noise=args.noise, seed=args.seed)
-    out = Path(args.out)
-    manifest = save_dataset(dataset, out)
-    _write_run_config(out, "synth", args.seed,
-                      {"n": args.n, "views": args.views, "labels": args.labels,
-                       "dims": args.dims or "32", "noise": args.noise}, None)
+    manifest = save_dataset(dataset, args.out)
+    _write_run_config(args.out, args)
     print(f"wrote {manifest}")
     return EXIT_OK
 
@@ -202,14 +203,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     config, train_data, test_data = _training_inputs(args)
     result = train(train_data, config, eval_data=test_data,
                    eval_every=args.eval_every)
-    out = Path(args.out)
-    _write_run_config(out, "train", config.seed, config.to_dict(), args.manifest)
-    save_checkpoint(out / "checkpoint.json", result.params, seed=config.seed,
+    _write_run_config(args.out, args, config)
+    save_checkpoint(args.out / "checkpoint.json", result.params, seed=config.seed,
                     epoch=config.epochs, config=config.to_dict())
-    result.log.write_csv(out / "train_log.csv", include_timing=args.log_timing)
+    result.log.write_csv(args.out / "train_log.csv", include_timing=args.log_timing)
     report = _evaluate(result.params, test_data if test_data is not None else train_data,
                        config.seed, config.epochs)
-    _write_report(report, out)
+    _write_report(report, args.out)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -229,10 +229,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params, meta, dataset = _checkpoint_and_dataset(args)
     report = _evaluate(params, dataset, meta["seed"], meta["epoch"])
     if args.out is not None:
-        out = Path(args.out)
-        _write_run_config(out, "eval", meta["seed"], {"checkpoint": str(args.checkpoint)},
-                          args.manifest)
-        _write_report(report, out)
+        _write_run_config(args.out, args)
+        _write_report(report, args.out)
     print(report.to_text(), end="")
     return EXIT_OK
 
@@ -248,19 +246,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                           gamma=config.gamma * use_recon)
         report = _evaluate(train(train_data, run_cfg).params, target, run_cfg.seed, run_cfg.epochs)
         rows.append((use_instance, use_label, use_recon, report))
-    out = Path(args.out)
-    _write_run_config(out, "ablate", config.seed, config.to_dict(), args.manifest)
+    _write_run_config(args.out, args, config)
     lines = ["instance_loss,label_loss,recon_loss,ap,auc"]
     for li, ll, lr, report in rows:
         lines.append(f"{li},{ll},{lr},{report.ap!r},{report.auc!r}")
-    (out / "ablation.csv").write_text("\n".join(lines) + "\n")
+    (args.out / "ablation.csv").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.checkpoint is not None:
         ignored = [flag.option_strings[0] for flag in args.training_flags
                    if getattr(args, flag.dest) != flag.default]
@@ -270,9 +265,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         params, meta, dataset = _checkpoint_and_dataset(args)
         sim = channel_similarity(params, dataset)
         epoch = meta["epoch"]
-        write_matrix_csv(out / f"channel_similarity_epoch{epoch}.csv", sim)
-        _write_run_config(out, "heatmap", meta["seed"], {"checkpoint": str(args.checkpoint)},
-                          args.manifest)
+        _write_run_config(args.out, args)
+        write_matrix_csv(args.out / f"channel_similarity_epoch{epoch}.csv", sim)
         print(f"wrote channel_similarity_epoch{epoch}.csv")
         return EXIT_OK
     if not args.snapshots:
@@ -280,10 +274,9 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     epochs = tuple(_int_list(args.snapshots, "--snapshots"))
     config, train_data, _ = _training_inputs(args)
     result = train(train_data, config, snapshot_epochs=epochs)
-    _write_run_config(out, "heatmap", config.seed,
-                      dict(config.to_dict(), epochs=list(epochs)), args.manifest)
+    _write_run_config(args.out, args, config)
     for k in epochs:
-        write_matrix_csv(out / f"channel_similarity_epoch{k}.csv", result.snapshots[k])
+        write_matrix_csv(args.out / f"channel_similarity_epoch{k}.csv", result.snapshots[k])
     print(f"wrote {len(epochs)} channel-similarity matrices")
     return EXIT_OK
 

@@ -22,16 +22,22 @@ Numerical care: contrastive exponents are shifted by the largest one
 exact arithmetic attains (similarity 1 over temperature).  Rounding can
 leave the product of two unit rows a few ulps above 1 (two copies of the
 row [0, 0.3, -0.27] give 1 + 4.4e-16), so an exponent can still be
-positive, by about 2.2e-16/tau: harmless at tau = 1e-3, but ``exp``
+positive, by about 2.2e-16/tau: harmless at tau = 1e-3, but below about
+1e-16 the positive term, formed by another product than its denominator
+entry, can exceed that entry and make the loss negative, and ``exp``
 overflows for tau below about 3e-19.  The shift happens inside the
 similarity product: anchor rows carry an extra column -1/(2 tau) against
 a key column of ones, so one product yields the shifted exponents and one
 in-place ``exp`` the block.  Classifier probabilities are clamped away
-from 0/1 before the logs.  The self-pair enters each contrastive
-denominator at its exact value (1, or exp(-1/(2 tau)) for an all-zero
-row) rather than as the rounded exponential of u.u, so its removal
-cancels exactly: an anchor whose only gated key is itself has a
-denominator of exactly 0 and is skipped.  Both contrastive terms run as
+from 0/1 before the logs.  Each contrastive denominator subtracts the
+self-pair term from its sum over gated keys; the two cancel before the
+sum, not after it.  The self-pair enters at its exact value less 1 (0,
+or exp(-1/(2 tau)) - 1 for an all-zero row), not as the rounded
+exponential of u.u, so the other keys are never rounded against 1: at
+tau = 1e-3 their sum can be ~1e-200, and the loss still agrees with a
+log-sum-exp evaluation to a few ulps.  An anchor whose only gated key is
+itself has a denominator of exactly 0 and is skipped, and so is one whose
+every other key underflows ``exp``.  Both contrastive terms run as
 one taped primitive over the live rows of all views, those a gate admits
 as anchor or key, stacked into one matrix.  No other row's similarity can
 reach the loss, so dropping them is exact, and with half of all
@@ -131,14 +137,20 @@ def _exp_block(anchors: Array, keys: Array) -> Array:
     return np.exp(block, out=block)
 
 
-def _tile_pairs(n: int):
-    """Square tiles (rows, cols) of an n x n symmetric matrix, as slices,
-    that cover its upper triangle once: diagonal tiles whole, and the
-    tiles above them.  Row bands come in order, each starting with its
-    diagonal tile."""
+def _tiles(keys: Array, anchor_scale: Array):
+    """Square tiles ``(rows, cols, block)``, ``block`` the :func:`_exp_block`
+    of key rows ``rows`` against key rows ``cols``, that cover the upper
+    triangle of the symmetric matrix over all pairs of ``keys`` rows once:
+    diagonal tiles whole, and the tiles above them.  Row bands come in
+    order, each starting with its diagonal tile; each band's anchor rows
+    are formed once."""
+    n = keys.shape[0]
     for lo in range(0, n, TILE_ROWS):
+        rows = slice(lo, min(lo + TILE_ROWS, n))
+        anchors = keys[rows] * anchor_scale
         for col in range(lo, n, TILE_ROWS):
-            yield slice(lo, min(lo + TILE_ROWS, n)), slice(col, min(col + TILE_ROWS, n))
+            cols = slice(col, min(col + TILE_ROWS, n))
+            yield rows, cols, _exp_block(anchors, keys[cols])
 
 
 def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, tau: float) -> ContrastiveResult:
@@ -148,7 +160,12 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     ``-log(exp(pos/tau) / (sum_j sum_{k in {m,n}} exp(sim/tau) * gate_jk - exp(1/tau)))``
     weighted by ``outer_gate[i,m] * outer_gate[i,n]``; similarities are the
     [0,1]-mapped cosines.  Exponents are shifted by -1/tau, the largest
-    attainable value, so the self-pair subtraction becomes an exact -1.
+    attainable value, so the subtracted self-pair term becomes 1.  The
+    self-pair cancels inside the sum, not after it: the diagonal of the
+    diagonal tiles holds its exact term minus 1, 0 for a nonzero row, so
+    no other key is rounded against 1.  Only an anchor whose own
+    denominator gate is off, and whose sum so holds no self-pair, has the
+    1 subtracted from its denominator.
 
     Only live rows take part, those with a nonzero outer or denominator
     gate in their view.  Any other row is neither a weighted anchor nor a
@@ -160,10 +177,9 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     That matrix is symmetric, so only the square TILE_ROWS x TILE_ROWS
     tiles on or above its diagonal are formed; a tile above it yields the
     row sums of its transpose as well.  Tiles are formed again in the
-    backward pass instead of being kept.  The self-pair sits on the
-    diagonal of the diagonal tiles.  Row sums and positive cosines meet in
-    N x v x v arrays, one entry per sample and ordered view pair, zero off
-    the live rows.
+    backward pass instead of being kept.  Row sums and positive cosines
+    meet in N x v x v arrays, one entry per sample and ordered view pair,
+    zero off the live rows.
     """
     n_views = len(feats)
     n = feats[0].rows
@@ -187,18 +203,16 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     s = 0.5 * inv_tau
     gates = np.zeros((n_live, n_views))
     gates[np.arange(n_live), view_of] = denom_gate[row_of, view_of]
-    # The self-pair's exact exponential: similarity 1, or the neutral 0.5 for
-    # a zero row.  With it an anchor whose only gated key is itself gets a
-    # denominator of exactly 0 and is skipped.
-    self_exp = np.where(inv_norms[:, 0] > 0, 1.0, np.exp((0.5 - 1.0) * inv_tau))
+    # The self-pair's exact exponential, of similarity 1 (or the neutral 0.5
+    # for a zero row), less the 1 the denominator subtracts.  With it an
+    # anchor whose only gated key is itself gets a denominator of exactly 0
+    # and is skipped.
+    self_pair = np.where(inv_norms[:, 0] > 0, 0.0, np.exp((0.5 - 1.0) * inv_tau) - 1.0)
 
     live_sums = np.zeros((n_live, n_views))
-    for rows, cols in _tile_pairs(n_live):
-        if rows == cols:  # a new row band
-            anchors = keys[rows] * anchor_scale
-        block = _exp_block(anchors, keys[cols])
+    for rows, cols, block in _tiles(keys, anchor_scale):
         if rows == cols:
-            np.fill_diagonal(block, self_exp[rows])
+            np.fill_diagonal(block, self_pair[rows])
         else:
             live_sums[cols] += block.T @ gates[rows]
         live_sums[rows] += block @ gates[cols]
@@ -212,7 +226,8 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
 
     # Per ordered pair (a, b), a != b: the anchor weight, denominator and term.
     pos01 = (np.einsum("iad,ibd->iab", sample_units, sample_units) + 1.0) * 0.5
-    denom = np.diagonal(exp_sums, axis1=1, axis2=2)[:, :, None] + exp_sums - 1.0
+    denom = (np.diagonal(exp_sums, axis1=1, axis2=2)[:, :, None] + exp_sums
+             - (1.0 - denom_gate[:, :, None]))
     gate = outer_gate[:, :, None] * outer_gate[:, None, :] * (1.0 - np.eye(n_views))
     valid = denom > 0
     skipped = int(np.count_nonzero((gate > 0) & ~valid))
@@ -225,7 +240,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
 
     def vjp(g: Array) -> tuple[Array, ...]:
         # The loss is -0.5/n times the weighted sum over pairs of
-        # pos01/tau - log(exp_sums[a,a] + exp_sums[a,b] - 1); first the
+        # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
         # adjoints of the positive cosines and of the row sums.
         weight = effective * (-0.5 / n * g[0, 0])
         d_pos = weight * s
@@ -237,19 +252,17 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         # rows, d loss / d E is D gates^T, and E symmetric folds in its
         # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
         # E * s is dE / d cosine; s goes into D.  The diagonal, the
-        # self-pair, is left in: the gradient it sends to a row is along the
-        # row, which the normalization below removes.
+        # self-pair, is a constant in the forward, so it is zeroed here.
         d_live = d_sums[row_of, view_of] * s
         left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
         du = d_units[row_of, view_of]
-        for rows, cols in _tile_pairs(n_live):
+        for rows, cols, w in _tiles(keys, anchor_scale):
+            w *= left[rows] @ right[cols].T
             if rows == cols:
-                anchors = keys[rows] * anchor_scale
-            w = left[rows] @ right[cols].T
-            w *= _exp_block(anchors, keys[cols])
-            du[rows] += w @ units[cols]
-            if rows != cols:
+                np.fill_diagonal(w, 0.0)
+            else:
                 du[cols] += w.T @ units[rows]
+            du[rows] += w @ units[cols]
         # Through the normalization: remove the radial part, divide by the
         # norm; then back from the stacked rows to each view's N rows.
         du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms

@@ -178,7 +178,9 @@ def adam_step(
     ``v = beta2 * v + (1 - beta2) * g * g`` and
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` evaluated left to right,
     each run in place over whole vectors, so every value is bitwise the
-    one the out-of-place expressions give.
+    one the out-of-place expressions give.  A gradient whose square
+    overflows raises ``FloatingPointError``: its second moment would be
+    inf and its update silently 0.
     """
     if not params.shape == grads.shape == state.first.shape == (params.size,):
         raise ContractError(f"adam_step: parameters {params.shape}, gradients {grads.shape} "
@@ -193,7 +195,8 @@ def adam_step(
     np.multiply(1.0 - beta1, grads, out=a)
     m += a
     v *= beta2
-    np.multiply(grads, grads, out=a)
+    with np.errstate(over="raise"):
+        np.multiply(grads, grads, out=a)
     a *= 1.0 - beta2
     v += a
     np.divide(m, correct1, out=a)
@@ -276,16 +279,13 @@ def train(
     if 0 in snapshot_epochs:
         result.snapshots[0] = channel_similarity(params, dataset)
 
-    fixed_bank = None
-    if config.fixed_mask:
-        fixed_bank = MaskBank.generate(dataset.n_samples, dataset.view_dims,
-                                       config.mask_ratio, seed=int(rng.integers(2 ** 63)))
-
     n = dataset.n_samples
+    bank = None
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
-        bank = fixed_bank or MaskBank.generate(dataset.n_samples, dataset.view_dims,
-                                               config.mask_ratio, seed=int(rng.integers(2 ** 63)))
+        if bank is None or not config.fixed_mask:
+            bank = MaskBank.generate(n, dataset.view_dims, config.mask_ratio,
+                                     seed=int(rng.integers(2 ** 63)))
         if config.batch_size and config.batch_size < n:
             order = rng.permutation(n)
             batches = [np.sort(order[i:i + config.batch_size])
@@ -306,8 +306,12 @@ def train(
                         raise ContractError(f"epoch {epoch}: loss component '{name}' is not finite")
                 backward(tape, combined, leaves, out=grad)
             _check_finite(epoch, grad, slices)
-            adam_step(params.vector, grad, state, config.learning_rate,
-                      config.adam_beta1, config.adam_beta2, config.adam_eps)
+            try:
+                adam_step(params.vector, grad, state, config.learning_rate,
+                          config.adam_beta1, config.adam_beta2, config.adam_eps)
+            except FloatingPointError:
+                raise ContractError(f"epoch {epoch}: a squared gradient overflows the Adam "
+                                    "second moment; lower the learning rate") from None
             collected.append((len(rows) / n, breakdown))
         epoch_losses = LossBreakdown.weighted_mean(collected)
         wall_ms = (time.perf_counter() - started) * 1000.0

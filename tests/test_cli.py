@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -210,6 +211,95 @@ class TestHeatmap:
         capsys.readouterr()
 
 
+def replay_argv(record, out):
+    """The command line that reruns the run ``record`` describes into
+    ``out``: each recorded flag under its option string, unset ones left out."""
+    flags = dict(record["flags"])
+    subcommand = flags.pop("subcommand")
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    argv = [subcommand, "--out", str(out)]
+    for action in subparsers.choices[subcommand]._actions:
+        value = flags.pop(action.dest, None)
+        if value is None or value is False:
+            continue
+        argv.append(action.option_strings[0] if action.nargs == 0
+                    else f"{action.option_strings[0]}={value}")
+    assert not flags, f"recorded flags without an option: {sorted(flags)}"
+    return argv
+
+
+def _parsed(argv):
+    """The parsed flags of ``argv`` that replaying it must reproduce."""
+    args = vars(build_parser().parse_args(argv))
+    del args["out"]
+    args.pop("training_flags", None)
+    return args
+
+
+def _after_training(command):
+    """Train a checkpoint, then run ``command`` on it."""
+    def setup(data, tmp):
+        main(train_args(data / "manifest.json", tmp / "run"))
+        return [command, "--checkpoint", str(tmp / "run" / "checkpoint.json"),
+                "--manifest", str(data / "manifest.json"), "--out", str(tmp / "out")]
+    return setup
+
+
+# (argv built from the dataset and a scratch directory, whether the run
+#  trains and so records its config)
+RECORDED_RUNS = {
+    "synth": (lambda data, tmp: synth_args(tmp / "out"), False),
+    "train with every protocol flag": (
+        lambda data, tmp: [*train_args(data / "manifest.json", tmp / "out", view_missing="0.5",
+                                       label_missing="0.3", train_frac="0.7", eval_every="1",
+                                       batch_size="8", label_gate="label"), "--fixed-mask"],
+        True),
+    "eval": (_after_training("eval"), False),
+    "ablate": (lambda data, tmp: ["ablate", "--manifest", str(data / "manifest.json"),
+                                  "--out", str(tmp / "out"), "--epochs", "2", "--embed-dim", "4",
+                                  "--hidden-dim", "6", "--train-frac", "0.6"], True),
+    "heatmap snapshots": (lambda data, tmp: ["heatmap", "--manifest", str(data / "manifest.json"),
+                                             "--out", str(tmp / "out"), "--snapshots", "0,1,3",
+                                             "--epochs", "3", "--embed-dim", "4", "--hidden-dim", "6",
+                                             "--view-missing", "0.3"], True),
+    "heatmap checkpoint": (_after_training("heatmap"), False),
+}
+
+
+@pytest.mark.parametrize("run", list(RECORDED_RUNS))
+def test_run_replays_from_its_record(dataset_dir, tmp_path, capsys, run):
+    setup, trains = RECORDED_RUNS[run]
+    argv = setup(dataset_dir, tmp_path)
+    assert main(argv) == EXIT_OK
+    out, again = tmp_path / "out", tmp_path / "again"
+    record = json.loads((out / "run_config.json").read_text())
+    assert set(record) == {"flags", "config"}
+    assert (record["config"] is not None) == trains
+    replay = replay_argv(record, again)
+    assert _parsed(replay) == _parsed(argv)
+    assert main(replay) == EXIT_OK
+    capsys.readouterr()
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_heatmap_record_config_is_a_valid_config_file(dataset_dir, tmp_path, capsys):
+    heatmap = ["heatmap", "--manifest", str(dataset_dir / "manifest.json"), "--snapshots", "0,1,3"]
+    assert main([*heatmap, "--out", str(tmp_path / "a"), "--epochs", "3",
+                 "--embed-dim", "4", "--hidden-dim", "6"]) == EXIT_OK
+    config = json.loads((tmp_path / "a" / "run_config.json").read_text())["config"]
+    assert config["epochs"] == 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([*heatmap, "--out", str(tmp_path / "b"), "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    for k in (0, 1, 3):
+        name = f"channel_similarity_epoch{k}.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def _edit_json(path, edit):
     doc = json.loads(path.read_text())
     edit(doc)
@@ -411,6 +501,8 @@ MALFORMED_INPUTS = [
      EXIT_USAGE, "seed must be >= 0"),
     ("view value not finite", _view_value_nan,
      EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
+    ("learning rate overflows the Adam second moment", _train_flag(lr="1e30"),
+     EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
 ]
 
 

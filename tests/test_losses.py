@@ -350,12 +350,13 @@ class TestFusedContrastive:
         monkeypatch.setattr(losses, "TILE_ROWS", 4)
         covered = np.zeros((n, n), dtype=int)
         band = None
-        for rows, cols in losses._tile_pairs(n):
+        for rows, cols, block in losses._tiles(np.zeros((n, 1)), np.ones(1)):
             if rows != band:  # each row band starts with its diagonal tile
                 assert cols == rows and (band is None or band.stop == rows.start)
                 band = rows
             assert rows == cols or rows.stop <= cols.start  # on or above the diagonal
             assert rows.stop - rows.start <= 4 and cols.stop - cols.start <= 4
+            assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
             covered[rows, cols] += 1
         np.testing.assert_array_equal(covered[np.triu_indices(n)], 1)
 
@@ -395,6 +396,59 @@ class TestFusedContrastive:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+
+
+def logsumexp_instance_contrast(feats, gate, tau):
+    """The instance contrast by log-sum-exp over each anchor's keys, the
+    anchor itself left out of its sum rather than added and subtracted;
+    exact to a few ulps while some key of every anchor stays representable."""
+    units = [f / np.linalg.norm(f, axis=1, keepdims=True) for f in feats]
+    n, v = gate.shape
+    total = 0.0
+    for a in range(v):
+        for b in range(v):
+            if a == b:
+                continue
+            # exponents (sim01 - 1) / tau of every anchor of view a
+            own = ((units[a] @ units[a].T + 1.0) * 0.5 - 1.0) / tau
+            other = ((units[a] @ units[b].T + 1.0) * 0.5 - 1.0) / tau
+            own[:, gate[:, a] == 0] = -np.inf
+            other[:, gate[:, b] == 0] = -np.inf
+            np.fill_diagonal(own, -np.inf)
+            anchors = gate[:, a] * gate[:, b] > 0
+            keys = np.hstack([own, other])[anchors]
+            top = keys.max(axis=1, keepdims=True)
+            log_denom = top[:, 0] + np.log(np.exp(keys - top).sum(axis=1))
+            total += np.sum(np.diag(other)[anchors] - log_denom)
+    return -0.5 * total / n
+
+
+class TestSmallTemperature:
+    """Below tau ~ 0.01 an anchor's other keys can sum to far less than one
+    ulp of 1, so the self-pair must cancel before the sum, not after it."""
+
+    @pytest.mark.parametrize("tau", [0.01, 0.005, 0.002, 0.001])
+    def test_matches_log_sum_exp_with_no_anchor_skipped(self, tau):
+        rng = np.random.default_rng(61)
+        n, v, d = 150, 3, 16
+        gate = (rng.random((n, v)) > 0.4).astype(float)
+        none = gate.sum(axis=1) == 0
+        gate[none, rng.integers(v, size=int(none.sum()))] = 1.0
+        assert 0.3 < 1.0 - gate.mean() < 0.45
+        feats = rand_feats(rng, n, v, d)
+        res = instance_contrastive(feats, gate, tau)
+        want = logsumexp_instance_contrast([f.value for f in feats], gate, tau)
+        assert res.skipped == 0
+        assert abs(res.loss.item() - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.002])
+    def test_gradients_match_finite_differences(self, tau):
+        rng = np.random.default_rng(62)
+        gate = np.ones((6, 3))
+        gate[0, 1] = gate[3, 2] = 0.0
+        report = gradient_check(lambda p: instance_contrastive(list(p), gate, tau).loss,
+                                rand_feats(rng, 6, 3, 4), step=1e-6, tol=1e-5)
+        assert report.passed, report
 
 
 class TestFullAvailabilityReduction:
