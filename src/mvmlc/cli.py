@@ -17,7 +17,7 @@ observed for metric ground truth).
 from __future__ import annotations
 
 import argparse
-import json
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,15 +25,18 @@ from pathlib import Path
 from .data import (
     MultiViewDataset,
     apply_indicators,
+    csv_text,
     generate_indicators,
     load_dataset,
+    read_json_object,
     save_dataset,
     split,
     synth_dataset,
+    write_json,
     write_matrix_csv,
 )
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
-from .metrics import MetricsReport, evaluate_all
+from .metrics import CSV_COLUMNS, MetricsReport, evaluate_all
 from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
 from .train import TrainConfig, channel_similarity, train
 
@@ -54,6 +57,15 @@ ABLATION_GRID = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number with an exponent, such as -1e-3, as a value,
+    not as a flag.  ``__init__`` sets the matcher, so it is replaced after."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig | None = None) -> None:
     """Write ``out/run_config.json``, creating ``out``.  ``flags`` holds every
     parsed flag but ``--out`` by its dest, paths as strings: passed back with
@@ -62,10 +74,8 @@ def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig |
     out.mkdir(parents=True, exist_ok=True)
     flags = {key: str(value) if isinstance(value, Path) else value
              for key, value in vars(args).items() if key not in ("out", "func", "training_flags")}
-    doc = {"flags": flags, "config": None if config is None else config.to_dict()}
-    with open(out / "run_config.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "run_config.json",
+               {"flags": flags, "config": None if config is None else config.to_dict()})
 
 
 def _add_train_config_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
@@ -125,13 +135,7 @@ def build_train_config(args: argparse.Namespace) -> TrainConfig:
     """Defaults < config file < explicit flags (each flag's dest is its field)."""
     values = TrainConfig().to_dict()
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                from_file = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValidationError(f"config file {args.config}: invalid JSON ({exc})") from None
-        if not isinstance(from_file, dict):
-            raise ValidationError(f"config file {args.config}: not a JSON object")
+        from_file = read_json_object(args.config, "config file")
         unknown = set(from_file) - set(values)
         if unknown:
             raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
@@ -172,8 +176,7 @@ def _evaluate(params: ModelParams, data: MultiViewDataset, seed: int, epoch: int
 
 def _write_report(report: MetricsReport, out: Path) -> None:
     (out / "metrics.txt").write_text(report.to_text())
-    (out / "metrics.csv").write_text(
-        MetricsReport.csv_header() + "\n" + report.to_csv_row() + "\n")
+    (out / "metrics.csv").write_text(csv_text([CSV_COLUMNS, report.csv_row()]))
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -238,20 +241,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     config, train_data, test_data = _training_inputs(args)
     target = test_data if test_data is not None else train_data
-    rows = []
+    rows = [("instance_loss", "label_loss", "recon_loss", "ap", "auc")]
     for use_instance, use_label, use_recon in ABLATION_GRID:
         run_cfg = replace(config,
                           alpha=config.alpha * use_instance,
                           beta=config.beta * use_label,
                           gamma=config.gamma * use_recon)
         report = _evaluate(train(train_data, run_cfg).params, target, run_cfg.seed, run_cfg.epochs)
-        rows.append((use_instance, use_label, use_recon, report))
+        rows.append((use_instance, use_label, use_recon, report.ap, report.auc))
     _write_run_config(args.out, args, config)
-    lines = ["instance_loss,label_loss,recon_loss,ap,auc"]
-    for li, ll, lr, report in rows:
-        lines.append(f"{li},{ll},{lr},{report.ap!r},{report.auc!r}")
-    (args.out / "ablation.csv").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    text = csv_text(rows)
+    (args.out / "ablation.csv").write_text(text)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -282,7 +283,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvmlc",
         description="Multi-view multi-label classification with missing views and labels.")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -8,6 +8,8 @@ indicators, so the two protections are independent.
 
 On-disk format: a JSON manifest referencing headerless CSV matrices, one
 sample per row.  Label and indicator entries must be exactly 0 or 1.
+This module owns mvmlc's text formats too: the one reader of JSON inputs,
+the indented JSON writer and the one CSV cell rule.
 """
 
 from __future__ import annotations
@@ -308,16 +310,32 @@ def split(dataset: MultiViewDataset, train_fraction: float, seed: int) -> tuple[
     return dataset.subset(train_rows), dataset.subset(test_rows)
 
 
+def read_json_object(path: Path | str, what: str) -> dict:
+    """The JSON object in ``path``; anything else is a ValidationError naming ``what``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path}: not a JSON object")
+    return doc
+
+
+def write_json(path: Path | str, doc: dict) -> None:
+    """Write ``doc`` as JSON indented by 2, keys sorted, with a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def csv_text(rows) -> str:
+    """CSV lines of ``rows``, each ending in a newline: ``None`` is an empty cell, any
+    other value ``str(value)``, for a Python or numpy float its shortest round-trip repr."""
+    return "".join([",".join(["" if x is None else str(x) for x in row]) + "\n" for row in rows])
+
+
 def write_matrix_csv(path: Path | str, matrix: Array, integer: bool = False) -> None:
-    """Write a matrix as headerless CSV; floats use shortest round-trip repr."""
-    matrix = np.asarray(matrix)
-    with open(path, "w") as fh:
-        for row in matrix:
-            if integer:
-                fh.write(",".join(str(int(x)) for x in row))
-            else:
-                fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")
+    """Write a matrix as headerless CSV, entries as ints (truncated) or floats."""
+    matrix = np.asarray(matrix, dtype=np.int64 if integer else np.float64)
+    Path(path).write_text(csv_text(matrix.tolist()))
 
 
 def _read_matrix_csv(path: Path, what: str) -> Array:
@@ -352,9 +370,7 @@ def save_dataset(dataset: MultiViewDataset, out_dir: Path | str) -> Path:
         write_matrix_csv(out / "label_indicator.csv", dataset.label_indicator, integer=True)
         manifest["label_indicator"] = "label_indicator.csv"
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -366,13 +382,9 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     data by :func:`apply_indicators`, which zero-fills what they hide.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"manifest {manifest_path}: invalid JSON ({exc})") from None
+    manifest = read_json_object(manifest_path, "manifest")
     indicators = ("view_indicator", "label_indicator")
-    files = manifest.get("views") if isinstance(manifest, dict) else None
+    files = manifest.get("views")
     if not (isinstance(files, list) and files and "labels" in manifest
             and all(isinstance(f, str) for f in
                     files + [manifest["labels"]] + [manifest.get(k, "") for k in indicators])):

@@ -35,9 +35,13 @@ sum, not after it.  The self-pair enters at its exact value less 1 (0,
 or exp(-1/(2 tau)) - 1 for an all-zero row), not as the rounded
 exponential of u.u, so the other keys are never rounded against 1: at
 tau = 1e-3 their sum can be ~1e-200, and the loss still agrees with a
-log-sum-exp evaluation to a few ulps.  An anchor whose only gated key is
-itself has a denominator of exactly 0 and is skipped, and so is one whose
-every other key underflows ``exp``.  Both contrastive terms run as
+log-sum-exp evaluation to a few ulps.  An anchor whose denominator is 0
+or below by construction is skipped: its only gated key is itself, its own
+denominator gate is off, or its row is zero.  One whose other keys all
+underflow ``exp`` raises ``ContractError`` instead of being skipped; at
+``train.TAU_MIN`` (2e-3), the smallest temperature training accepts, no
+exponential underflows.  Below it the backward can still overflow at a
+subnormal denominator.  Both contrastive terms run as
 one taped primitive over the live rows of all views, those a gate admits
 as anchor or key, stacked into one matrix.  No other row's similarity can
 reach the loss, so dropping them is exact, and with half of all
@@ -57,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .numerics import Matrix
 
 logger = logging.getLogger(__name__)
@@ -229,6 +233,17 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     denom = (np.diagonal(exp_sums, axis1=1, axis2=2)[:, :, None] + exp_sums
              - (1.0 - denom_gate[:, :, None]))
     gate = outer_gate[:, :, None] * outer_gate[:, None, :] * (1.0 - np.eye(n_views))
+    # An anchor holding its own key and a direction, in a pair of views with
+    # another gated key, has a positive exact denominator: at or below 0 it
+    # underflowed, and skipping it would hide that.
+    own_key = np.zeros((n, n_views), dtype=bool)
+    own_key[row_of, view_of] = (denom_gate[row_of, view_of] == 1) & (inv_norms[:, 0] > 0)
+    n_keys = np.count_nonzero(denom_gate, axis=0)
+    underflowed = np.count_nonzero((gate > 0) & own_key[:, :, None] & (denom <= 0)
+                                   & (n_keys[:, None] + n_keys[None, :] > 1))
+    if underflowed:
+        raise ContractError(f"contrastive loss: the denominators of {underflowed} anchors "
+                            f"underflowed at temperature {tau}")
     valid = denom > 0
     skipped = int(np.count_nonzero((gate > 0) & ~valid))
     effective = gate * valid

@@ -166,7 +166,7 @@ class MetricsReport:
                 raise ContractError(f"metric {name}={value} outside [0, 1]")
 
     def to_text(self) -> str:
-        lines = [f"{k} {getattr(self, k)!r}" for k in METRICS]
+        lines = [f"{k} {getattr(self, k)}" for k in METRICS]
         lines.append(f"n_samples {self.n_samples}")
         lines.append(f"n_labels {self.n_labels}")
         lines.append("auc_mode macro")
@@ -176,16 +176,9 @@ class MetricsReport:
             lines.append(f"epoch {self.epoch}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(CSV_COLUMNS)
-
-    def to_csv_row(self) -> str:
-        cells = [repr(getattr(self, k)) for k in METRICS]
-        cells += [str(self.n_samples), str(self.n_labels),
-                  "" if self.seed is None else str(self.seed),
-                  "" if self.epoch is None else str(self.epoch)]
-        return ",".join(cells)
+    def csv_row(self) -> list:
+        """The values of the ``CSV_COLUMNS``, in order."""
+        return [getattr(self, k) for k in CSV_COLUMNS]
 
 
 def evaluate_all(scores, labels, seed: int | None = None, epoch: int | None = None) -> MetricsReport:

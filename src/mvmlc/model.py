@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .data import MaskBank, MultiViewDataset, apply_input_mask
+from .data import MaskBank, MultiViewDataset, apply_input_mask, read_json_object
 from .errors import ConfigError, ContractError, ValidationError
 from .numerics import Matrix
 
@@ -344,12 +344,8 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     Every stored matrix is checked against :func:`parameter_layout` before
     the parameter vector is allocated; the matrices then fill their slices.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"checkpoint {path}: invalid JSON ({exc})") from None
-    version = doc.get("version") if isinstance(doc, dict) else None
+    doc = read_json_object(path, "checkpoint")
+    version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"checkpoint {path}: unsupported version {version!r}")
     view_dims = doc.get("view_dims")

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from . import losses as ls
-from .data import MaskBank, MultiViewDataset
+from .data import MaskBank, MultiViewDataset, csv_text
 from .errors import ConfigError, ContractError
 from .losses import COMPONENTS, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
@@ -38,6 +38,12 @@ from .model import ModelParams, forward_all
 from .numerics import Matrix, Tape, backward
 
 Array = np.ndarray
+
+
+# The smallest temperature: every contrastive exponent is at least -1/tau =
+# -500, so each exponential stays a normal double (e^-500 ~ 7e-218) and the
+# backward keeps about e^200 of headroom before it overflows.
+TAU_MIN = 2e-3
 
 
 def _finite(value: numbers.Real) -> bool:
@@ -75,6 +81,7 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
             if kind is float and not _finite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            setattr(self, f.name, kind(value))  # a plain value, as JSON writes it
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -84,10 +91,12 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.adam_eps <= 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.tau_s <= 0 or self.tau_l <= 0:
-            raise ConfigError("temperatures must be positive")
+        for name in ("alpha", "beta", "gamma"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("tau_s", "tau_l"):
+            if getattr(self, name) < TAU_MIN:
+                raise ConfigError(f"{name} must be >= {TAU_MIN}, got {getattr(self, name)}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -115,27 +124,25 @@ class EpochRecord:
 class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
-    def csv_lines(self, include_timing: bool = False) -> list[str]:
+    def csv_rows(self, include_timing: bool = False) -> list[list]:
         header = ["epoch"] + [column for column, _ in COMPONENTS]
         has_reports = any(r.report is not None for r in self.records)
         if has_reports:
             header += list(METRICS)
         if include_timing:
             header.append("wall_ms")
-        lines = [",".join(header)]
+        rows = [header]
         for r in self.records:
-            cells = [str(r.epoch)] + [repr(v) for v in r.losses.components().values()]
+            cells = [r.epoch, *r.losses.components().values()]
             if has_reports:
-                cells += [repr(getattr(r.report, k)) if r.report is not None else ""
-                          for k in METRICS]
+                cells += [None if r.report is None else getattr(r.report, k) for k in METRICS]
             if include_timing:
-                cells.append(repr(r.wall_ms))
-            lines.append(",".join(cells))
-        return lines
+                cells.append(r.wall_ms)
+            rows.append(cells)
+        return rows
 
     def write_csv(self, path: Path | str, include_timing: bool = False) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines(include_timing)) + "\n")
+        Path(path).write_text(csv_text(self.csv_rows(include_timing)))
 
 
 @dataclass

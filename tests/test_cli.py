@@ -376,6 +376,12 @@ def _not_utf8(path):
     return str(path)
 
 
+def _json_list(path):
+    """Replace a JSON input with a list: valid JSON, but not an object."""
+    path.write_text("[1, 2]")
+    return str(path)
+
+
 def _view_value_nan(data, tmp):
     """Make the value at row 2, col 0 of view 1's CSV a NaN."""
     lines = (data / "view_1.csv").read_text().splitlines()
@@ -503,6 +509,13 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
     ("learning rate overflows the Adam second moment", _train_flag(lr="1e30"),
      EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
+    ("manifest a JSON list",
+     lambda data, tmp: train_args(_json_list(data / "manifest.json"), tmp / "run"),
+     EXIT_VALIDATION, "manifest.json: not a JSON object"),
+    ("temperature below the floor", _train_flag(tau_s="1e-16"), EXIT_USAGE,
+     "tau_s must be >= 0.002, got 1e-16"),
+    ("config temperature below the floor", _config_doc({"tau_l": 1e-3}), EXIT_USAGE,
+     "tau_l must be >= 0.002, got 0.001"),
 ]
 
 
@@ -525,6 +538,30 @@ def test_parameters_beyond_memory_are_a_usage_error(dataset_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: view_dims [5, 6], embed_dim 100000000 and hidden_dim 6 need ")
     assert "parameters, more than memory holds" in err
+
+
+# Each float flag of train and synth, and the name its range error gives.
+FLOAT_FLAGS = [
+    ("--lr", "learning_rate"), ("--adam-beta1", "adam_beta1"), ("--adam-beta2", "adam_beta2"),
+    ("--adam-eps", "adam_eps"), ("--alpha", "alpha"), ("--beta", "beta"), ("--gamma", "gamma"),
+    ("--tau-s", "tau_s"), ("--tau-l", "tau_l"), ("--mask-ratio", "mask_ratio"),
+    ("--view-missing", "view_missing_ratio"), ("--label-missing", "label_missing_ratio"),
+    ("--train-frac", "train_fraction"), ("--noise", "noise"),
+]
+
+
+@pytest.mark.parametrize("flag,name", FLOAT_FLAGS, ids=[flag for flag, _ in FLOAT_FLAGS])
+def test_negative_value_with_an_exponent_reaches_its_check(dataset_dir, tmp_path, capsys,
+                                                           flag, name):
+    # argparse's own matcher reads "-1e-05" after a space as a flag.
+    if flag == "--noise":
+        args = synth_args(tmp_path / "s")
+    else:
+        args = train_args(dataset_dir / "manifest.json", tmp_path / "run")
+    capsys.readouterr()
+    assert main([*args, flag, "-1e-05"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must ") and "-1e-05" in err
 
 
 # Per TrainConfig field: the words that set it on the command line, and the
@@ -583,19 +620,20 @@ RATIOS = st.integers(0, 7).flatmap(
        seed=st.one_of(st.integers(-3, 3), st.integers(0, 2 ** 70)),
        batch_size=st.integers(0, 40),
        view_missing=RATIOS, label_missing=RATIOS, mask_ratio=RATIOS,
-       train_frac=st.one_of(st.none(), st.floats(-0.2, 1.2)))
+       train_frac=st.one_of(st.none(), st.floats(-0.2, 1.2)),
+       tau_s=st.floats(1e-20, 10.0))
 def test_integer_and_ratio_flags_end_in_an_exit_code(tiny_manifest, tmp_path_factory, command,
                                                      epochs, seed, batch_size, view_missing,
-                                                     label_missing, mask_ratio, train_frac):
+                                                     label_missing, mask_ratio, train_frac, tau_s):
     # Any value of these flags either runs or is refused with a usage or
-    # validation error: no traceback and no warning.  Values follow "=", as
-    # argparse reads "-1e-05" after a space as a flag.
+    # validation error: no traceback and no warning.
     args = [*command, "--manifest", str(tiny_manifest), "--out", str(tmp_path_factory.mktemp("run")),
-            "--embed-dim", "3", "--hidden-dim", "4", f"--epochs={epochs}", f"--seed={seed}",
-            f"--batch-size={batch_size}", f"--view-missing={view_missing!r}",
-            f"--label-missing={label_missing!r}", f"--mask-ratio={mask_ratio!r}"]
+            "--embed-dim", "3", "--hidden-dim", "4", "--epochs", str(epochs), "--seed", str(seed),
+            "--batch-size", str(batch_size), "--view-missing", str(view_missing),
+            "--label-missing", str(label_missing), "--mask-ratio", str(mask_ratio),
+            "--tau-s", str(tau_s)]
     if train_frac is not None:
-        args.append(f"--train-frac={train_frac!r}")
+        args += ["--train-frac", str(train_frac)]
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         warnings.simplefilter("error")

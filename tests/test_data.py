@@ -12,6 +12,7 @@ from mvmlc.data import (
     MultiViewDataset,
     apply_indicators,
     apply_input_mask,
+    csv_text,
     generate_indicators,
     load_dataset,
     save_dataset,
@@ -431,3 +432,10 @@ class TestManifestRoundTrip:
         save_dataset(ds, tmp_path / "b")
         for name in ("manifest.json", "labels.csv", "view_0.csv", "view_1.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_csv_text_writes_one_cell_rule():
+    rows = [["epoch", "ap", "seed"], [1, 0.1, None], [np.int64(-2), np.float64(0.5), 1e-300],
+            [None, None]]
+    assert csv_text(rows) == "epoch,ap,seed\n1,0.1,\n-2,0.5,1e-300\n,\n"
+    assert csv_text([]) == ""

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mvmlc.losses as losses
-from mvmlc.errors import ConfigError
+from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import (
     LossBreakdown,
     classification_loss,
@@ -18,6 +19,7 @@ from mvmlc.losses import (
     total_loss,
 )
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
+from mvmlc.train import TAU_MIN
 
 from oracles import bce_oracle, masked_infonce_oracle, reconstruction_oracle
 
@@ -449,6 +451,81 @@ class TestSmallTemperature:
         report = gradient_check(lambda p: instance_contrastive(list(p), gate, tau).loss,
                                 rand_feats(rng, 6, 3, 4), step=1e-6, tol=1e-5)
         assert report.passed, report
+
+
+class TestTemperatureFloor:
+    """At ``TAU_MIN`` every exponent is at least -500: no exponential
+    underflows and the backward has headroom.  Below it the library refuses
+    a denominator that underflowed, where the exact one is positive."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_antipodal_key_at_the_floor_is_finite(self, seed):
+        # One sample, two views, each row the other's antipode: each anchor's
+        # only key besides itself has the smallest exponent, -1/tau.
+        u = np.random.default_rng(seed).normal(size=(1, 2 + seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, grads = infonce_with_grads([Matrix(u), Matrix(-u)], np.ones((1, 2)),
+                                            np.ones((1, 2)), TAU_MIN)
+        assert res.skipped == 0 and math.isfinite(res.loss.item())
+        assert all(np.isfinite(g).all() for g in grads)
+
+    @staticmethod
+    def _random(n=200, v=3, d=16, missing=0.4, seed=7):
+        rng = np.random.default_rng(seed)
+        gate = (rng.random((n, v)) > missing).astype(float)
+        none = gate.sum(axis=1) == 0
+        gate[none, rng.integers(v, size=int(none.sum()))] = 1.0
+        return rand_feats(rng, n, v, d), gate, gate
+
+    @staticmethod
+    def _zero_rows():
+        # All rows zero: every similarity is 0.5, and the self-pair's exact
+        # term exp(-1/(2 tau)) is no 1 to cancel.
+        return [Matrix(np.zeros((3, 4))) for _ in range(2)], np.ones((3, 2)), np.ones((3, 2))
+
+    @staticmethod
+    def _own_gate_off():
+        # Label-gate style: both anchors of sample 0 are weighted, but only
+        # sample 1's view-0 row is a key, so their sums hold no self-pair.
+        rng = np.random.default_rng(3)
+        denom = np.zeros((2, 2))
+        denom[1, 0] = 1.0
+        return rand_feats(rng, 2, 2, 4), np.ones((2, 2)), denom
+
+    @staticmethod
+    def _lone_key():
+        # The anchor's own row is the only gated key over both views.
+        rng = np.random.default_rng(4)
+        denom = np.array([[1.0, 0.0]])
+        return rand_feats(rng, 1, 2, 4), np.ones((1, 2)), denom
+
+    @pytest.mark.parametrize("case,tau,underflowed", [
+        ("random", 2e-4, True),
+        ("random", 1e-5, True),
+        ("random", 1e-16, True),
+        ("random", 5e-4, False),
+        ("zero rows", 1e-16, False),
+        ("own gate off", 1e-16, False),
+        ("lone key", 1e-16, False),
+    ])
+    def test_underflow_raises_and_structural_zeros_skip(self, case, tau, underflowed):
+        feats, outer, denom = {"random": self._random, "zero rows": self._zero_rows,
+                               "own gate off": self._own_gate_off, "lone key": self._lone_key}[case]()
+        if underflowed:
+            with pytest.raises(ContractError, match=f"underflowed at temperature {tau}$"):
+                losses._masked_infonce(feats, outer, denom, tau)
+            return
+        res = losses._masked_infonce(feats, outer, denom, tau)
+        assert (res.skipped > 0) == (case != "random")
+
+    def test_non_finite_denominator_is_no_underflow(self):
+        # A diverging run's NaN features are left to the loss-component check.
+        feats, outer, denom = self._random(n=20)
+        feats[0].value[3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            res = losses._masked_infonce(feats, outer, denom, 1e-16)
+        assert math.isnan(res.loss.item()) and res.skipped > 0
 
 
 class TestFullAvailabilityReduction:

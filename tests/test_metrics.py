@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvmlc.data import csv_text
 from mvmlc.errors import ContractError, ValidationError
 from mvmlc.metrics import (
+    CSV_COLUMNS,
     MetricsReport,
     average_precision,
     coverage,
@@ -270,9 +272,18 @@ class TestEvaluateAll:
         report = evaluate_all(scores, labels, seed=7, epoch=3)
         text = report.to_text()
         assert f"ap {report.ap!r}" in text
-        row = report.to_csv_row()
-        assert row.split(",")[0] == repr(report.ap)
-        assert MetricsReport.csv_header().split(",")[0] == "ap"
+        row = report.csv_row()
+        assert row[0] == report.ap
+        assert CSV_COLUMNS[0] == "ap"
+
+    def test_numpy_floats_print_plain(self):
+        # Under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)".
+        report = MetricsReport(ap=np.float64(0.5), one_minus_hl=np.float64(0.25), one_minus_rl=1.0,
+                               auc=np.float64(0.1), oe=0.0, cov=np.float64(1 / 3),
+                               n_samples=np.int64(4), n_labels=2, seed=None, epoch=np.int64(1))
+        assert report.to_text().startswith("ap 0.5\none_minus_hl 0.25\n")
+        assert "epoch 1\n" in report.to_text()
+        assert csv_text([report.csv_row()]) == "0.5,0.25,1.0,0.1,0.0,0.3333333333333333,4,2,,1\n"
 
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValidationError):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from mvmlc.data import MaskBank, MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
 from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import label_availability_gate
-from mvmlc.model import ModelParams, forward_all
+from mvmlc.model import ModelParams, forward_all, load_checkpoint, save_checkpoint
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
 from mvmlc.train import (
+    TAU_MIN,
     AdamState,
     TrainConfig,
     adam_step,
@@ -91,6 +92,29 @@ class TestTrainConfig:
     def test_numeric_fields_accept_any_real_number(self):
         cfg = TrainConfig(epochs=np.int64(2), learning_rate=1, seed=np.int32(3))
         assert (cfg.epochs, cfg.learning_rate, cfg.seed) == (2, 1, 3)
+
+    def test_numpy_values_are_stored_plain_and_saved(self, tmp_path):
+        cfg = TrainConfig(epochs=np.int64(2), learning_rate=np.float64(0.01), seed=np.int32(3),
+                          alpha=np.float32(0.5), embed_dim=4, hidden_dim=6)
+        assert (type(cfg.epochs), type(cfg.learning_rate), type(cfg.alpha)) == (int, float, float)
+        params = ModelParams.initialize(np.random.default_rng(0), (5, 5), 3, 4, 6)
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, params, seed=cfg.seed, epoch=cfg.epochs, config=cfg.to_dict())
+        _, meta = load_checkpoint(path)
+        assert TrainConfig(**meta["config"]) == cfg
+        assert (meta["seed"], meta["epoch"]) == (3, 2)
+
+    @pytest.mark.parametrize("field", ["tau_s", "tau_l"])
+    def test_temperature_floor(self, field):
+        assert getattr(TrainConfig(**{field: TAU_MIN}), field) == TAU_MIN
+        for value in (np.nextafter(TAU_MIN, 0.0), 1e-3, 1e-16, 0.0, -0.5):
+            with pytest.raises(ConfigError, match=f"^{field} must be >= {TAU_MIN}, got "):
+                TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+    def test_negative_loss_weight_named(self, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be >= 0, got -0.25$"):
+            TrainConfig(**{field: -0.25})
 
 
 class TestInitParams:
@@ -361,10 +385,10 @@ class TestTrainLogCsv:
 
     def test_loss_columns_follow_components(self):
         result = train(small_dataset(), small_config(epochs=2, batch_size=5))
-        lines = result.log.csv_lines()
+        rows = result.log.csv_rows()
         components = result.log.records[0].losses.components()
-        assert lines[0] == ",".join(["epoch", *components])
-        assert lines[1] == ",".join(["1", *map(repr, components.values())])
+        assert rows[0] == ["epoch", *components]
+        assert rows[1] == [1, *components.values()]
 
     def test_deterministic_without_timing(self, tmp_path):
         ds = small_dataset()
