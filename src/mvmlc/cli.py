@@ -221,10 +221,10 @@ def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict
     """Load --checkpoint and --manifest; their view widths and label counts must agree."""
     params, meta = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.manifest)
-    if tuple(meta["view_dims"]) != dataset.view_dims or meta["n_labels"] != dataset.n_labels:
+    if params.view_dims != dataset.view_dims or params.n_labels != dataset.n_labels:
         raise ValidationError(
-            f"checkpoint was trained on views {tuple(meta['view_dims'])} with "
-            f"{meta['n_labels']} labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
+            f"checkpoint was trained on views {params.view_dims} with {params.n_labels} "
+            f"labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
     return params, meta, dataset
 
 

@@ -23,6 +23,7 @@ projection heads, which feed only those losses, do not run.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,23 +35,6 @@ from .errors import ConfigError, ContractError, ValidationError
 from .numerics import Matrix
 
 Array = np.ndarray
-
-
-@dataclass
-class Linear:
-    weight: Matrix  # n_in x n_out
-    bias: Matrix    # 1 x n_out
-
-
-@dataclass
-class Mlp:
-    """Two-layer perceptron with ReLU hidden activation (no output activation)."""
-
-    hidden: Linear
-    out: Linear
-
-    def __call__(self, x: Matrix) -> Matrix:
-        return nm.mlp(x, self.hidden.weight, self.hidden.bias, self.out.weight, self.out.bias)
 
 
 def parameter_layout(view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
@@ -75,13 +59,13 @@ def parameter_layout(view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
                      ("classifier.bias", (1, n_labels))]
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """All learnable matrices, in a fixed canonical order.
 
-    ``shared_encoders[m]`` and ``private_encoders[m]`` map view m's input
-    width to the embedding width; ``decoders[m]`` maps it back.  The
-    instance head and label head are shared across views.
+    The network reads them by their :func:`parameter_layout` names:
+    ``params.mlp("shared_encoder.0", x)`` applies a two-layer perceptron,
+    and ``params["classifier.weight"]`` is one matrix.
 
     Every value lives in the one contiguous float64 ``vector``: each
     matrix's ``value`` is a row-major view of its own slice, the slices
@@ -92,16 +76,13 @@ class ModelParams:
     layout; no other code lists them.
     """
 
-    shared_encoders: list[Mlp]
-    private_encoders: list[Mlp]
-    decoders: list[Mlp]
-    instance_head: Mlp       # embed -> embed
-    label_head: Mlp          # embed -> n_labels
-    classifier_weight: Matrix  # embed x n_labels
-    classifier_bias: Matrix    # 1 x n_labels
-    vector: Array = field(repr=False, compare=False)  # every value above, in order
-    _matrices: dict[str, Matrix] = field(repr=False, compare=False)  # by name, in order
-    _slices: dict[str, slice] = field(repr=False, compare=False)  # of vector, by name
+    view_dims: tuple[int, ...]
+    n_labels: int
+    embed_dim: int
+    hidden_dim: int
+    vector: Array = field(repr=False)  # every value, in layout order
+    _matrices: dict[str, Matrix] = field(repr=False)  # by name, in order
+    _slices: dict[str, slice] = field(repr=False)  # of vector, by name
 
     @classmethod
     def allocate(cls, view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
@@ -124,17 +105,7 @@ class ModelParams:
             slices[name] = slice(start, start + rows * cols)
             mats[name] = Matrix(vector[slices[name]].reshape(rows, cols))
             start += rows * cols
-
-        def mlp(prefix: str) -> Mlp:
-            return Mlp(*(Linear(mats[f"{prefix}.{layer}.weight"], mats[f"{prefix}.{layer}.bias"])
-                         for layer in ("hidden", "out")))
-
-        views = range(len(view_dims))
-        return cls([mlp(f"shared_encoder.{m}") for m in views],
-                   [mlp(f"private_encoder.{m}") for m in views],
-                   [mlp(f"decoder.{m}") for m in views],
-                   mlp("instance_head"), mlp("label_head"),
-                   mats["classifier.weight"], mats["classifier.bias"], vector, mats, slices)
+        return cls(tuple(view_dims), n_labels, embed_dim, hidden_dim, vector, mats, slices)
 
     @classmethod
     def initialize(
@@ -162,21 +133,13 @@ class ModelParams:
                 p.value -= bound
         return params
 
-    @property
-    def view_dims(self) -> tuple[int, ...]:
-        return tuple(enc.hidden.weight.rows for enc in self.shared_encoders)
+    def __getitem__(self, name: str) -> Matrix:
+        return self._matrices[name]
 
-    @property
-    def embed_dim(self) -> int:
-        return self.classifier_weight.rows
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.instance_head.hidden.weight.cols
-
-    @property
-    def n_labels(self) -> int:
-        return self.classifier_weight.cols
+    def mlp(self, prefix: str, x: Matrix) -> Matrix:
+        """The two-layer perceptron named ``prefix`` in the layout, applied to ``x``."""
+        return nm.mlp(x, *(self._matrices[f"{prefix}.{layer}"] for layer in
+                           ("hidden.weight", "hidden.bias", "out.weight", "out.bias")))
 
     def named_parameters(self) -> list[tuple[str, Matrix]]:
         return list(self._matrices.items())
@@ -215,21 +178,21 @@ def _observed_rows(view_indicator: Array) -> list[Array]:
 
 
 def encode(params: ModelParams, masked_views: list[Matrix]) -> tuple[list[Matrix], list[Matrix]]:
-    shared = [params.shared_encoders[m](x) for m, x in enumerate(masked_views)]
-    private = [params.private_encoders[m](x) for m, x in enumerate(masked_views)]
+    shared = [params.mlp(f"shared_encoder.{m}", x) for m, x in enumerate(masked_views)]
+    private = [params.mlp(f"private_encoder.{m}", x) for m, x in enumerate(masked_views)]
     return shared, private
 
 
 def decode(params: ModelParams, private: list[Matrix]) -> list[Matrix]:
-    return [params.decoders[m](p) for m, p in enumerate(private)]
+    return [params.mlp(f"decoder.{m}", p) for m, p in enumerate(private)]
 
 
 def project_instances(params: ModelParams, shared: list[Matrix]) -> list[Matrix]:
-    return [params.instance_head(s) for s in shared]
+    return [params.mlp("instance_head", s) for s in shared]
 
 
 def project_labels(params: ModelParams, shared: list[Matrix]) -> list[Matrix]:
-    return [nm.sigmoid(params.label_head(s)) for s in shared]
+    return [nm.sigmoid(params.mlp("label_head", s)) for s in shared]
 
 
 def fuse(shared: list[Matrix], private: list[Matrix], view_indicator: Array) -> tuple[Matrix, Matrix]:
@@ -258,7 +221,7 @@ def interact(fused_shared: Matrix, fused_private: Matrix) -> Matrix:
 
 
 def classify(params: ModelParams, blended: Matrix) -> Matrix:
-    return nm.sigmoid(blended @ params.classifier_weight + params.classifier_bias)
+    return nm.sigmoid(blended @ params["classifier.weight"] + params["classifier.bias"])
 
 
 def forward_all(
@@ -271,7 +234,8 @@ def forward_all(
 
     Input masking applies only when training.  Without training only the
     encoders, fusion and classifier run; the decoders and heads feed only
-    the training losses.
+    the training losses.  No loss check follows that forward, so there an
+    overflow is a :class:`ContractError`.
     """
     if training and bank is not None:
         masked = [Matrix(x) for x in apply_input_mask(dataset, bank)]
@@ -279,18 +243,19 @@ def forward_all(
         masked = [Matrix(x) for x in dataset.views]
     n = dataset.n_samples
     rows = _observed_rows(dataset.view_indicator)
-    shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
-    recon, instance_feats, label_probs = [], [], []
-    if training:
-        def lift(feats: list[Matrix]) -> list[Matrix]:
-            return [nm.scatter_rows([f], [r], n) for f, r in zip(feats, rows)]
+    with nullcontext() if training else nm.refuse_overflow("forward"):
+        shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
+        recon, instance_feats, label_probs = [], [], []
+        if training:
+            def lift(feats: list[Matrix]) -> list[Matrix]:
+                return [nm.scatter_rows([f], [r], n) for f, r in zip(feats, rows)]
 
-        recon = lift(decode(params, private))
-        instance_feats = lift(project_instances(params, shared))
-        label_probs = lift(project_labels(params, shared))
-    fused_shared, fused_private = fuse(shared, private, dataset.view_indicator)
-    blended = interact(fused_shared, fused_private)
-    scores = classify(params, blended)
+            recon = lift(decode(params, private))
+            instance_feats = lift(project_instances(params, shared))
+            label_probs = lift(project_labels(params, shared))
+        fused_shared, fused_private = fuse(shared, private, dataset.view_indicator)
+        blended = interact(fused_shared, fused_private)
+        scores = classify(params, blended)
     return ForwardCache(
         masked_views=masked,
         shared=shared,
@@ -339,7 +304,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
-    """Rebuild ModelParams from a checkpoint; shape mismatches are rejected.
+    """Rebuild ModelParams from a checkpoint, with its ``seed``, ``epoch``
+    and ``config``; shape mismatches are rejected.
 
     Every stored matrix is checked against :func:`parameter_layout` before
     the parameter vector is allocated; the matrices then fill their slices.
@@ -360,15 +326,14 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
                                   f"positive integer, got {value!r}")
     try:
         stored = doc["parameters"]
-        meta = {k: doc[k] for k in ("seed", "epoch", "config", "view_dims", "n_labels",
-                                    "embed_dim", "hidden_dim")}
+        meta = {k: doc[k] for k in ("seed", "epoch", "config")}
     except KeyError as exc:
         raise ValidationError(f"checkpoint {path}: missing field {exc}") from None
     for field in ("seed", "epoch"):
         if isinstance(meta[field], bool) or not isinstance(meta[field], int):
             raise ValidationError(f"checkpoint {path}: {field} must be an integer, "
                                   f"got {meta[field]!r}")
-    architecture = (tuple(view_dims), meta["n_labels"], meta["embed_dim"], meta["hidden_dim"])
+    architecture = (tuple(view_dims), doc["n_labels"], doc["embed_dim"], doc["hidden_dim"])
     layout = parameter_layout(*architecture)
     if not isinstance(stored, dict) or set(stored) != {name for name, _ in layout}:
         raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")

@@ -22,6 +22,7 @@ each thread and context, and a nested tape restores the outer one on exit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -138,6 +139,18 @@ def emit(value: Array, inputs: tuple[Matrix, ...],
     return out
 
 
+@contextmanager
+def refuse_overflow(what: str):
+    """Raise :class:`ContractError` naming ``what`` at the first overflow or
+    invalid operation in the block, the only ways finite inputs give an inf
+    or a NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ContractError(f"{what}: {exc}; the parameters are out of range") from None
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
     if grad.shape == shape:
         return grad
@@ -208,17 +221,16 @@ def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     # In-place steps store the values their out-of-place forms would return.
     pre = x.value @ w1.value
     pre += b1.value
-    # np.maximum is one pass where np.where(keep, pre, 0.0) is several, and
-    # bitwise equal to it on finite input (-0.0 and 0.0 both map to 0.0);
-    # datasets reject non-finite values.
-    keep = pre > 0
+    # np.maximum is one pass where np.where(pre > 0, pre, 0.0) is several,
+    # and bitwise equal to it on finite input (-0.0 and 0.0 both map to
+    # 0.0); datasets reject non-finite values.
     hidden = np.maximum(pre, 0.0)
     out = hidden @ w2.value
     out += b2.value
 
     def vjp(g: Array) -> tuple[Array, ...]:
         d_pre = g @ w2.value.T
-        d_pre *= keep
+        d_pre *= hidden > 0  # pre > 0 bit for bit, NaN and -0.0 included
         return (d_pre @ w1.value.T, x.value.T @ d_pre, _unbroadcast(d_pre, b1.shape),
                 hidden.T @ g, _unbroadcast(g, b2.shape))
 

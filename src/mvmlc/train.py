@@ -35,7 +35,7 @@ from .errors import ConfigError, ContractError
 from .losses import COMPONENTS, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
 from .model import ModelParams, forward_all
-from .numerics import Matrix, Tape, backward
+from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
 
@@ -152,10 +152,17 @@ class TrainResult:
     snapshots: dict[int, Array] = field(default_factory=dict)
 
 
+# adam_step makes its passes over chunks of this many values, which stay in
+# cache from one pass to the next: 1.03 ms per step against 1.21-1.30 ms
+# over whole vectors for the 138,284 values of the default widths on three
+# 32-wide views (2 vCPUs).
+ADAM_CHUNK = 32768
+
+
 @dataclass
 class AdamState:
     """First and second moments, flat vectors of the parameter layout, and
-    two scratch vectors of that size that each step reuses."""
+    two scratch vectors of one chunk that each step reuses."""
 
     first: Array
     second: Array
@@ -163,7 +170,8 @@ class AdamState:
     scratch: tuple[Array, Array] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.scratch = (np.empty_like(self.first), np.empty_like(self.first))
+        size = min(self.first.size, ADAM_CHUNK)
+        self.scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def initialize(cls, size: int) -> "AdamState":
@@ -184,10 +192,12 @@ def adam_step(
     The passes are those of ``m = beta1 * m + (1 - beta1) * g``,
     ``v = beta2 * v + (1 - beta2) * g * g`` and
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` evaluated left to right,
-    each run in place over whole vectors, so every value is bitwise the
-    one the out-of-place expressions give.  A gradient whose square
-    overflows raises ``FloatingPointError``: its second moment would be
-    inf and its update silently 0.
+    each run in place over one :data:`ADAM_CHUNK` of the vectors after
+    another, so every value is bitwise the one the out-of-place
+    expressions give.  An overflow of a squared gradient (its second
+    moment would be inf and its update silently 0) or of the update raises
+    ``FloatingPointError(what, index)``, the index being that in
+    ``params`` of the first value it hit.
     """
     if not params.shape == grads.shape == state.first.shape == (params.size,):
         raise ContractError(f"adam_step: parameters {params.shape}, gradients {grads.shape} "
@@ -196,23 +206,31 @@ def adam_step(
     t = state.step
     correct1 = 1.0 - beta1 ** t
     correct2 = 1.0 - beta2 ** t
-    m, v = state.first, state.second
-    a, b = state.scratch
-    m *= beta1
-    np.multiply(1.0 - beta1, grads, out=a)
-    m += a
-    v *= beta2
     with np.errstate(over="raise"):
-        np.multiply(grads, grads, out=a)
-    a *= 1.0 - beta2
-    v += a
-    np.divide(m, correct1, out=a)
-    a *= lr
-    np.divide(v, correct2, out=b)
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
-    params -= a
+        for start in range(0, params.size, ADAM_CHUNK):
+            part = slice(start, start + ADAM_CHUNK)
+            p, g, m, v = params[part], grads[part], state.first[part], state.second[part]
+            a, b = (x[:p.size] for x in state.scratch)
+            what = "a squared gradient overflows the Adam second moment"
+            try:
+                m *= beta1
+                np.multiply(1.0 - beta1, g, out=a)
+                m += a
+                v *= beta2
+                np.multiply(g, g, out=a)
+                what = "the Adam update overflows"
+                a *= 1.0 - beta2
+                v += a
+                np.divide(m, correct1, out=a)
+                a *= lr
+                np.divide(v, correct2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                p -= a
+            except FloatingPointError:  # the ufunc that overflowed has stored its inf
+                finite = np.isfinite(a) & np.isfinite(m) & np.isfinite(v) & np.isfinite(p)
+                raise FloatingPointError(what, start + int(finite.argmin())) from None
 
 
 def _epoch_losses(
@@ -244,14 +262,10 @@ def _epoch_losses(
     return combined, breakdown
 
 
-def _check_finite(epoch: int, values: Array, named_slices: Iterable[tuple[str, slice]]) -> None:
-    """Abort if the gradient ``values`` is not all finite, naming the slice
-    that holds the first non-finite entry; the slices are searched only then."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = int(finite.argmin())
-        name = next(name for name, part in named_slices if first < part.stop)
-        raise ContractError(f"epoch {epoch}: gradient of '{name}' is not finite")
+def _name_at(index: int, named_slices: Iterable[tuple[str, slice]]) -> str:
+    """The parameter whose slice of the flat vectors holds ``index``; the
+    slices are searched only when a check has failed."""
+    return next(name for name, part in named_slices if index < part.stop)
 
 
 def train(
@@ -306,19 +320,24 @@ def train(
             batch = dataset if len(rows) == n else dataset.subset(rows)
             batch_bank = bank if len(rows) == n else bank.subset(rows)
             batch_gate = full_gate if len(rows) == n else full_gate[rows]
-            with Tape() as tape:
+            # An overflow here reaches the checks below, which name the culprit.
+            with Tape() as tape, np.errstate(over="ignore", invalid="ignore"):
                 combined, breakdown = _epoch_losses(params, batch, batch_bank, batch_gate, config)
                 for name, value in breakdown.components().items():
                     if not math.isfinite(value):
                         raise ContractError(f"epoch {epoch}: loss component '{name}' is not finite")
                 backward(tape, combined, leaves, out=grad)
-            _check_finite(epoch, grad, slices)
+            finite = np.isfinite(grad)
+            if not finite.all():
+                raise ContractError(f"epoch {epoch}: gradient of "
+                                    f"'{_name_at(int(finite.argmin()), slices)}' is not finite")
             try:
                 adam_step(params.vector, grad, state, config.learning_rate,
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
-            except FloatingPointError:
-                raise ContractError(f"epoch {epoch}: a squared gradient overflows the Adam "
-                                    "second moment; lower the learning rate") from None
+            except FloatingPointError as exc:
+                what, index = exc.args
+                raise ContractError(f"epoch {epoch}: {what} at '{_name_at(index, slices)}'; "
+                                    "lower the learning rate") from None
             collected.append((len(rows) / n, breakdown))
         epoch_losses = LossBreakdown.weighted_mean(collected)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -344,9 +363,10 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     with unit diagonal.
     """
     cache = forward_all(params, dataset, None, training=False)
-    means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
-             for feats in (cache.shared, cache.private) for f in feats]
-    unit, _ = ls._unit_rows(np.array(means))
+    with refuse_overflow("channel similarity"):
+        means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
+                 for feats in (cache.shared, cache.private) for f in feats]
+        unit, _ = ls._unit_rows(np.array(means))
     sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     return sim

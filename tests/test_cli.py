@@ -509,6 +509,11 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
     ("learning rate overflows the Adam second moment", _train_flag(lr="1e30"),
      EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
+    ("learning rate overflows the network", _train_flag(lr="1e300"),
+     EXIT_VALIDATION, "epoch 2: loss component 'loss_recon' is not finite"),
+    ("learning rate overflows the evaluation",
+     _train_flag(lr="1e300", epochs="1", train_frac="0.7"),
+     EXIT_VALIDATION, "forward: overflow encountered in matmul; the parameters are out of range"),
     ("manifest a JSON list",
      lambda data, tmp: train_args(_json_list(data / "manifest.json"), tmp / "run"),
      EXIT_VALIDATION, "manifest.json: not a JSON object"),
@@ -621,17 +626,18 @@ RATIOS = st.integers(0, 7).flatmap(
        batch_size=st.integers(0, 40),
        view_missing=RATIOS, label_missing=RATIOS, mask_ratio=RATIOS,
        train_frac=st.one_of(st.none(), st.floats(-0.2, 1.2)),
-       tau_s=st.floats(1e-20, 10.0))
+       tau_s=st.floats(1e-20, 10.0), lr=st.floats(1e-6, 1e300))
 def test_integer_and_ratio_flags_end_in_an_exit_code(tiny_manifest, tmp_path_factory, command,
                                                      epochs, seed, batch_size, view_missing,
-                                                     label_missing, mask_ratio, train_frac, tau_s):
+                                                     label_missing, mask_ratio, train_frac, tau_s,
+                                                     lr):
     # Any value of these flags either runs or is refused with a usage or
     # validation error: no traceback and no warning.
     args = [*command, "--manifest", str(tiny_manifest), "--out", str(tmp_path_factory.mktemp("run")),
             "--embed-dim", "3", "--hidden-dim", "4", "--epochs", str(epochs), "--seed", str(seed),
             "--batch-size", str(batch_size), "--view-missing", str(view_missing),
             "--label-missing", str(label_missing), "--mask-ratio", str(mask_ratio),
-            "--tau-s", str(tau_s)]
+            "--tau-s", str(tau_s), "--lr", str(lr)]
     if train_frac is not None:
         args += ["--train-frac", str(train_frac)]
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \

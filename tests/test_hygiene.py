@@ -1,5 +1,6 @@
 """Every module of the package uses what it imports and the private
-helpers it defines, so a deletion leaves nothing unreferenced behind."""
+helpers it defines, and every class it defines is named somewhere, so a
+deletion leaves nothing unreferenced behind."""
 
 import ast
 from pathlib import Path
@@ -23,6 +24,19 @@ def test_imports_and_private_helpers_are_referenced(path):
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
     assert [name for name in imported if name not in used] == [], "unused imports"
     assert [name for name in helpers if name not in used] == [], "unreferenced private helpers"
+
+
+def test_every_class_is_named_elsewhere():
+    # A class no code of the package names (in an annotation, a call or an
+    # isinstance) is a leftover of a deleted design.
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in Path(mvmlc.__file__).parent.glob("*.py")]
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    assert [name for name in defined if name not in named] == [], "classes nothing names"
 
 
 def test_finds_every_module():

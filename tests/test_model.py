@@ -70,21 +70,19 @@ class TestEncodeDecode:
 
     def test_zero_final_layer_gives_bias(self):
         params = make_params()
-        enc = params.shared_encoders[0]
-        enc.out.weight.value[...] = 0.0
-        enc.out.bias.value[...] = 0.0
-        out = enc(Matrix(np.random.default_rng(0).normal(size=(3, 4))))
+        params["shared_encoder.0.out.weight"].value[...] = 0.0
+        params["shared_encoder.0.out.bias"].value[...] = 0.0
+        out = params.mlp("shared_encoder.0", Matrix(np.random.default_rng(0).normal(size=(3, 4))))
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
 
     def test_hand_computed_affine(self):
         # one hidden unit, identity-like weights: out = relu(x W1 + b1) W2 + b2
         params = make_params(view_dims=(2,), embed=2, hidden=2)
-        enc = params.shared_encoders[0]
-        enc.hidden.weight.value[...] = np.eye(2)
-        enc.hidden.bias.value[...] = [[1.0, -1.0]]
-        enc.out.weight.value[...] = [[2.0, 0.0], [0.0, 3.0]]
-        enc.out.bias.value[...] = [[0.5, 0.5]]
-        out = enc(Matrix([[1.0, 2.0], [-3.0, 4.0]]))
+        params["shared_encoder.0.hidden.weight"].value[...] = np.eye(2)
+        params["shared_encoder.0.hidden.bias"].value[...] = [[1.0, -1.0]]
+        params["shared_encoder.0.out.weight"].value[...] = [[2.0, 0.0], [0.0, 3.0]]
+        params["shared_encoder.0.out.bias"].value[...] = [[0.5, 0.5]]
+        out = params.mlp("shared_encoder.0", Matrix([[1.0, 2.0], [-3.0, 4.0]]))
         # row 1: relu([2, 1]) = [2, 1] -> [4.5, 3.5]
         # row 2: relu([-2, 3]) = [0, 3] -> [0.5, 9.5]
         np.testing.assert_allclose(out.value, [[4.5, 3.5], [0.5, 9.5]], atol=1e-12)
@@ -111,8 +109,8 @@ class TestSharedHeads:
 
     def test_zero_label_head_gives_half(self):
         params = make_params()
-        params.label_head.out.weight.value[...] = 0.0
-        params.label_head.out.bias.value[...] = 0.0
+        params["label_head.out.weight"].value[...] = 0.0
+        params["label_head.out.bias"].value[...] = 0.0
         (probs,) = md.project_labels(params, [Matrix(np.ones((2, 4)))])
         np.testing.assert_array_equal(probs.value, np.full((2, 3), 0.5))
 
@@ -172,21 +170,21 @@ class TestInteract:
 class TestClassify:
     def test_zero_params_give_half(self):
         params = make_params()
-        params.classifier_weight.value[...] = 0.0
-        params.classifier_bias.value[...] = 0.0
+        params["classifier.weight"].value[...] = 0.0
+        params["classifier.bias"].value[...] = 0.0
         t = classify(params, Matrix(np.ones((2, 4))))
         np.testing.assert_array_equal(t.value, np.full((2, 3), 0.5))
 
     def test_zero_row_gives_sigmoid_bias(self):
         params = make_params()
         t = classify(params, Matrix(np.zeros((1, 4))))
-        expected = 1.0 / (1.0 + np.exp(-params.classifier_bias.value))
+        expected = 1.0 / (1.0 + np.exp(-params["classifier.bias"].value))
         np.testing.assert_allclose(t.value, expected, atol=1e-15)
 
     def test_hand_case(self):
         params = make_params(view_dims=(2,), embed=1, n_labels=2)
-        params.classifier_weight.value[...] = [[2.0, -1.0]]
-        params.classifier_bias.value[...] = [[0.5, 0.0]]
+        params["classifier.weight"].value[...] = [[2.0, -1.0]]
+        params["classifier.bias"].value[...] = [[0.5, 0.0]]
         t = classify(params, Matrix([[1.0]]))
         expected = 1.0 / (1.0 + np.exp(-np.array([[2.5, -1.0]])))
         np.testing.assert_allclose(t.value, expected, atol=1e-15)
@@ -196,7 +194,7 @@ class TestClassify:
         rng = np.random.default_rng(8)
         z = Matrix(rng.normal(size=(5, 4)))
         t = classify(params, z)
-        pre = (z @ params.classifier_weight + params.classifier_bias).value
+        pre = (z @ params["classifier.weight"] + params["classifier.bias"]).value
         recovered = np.log(t.value / (1.0 - t.value))
         np.testing.assert_allclose(recovered, pre, atol=1e-10)
 
@@ -261,21 +259,18 @@ class TestRowCompaction:
 
     @staticmethod
     def tally_rows(monkeypatch, params):
-        """Count, per MLP role, the rows every call of that role receives."""
-        roles = {id(net): role for role, nets in (
-            ("shared_encoder", params.shared_encoders),
-            ("private_encoder", params.private_encoders),
-            ("decoder", params.decoders),
-            ("instance_head", [params.instance_head]),
-            ("label_head", [params.label_head])) for net in nets}
+        """Count, per MLP role, the rows every call of that role receives;
+        a call's role is the layout prefix of its hidden weight."""
+        roles = {id(p): name.split(".")[0] for name, p in params.named_parameters()
+                 if name.endswith(".hidden.weight")}
         seen = dict.fromkeys(TestRowCompaction.ROLES, 0)
-        call = md.Mlp.__call__
+        call = md.nm.mlp
 
-        def counting(net, x):
-            seen[roles[id(net)]] += x.rows
-            return call(net, x)
+        def counting(x, w1, *rest):
+            seen[roles[id(w1)]] += x.rows
+            return call(x, w1, *rest)
 
-        monkeypatch.setattr(md.Mlp, "__call__", counting)
+        monkeypatch.setattr(md.nm, "mlp", counting)
         return seen
 
     def test_training_forward_runs_each_mlp_on_observed_rows(self, monkeypatch):

@@ -14,6 +14,7 @@ from mvmlc.losses import label_availability_gate
 from mvmlc.model import ModelParams, forward_all, load_checkpoint, save_checkpoint
 from mvmlc.numerics import Matrix, Tape, backward, gradient_check
 from mvmlc.train import (
+    ADAM_CHUNK,
     TAU_MIN,
     AdamState,
     TrainConfig,
@@ -128,12 +129,12 @@ class TestInitParams:
         params = small_params((5, 7), 3)
         assert params.view_dims == (5, 7)
         assert params.embed_dim == 4
-        assert params.classifier_weight.shape == (4, 3)
+        assert params["classifier.weight"].shape == (4, 3)
 
     def test_different_seeds_differ(self):
         a = small_params((5,), 2, seed=0)
         b = small_params((5,), 2, seed=1)
-        assert not np.array_equal(a.classifier_weight.value, b.classifier_weight.value)
+        assert not np.array_equal(a["classifier.weight"].value, b["classifier.weight"].value)
 
 
 class TestAdamStep:
@@ -184,6 +185,35 @@ class TestAdamStep:
             assert params.vector.tobytes() == np.concatenate(arrays, axis=None).tobytes()
         assert state.first.tobytes() == np.concatenate(first, axis=None).tobytes()
         assert state.second.tobytes() == np.concatenate(second, axis=None).tobytes()
+
+    def test_chunked_passes_match_per_array_oracle_bitwise(self):
+        # Arrays straddle the chunk boundaries and the last chunk is short.
+        rng = np.random.default_rng(3)
+        shapes = [(ADAM_CHUNK // 3 + 1, 5), (7, 11), (1, ADAM_CHUNK - 2)]
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        flat = np.concatenate(arrays, axis=None)
+        assert 2 * ADAM_CHUNK < flat.size < 3 * ADAM_CHUNK
+        state = AdamState.initialize(flat.size)
+        for step in range(1, 4):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape) for shape in shapes]
+            adam_step(flat, np.concatenate(grads, axis=None), state, 0.01)
+            adam_oracle(arrays, grads, first, second, step, 0.01)
+        assert flat.tobytes() == np.concatenate(arrays, axis=None).tobytes()
+        assert state.first.tobytes() == np.concatenate(first, axis=None).tobytes()
+        assert state.second.tobytes() == np.concatenate(second, axis=None).tobytes()
+
+    @pytest.mark.parametrize("index,grad,lr,what", [
+        (5, 1e200, 1e-3, "a squared gradient overflows the Adam second moment"),
+        (ADAM_CHUNK + 1, 10.0, 1e308, "the Adam update overflows"),
+    ])
+    def test_overflow_gives_its_index(self, index, grad, lr, what):
+        g = np.full(ADAM_CHUNK + 3, 1e-3)
+        g[index] = grad
+        with pytest.raises(FloatingPointError) as err:
+            adam_step(np.zeros(g.size), g, AdamState.initialize(g.size), lr)
+        assert err.value.args == (what, index)
 
     @settings(max_examples=40)
     @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
@@ -270,8 +300,8 @@ class TestTrainLoop:
         ds = small_dataset()
         fresh = train(ds, small_config(epochs=3, mask_ratio=0.4))
         fixed = train(ds, small_config(epochs=3, mask_ratio=0.4, fixed_mask=True))
-        assert not np.array_equal(fresh.params.classifier_weight.value,
-                                  fixed.params.classifier_weight.value)
+        assert not np.array_equal(fresh.params["classifier.weight"].value,
+                                  fixed.params["classifier.weight"].value)
 
     def test_minibatch_mode_runs(self):
         ds = small_dataset(n=10)
@@ -283,6 +313,22 @@ class TestTrainLoop:
         ds = small_dataset()
         with pytest.raises(ContractError, match="loss component"):
             train(ds, small_config(epochs=30, learning_rate=1e150))
+
+    def test_update_overflow_aborts_naming_parameter(self):
+        with pytest.raises(ContractError, match=r"^epoch 1: the Adam update overflows at "
+                                                r"'private_encoder\.0\.hidden\.weight'; lower"):
+            train(small_dataset(), small_config(epochs=1, gamma=100.0, learning_rate=1.7e308))
+
+    def test_out_of_range_parameters_are_refused_after_training(self):
+        ds = small_dataset()
+        params = small_params(ds.view_dims, ds.n_labels)
+        params.vector *= 1e100
+        with pytest.raises(ContractError, match="^channel similarity: overflow encountered"):
+            channel_similarity(params, ds)
+        params.vector *= 1e200
+        with pytest.raises(ContractError, match="^forward: overflow encountered in matmul; "
+                                                "the parameters are out of range$"):
+            forward_all(params, ds, None, training=False)
 
     def test_nonfinite_gradient_aborts_before_adam_naming_parameter(self, monkeypatch):
         train_mod = importlib.import_module("mvmlc.train")  # the package re-exports train()
@@ -452,10 +498,11 @@ class TestTapeLength:
         bank = MaskBank.generate(ds.n_samples, ds.view_dims, cfg.mask_ratio, seed=5)
         with Tape() as tape:
             _epoch_losses(params, ds, bank, gate, cfg)
-        nets = (params.shared_encoders + params.private_encoders + params.decoders
-                + [params.instance_head, params.label_head])
-        weights = {(id(net.hidden.weight), id(net.hidden.bias), id(net.out.weight), id(net.out.bias))
-                   for net in nets}
+        prefixes = {name.rsplit(".", 2)[0] for name, _ in params.named_parameters()
+                    if name.endswith(".hidden.weight")}
+        weights = {tuple(id(params[f"{prefix}.{layer}"]) for layer in
+                         ("hidden.weight", "hidden.bias", "out.weight", "out.bias"))
+                   for prefix in prefixes}
         mlp_records = [inputs for _, inputs, _ in tape._records
                        if tuple(map(id, inputs[1:])) in weights]
         assert len(mlp_records) == 15
@@ -535,7 +582,8 @@ class TestChannelSimilarity:
                               labels=base.labels, view_indicator=vi,
                               label_indicator=base.label_indicator)
         params = small_params(ds.view_dims, ds.n_labels)
-        params.shared_encoders[1] = params.shared_encoders[0]
+        for layer in ("hidden.weight", "hidden.bias", "out.weight", "out.bias"):
+            params[f"shared_encoder.1.{layer}"].value[...] = params[f"shared_encoder.0.{layer}"].value
         sim = channel_similarity(params, ds)
 
         cache = forward_all(params, ds, None, training=False)
