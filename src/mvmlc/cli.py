@@ -78,57 +78,36 @@ def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig |
                {"flags": flags, "config": None if config is None else config.to_dict()})
 
 
-def _add_train_config_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
-    defaults = TrainConfig()
-    grp = parser.add_argument_group("training configuration")
-    return [
-        grp.add_argument("--config", type=Path, default=None,
-                         help="JSON file with training-config fields; explicit flags override it"),
-        grp.add_argument("--epochs", type=int, help=f"training epochs (default {defaults.epochs})"),
-        grp.add_argument("--lr", dest="learning_rate", type=float,
-                         help=f"Adam learning rate (default {defaults.learning_rate})"),
-        grp.add_argument("--adam-beta1", dest="adam_beta1", type=float,
-                         help=f"Adam first-moment decay (default {defaults.adam_beta1})"),
-        grp.add_argument("--adam-beta2", dest="adam_beta2", type=float,
-                         help=f"Adam second-moment decay (default {defaults.adam_beta2})"),
-        grp.add_argument("--adam-eps", dest="adam_eps", type=float,
-                         help=f"Adam epsilon (default {defaults.adam_eps})"),
-        grp.add_argument("--alpha", type=float,
-                         help=f"instance-contrast weight (default {defaults.alpha})"),
-        grp.add_argument("--beta", type=float,
-                         help=f"label-contrast weight (default {defaults.beta})"),
-        grp.add_argument("--gamma", type=float,
-                         help=f"reconstruction weight (default {defaults.gamma})"),
-        grp.add_argument("--tau-s", dest="tau_s", type=float,
-                         help=f"instance-contrast temperature (default {defaults.tau_s})"),
-        grp.add_argument("--tau-l", dest="tau_l", type=float,
-                         help=f"label-contrast temperature (default {defaults.tau_l})"),
-        grp.add_argument("--mask-ratio", dest="mask_ratio", type=float,
-                         help=f"masked fraction of each input row (default {defaults.mask_ratio})"),
-        grp.add_argument("--embed-dim", dest="embed_dim", type=int,
-                         help=f"embedding width (default {defaults.embed_dim})"),
-        grp.add_argument("--hidden-dim", dest="hidden_dim", type=int,
-                         help=f"MLP hidden width (default {defaults.hidden_dim})"),
-        grp.add_argument("--batch-size", dest="batch_size", type=int,
-                         help="mini-batch size; 0 = full batch (default 0)"),
-        grp.add_argument("--seed", type=int, help=f"master RNG seed (default {defaults.seed})"),
-        grp.add_argument("--fixed-mask", dest="fixed_mask", action="store_true", default=None,
-                         help="reuse one input mask for all epochs instead of fresh draws"),
-        grp.add_argument("--label-gate", dest="label_gate_mode", choices=("view", "label"),
-                         help=f"denominator gate of the label contrast (default {defaults.label_gate_mode})"),
-    ]
+# The two flags not named after their TrainConfig field.
+FLAG_NAMES = {"learning_rate": "--lr", "label_gate_mode": "--label-gate"}
 
 
-def _add_protocol_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
-    grp = parser.add_argument_group("missingness protocol")
-    return [
-        grp.add_argument("--view-missing", type=float, default=0.0,
-                         help="fraction of view entries to hide across the whole dataset (default 0)"),
-        grp.add_argument("--label-missing", type=float, default=0.0,
-                         help="fraction of training labels to hide (default 0)"),
-        grp.add_argument("--train-frac", type=float, default=None,
-                         help="train fraction for a train/test split (default: no split)"),
+def _add_training_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
+    """Add --manifest, --out, the missingness protocol, --config and one flag
+    per TrainConfig field (dest the field, type and default from it); returns
+    the actions that configure training, in that order."""
+    parser.add_argument("--manifest", type=Path, required=True, help="dataset manifest path")
+    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    protocol = parser.add_argument_group("missingness protocol")
+    config = parser.add_argument_group("training configuration")
+    actions = [
+        protocol.add_argument("--view-missing", type=float, default=0.0,
+                              help="fraction of view entries to hide across the whole dataset (default 0)"),
+        protocol.add_argument("--label-missing", type=float, default=0.0,
+                              help="fraction of training labels to hide (default 0)"),
+        protocol.add_argument("--train-frac", type=float, default=None,
+                              help="train fraction for a train/test split (default: no split)"),
+        config.add_argument("--config", type=Path, default=None,
+                            help="JSON file with training-config fields; explicit flags override it"),
     ]
+    for f in fields(TrainConfig):
+        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        kind = type(f.default)
+        options = ({"action": "store_true", "default": None} if kind is bool
+                   else {"type": kind, "choices": f.metadata["choices"]})
+        actions.append(config.add_argument(flag, dest=f.name, help=f"{f.metadata['help']} "
+                                           f"(default {f.default})", **options))
+    return actions
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
@@ -187,9 +166,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.n < 1 or args.views < 1 or args.labels < 1:
-        raise ConfigError("--n, --views and --labels must all be >= 1")
-    if args.dims:
+    if args.dims is not None:
         parts = _int_list(args.dims, "--dims")
         dims = tuple(parts) if len(parts) > 1 else parts[0]
     else:
@@ -273,6 +250,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if not args.snapshots:
         raise ConfigError("heatmap needs --snapshots (training snapshots) or --checkpoint")
     epochs = tuple(_int_list(args.snapshots, "--snapshots"))
+    if len(set(epochs)) < len(epochs):
+        raise ConfigError(f"--snapshots names an epoch twice: {args.snapshots!r}")
     config, train_data, _ = _training_inputs(args)
     result = train(train_data, config, snapshot_epochs=epochs)
     _write_run_config(args.out, args, config)
@@ -300,15 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_train = sub.add_parser("train", help="train on a dataset manifest")
-    p_train.add_argument("--manifest", type=Path, required=True, help="dataset manifest path")
-    p_train.add_argument("--out", type=Path, required=True, help="output directory")
+    _add_training_flags(p_train)
     p_train.add_argument("--eval-every", type=int, default=0,
                          help="attach test metrics every K epochs; needs --train-frac "
                               "(default off)")
     p_train.add_argument("--log-timing", action="store_true",
                          help="include wall_ms in train_log.csv (breaks byte-identical reruns)")
-    _add_protocol_flags(p_train)
-    _add_train_config_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -318,23 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_ablate = sub.add_parser("ablate", help="run the 8 on/off loss combinations")
-    p_ablate.add_argument("--manifest", type=Path, required=True)
-    p_ablate.add_argument("--out", type=Path, required=True)
-    _add_protocol_flags(p_ablate)
-    _add_train_config_flags(p_ablate)
+    _add_training_flags(p_ablate)
     p_ablate.set_defaults(func=cmd_ablate)
 
     p_heat = sub.add_parser("heatmap", help="export channel-similarity matrices")
-    p_heat.add_argument("--manifest", type=Path, required=True)
-    p_heat.add_argument("--out", type=Path, required=True)
+    training_flags = _add_training_flags(p_heat)
     p_heat.add_argument("--checkpoint", type=Path, default=None,
                         help="export one matrix from this checkpoint instead of training; "
                              "takes no --snapshots, protocol or training flag")
     snapshots = p_heat.add_argument("--snapshots", type=str, default=None,
                                     help="comma list of snapshot epochs, e.g. 0,20,40,60")
     # the flags that configure training, which --checkpoint does not run
-    training_flags = [snapshots, *_add_protocol_flags(p_heat), *_add_train_config_flags(p_heat)]
-    p_heat.set_defaults(func=cmd_heatmap, training_flags=training_flags)
+    p_heat.set_defaults(func=cmd_heatmap, training_flags=[snapshots, *training_flags])
 
     return parser
 

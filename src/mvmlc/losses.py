@@ -244,7 +244,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     if underflowed:
         raise ContractError(f"contrastive loss: the denominators of {underflowed} anchors "
                             f"underflowed at temperature {tau}")
-    valid = denom > 0
+    valid = ~(denom <= 0)  # a NaN denominator is no skip: its term is NaN
     skipped = int(np.count_nonzero((gate > 0) & ~valid))
     effective = gate * valid
     safe = np.where(valid, denom, 1.0)

@@ -53,25 +53,39 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
+# The denominator gates the label contrast can take (``label_gate_mode``).
+LABEL_GATE_MODES = ("view", "label")
+
+
+def _knob(default, help: str, choices: tuple | None = None):
+    """A config field whose metadata holds its command-line help and, for a
+    field of a few named values, their ``choices``."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class TrainConfig:
-    epochs: int = 60
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    alpha: float = 0.01       # instance-contrast weight
-    beta: float = 0.01        # label-contrast weight
-    gamma: float = 0.1        # reconstruction weight
-    tau_s: float = 0.5
-    tau_l: float = 0.5
-    mask_ratio: float = 0.3
-    embed_dim: int = 64
-    hidden_dim: int = 128
-    batch_size: int = 0       # 0 = full batch
-    seed: int = 0
-    fixed_mask: bool = False  # one mask for all epochs instead of fresh draws
-    label_gate_mode: str = "view"  # denominator gate of the label contrast
+    """Every training knob, declared once: the command line builds one flag
+    per field from its default (type and default) and metadata (help)."""
+
+    epochs: int = _knob(60, "training epochs")
+    learning_rate: float = _knob(1e-3, "Adam learning rate")
+    adam_beta1: float = _knob(0.9, "Adam first-moment decay")
+    adam_beta2: float = _knob(0.999, "Adam second-moment decay")
+    adam_eps: float = _knob(1e-8, "Adam epsilon")
+    alpha: float = _knob(0.01, "instance-contrast weight")
+    beta: float = _knob(0.01, "label-contrast weight")
+    gamma: float = _knob(0.1, "reconstruction weight")
+    tau_s: float = _knob(0.5, "instance-contrast temperature")
+    tau_l: float = _knob(0.5, "label-contrast temperature")
+    mask_ratio: float = _knob(0.3, "masked fraction of each input row")
+    embed_dim: int = _knob(64, "embedding width")
+    hidden_dim: int = _knob(128, "MLP hidden width")
+    batch_size: int = _knob(0, "mini-batch size; 0 = full batch")
+    seed: int = _knob(0, "master RNG seed")
+    fixed_mask: bool = _knob(False, "reuse one input mask for all epochs instead of fresh draws")
+    label_gate_mode: str = _knob("view", "denominator gate of the label contrast",
+                                 choices=LABEL_GATE_MODES)
 
     def __post_init__(self) -> None:
         accepted = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
@@ -105,8 +119,9 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.label_gate_mode not in ("view", "label"):
-            raise ConfigError(f"label_gate_mode must be 'view' or 'label', got {self.label_gate_mode!r}")
+        if self.label_gate_mode not in LABEL_GATE_MODES:
+            raise ConfigError(f"label_gate_mode must be {' or '.join(map(repr, LABEL_GATE_MODES))}, "
+                              f"got {self.label_gate_mode!r}")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)

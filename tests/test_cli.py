@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -66,8 +67,9 @@ class TestSynth:
         for name in ("manifest.json", "labels.csv", "view_0.csv", "view_1.csv", "run_config.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_zero_samples_is_usage_error(self, tmp_path):
+    def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         assert main(synth_args(tmp_path / "x", n=0)) == EXIT_USAGE
+        assert "n_samples" in capsys.readouterr().err
 
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         assert main(["synth", "--n", "notanint", "--views", "1", "--labels", "1",
@@ -406,6 +408,14 @@ MALFORMED_INPUTS = [
      lambda data, tmp: ["heatmap", "--manifest", str(data / "manifest.json"),
                         "--out", str(tmp / "h"), "--snapshots", "0,x"],
      EXIT_USAGE, "--snapshots"),
+    ("synth dims empty",
+     lambda data, tmp: ["synth", "--n", "5", "--views", "2", "--labels", "2",
+                        "--dims", "", "--out", str(tmp / "s")],
+     EXIT_USAGE, "--dims"),
+    ("heatmap snapshot epoch repeated",
+     lambda data, tmp: ["heatmap", "--manifest", str(data / "manifest.json"),
+                        "--out", str(tmp / "h"), "--snapshots", "2,0,2", "--epochs", "2"],
+     EXIT_USAGE, "--snapshots"),
     ("config value of the wrong type",
      lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
                         "--out", str(tmp / "run"), "--config", _config_file(tmp, {"epochs": "5"})],
@@ -603,6 +613,23 @@ def test_every_config_field_is_set_by_its_flag(tmp_path, subcommand, name):
     args = build_parser().parse_args([subcommand, "--manifest", str(tmp_path / "manifest.json"),
                                       "--out", str(tmp_path / "out"), *words])
     assert build_train_config(args) == TrainConfig(**{name: value})
+
+
+@pytest.mark.parametrize("subcommand", ["train", "ablate", "heatmap"])
+def test_help_shows_every_config_flag_with_its_help_and_default(monkeypatch, capsys, subcommand):
+    monkeypatch.setenv("COLUMNS", "400")  # one line per flag: no help text is wrapped
+    assert main([subcommand, "--help"]) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    for f in fields(TrainConfig):
+        flag = CONFIG_FLAGS[f.name][0][0]
+        shown = re.escape(f"{f.metadata['help']} (default {f.default})")
+        assert re.search(rf" {re.escape(flag)}( \S+)? {shown}", text), flag
+
+
+def test_label_gate_outside_its_choices_is_a_usage_error(tmp_path, capsys):
+    assert main(train_args(tmp_path / "manifest.json", tmp_path / "run", label_gate="bogus")) \
+        == EXIT_USAGE
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Every module of the package uses what it imports and the private
-helpers it defines, and every class it defines is named somewhere, so a
-deletion leaves nothing unreferenced behind."""
+helpers it defines, every class it defines is named somewhere, and every
+public name is used outside its definition, so a deletion leaves nothing
+unreferenced behind."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,12 @@ import pytest
 import mvmlc
 
 MODULES = sorted(p for p in Path(mvmlc.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _names(node) -> set[str]:
+    """Every name and attribute name under ``node``."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -37,6 +44,31 @@ def test_every_class_is_named_elsewhere():
     defined = [node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)]
     assert [name for name in defined if name not in named] == [], "classes nothing names"
+
+
+def test_every_public_name_is_named_elsewhere():
+    # A public function, class or constant that no other statement of the
+    # package, its tests or its benchmark names is dead code; the re-export
+    # in __init__.py does not count as a use.
+    root = Path(__file__).parents[1]
+    files = [*MODULES, *sorted((root / "tests").glob("*.py")), *sorted((root / "bench").glob("*.py"))]
+    statements = [(path, i, stmt) for path in files
+                  for i, stmt in enumerate(ast.parse(path.read_text(), filename=str(path)).body)]
+    uses = [(path, i, _names(stmt)) for path, i, stmt in statements]
+    unreferenced = []
+    for path, i, stmt in statements:
+        if path not in MODULES:
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unreferenced += [f"{path.stem}.{name}" for name in defined if not name.startswith("_")
+                         and not any(name in names for p, j, names in uses if (p, j) != (path, i))]
+    assert unreferenced == [], "public names nothing else names"
 
 
 def test_finds_every_module():

@@ -525,7 +525,7 @@ class TestTemperatureFloor:
         feats[0].value[3, 0] = np.nan
         with np.errstate(invalid="ignore"):
             res = losses._masked_infonce(feats, outer, denom, 1e-16)
-        assert math.isnan(res.loss.item()) and res.skipped > 0
+        assert math.isnan(res.loss.item()) and res.skipped == 0
 
 
 class TestFullAvailabilityReduction:

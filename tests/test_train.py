@@ -314,6 +314,14 @@ class TestTrainLoop:
         with pytest.raises(ContractError, match="loss component"):
             train(ds, small_config(epochs=30, learning_rate=1e150))
 
+    def test_divergence_is_not_logged_as_skipped_anchors(self, caplog):
+        # Overflowed features give NaN contrastive denominators: every anchor
+        # still had keys, so none may be reported as having no comparison.
+        ds = synth_dataset(40, 2, 3, dims=(6, 6), noise=0.1, seed=0)
+        with pytest.raises(ContractError, match="^epoch 2: loss component 'loss_recon' is not finite$"):
+            train(ds, small_config(learning_rate=1e100))
+        assert not [r for r in caplog.records if "no available comparison" in r.getMessage()]
+
     def test_update_overflow_aborts_naming_parameter(self):
         with pytest.raises(ContractError, match=r"^epoch 1: the Adam update overflows at "
                                                 r"'private_encoder\.0\.hidden\.weight'; lower"):
