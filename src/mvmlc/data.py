@@ -40,14 +40,24 @@ def _check_binary(arr: Array, what: str) -> None:
         raise ValidationError(f"{what}: entry at row {i}, col {j} is {arr[i, j]}, expected 0 or 1")
 
 
+def _subset_rows(rows) -> Array:
+    """``rows`` as a row index array.  Only integers are taken: cast to
+    integers, a boolean mask or float rows name other rows than meant."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
+        raise ValidationError(f"subset rows must be a non-empty 1-D integer index array, "
+                              f"got {rows.dtype} of shape {rows.shape}")
+    return rows
+
+
 @dataclass
 class MultiViewDataset:
     """Per-view features plus labels and availability indicators.
 
-    Invariants enforced at construction: all views share the sample count
-    and hold only finite values, the view indicator covers every sample
-    with at least one view, rows of unavailable views are all zeros, and
-    unknown labels are stored as 0.
+    Invariants enforced at construction: there is at least one sample, all
+    views share the sample count and hold only finite values, the view
+    indicator covers every sample with at least one view, rows of
+    unavailable views are all zeros, and unknown labels are stored as 0.
     """
 
     views: list[Array]
@@ -73,6 +83,8 @@ class MultiViewDataset:
         if self.label_indicator.shape != self.labels.shape:
             raise ValidationError(
                 f"label indicator shape {self.label_indicator.shape} != {self.labels.shape}")
+        if n == 0:
+            raise ValidationError("dataset needs at least one sample")
         # Indicators first, so a NaN apply_indicators multiplied in is blamed on them.
         _check_binary(self.view_indicator, "view indicator")
         _check_binary(self.label_indicator, "label indicator")
@@ -113,9 +125,7 @@ class MultiViewDataset:
         """The dataset of the given rows, not validated again: every check
         of ``__post_init__`` holds row by row, so rows of a valid dataset
         pass it."""
-        rows = np.asarray(rows, dtype=int)
-        if rows.ndim != 1:
-            raise ValidationError(f"subset rows must be a 1-D index array, got shape {rows.shape}")
+        rows = _subset_rows(rows)
         part = copy.copy(self)
         part.views = [v[rows] for v in self.views]
         part.labels = self.labels[rows]
@@ -153,7 +163,7 @@ class MaskBank:
         return cls(masks=masks)
 
     def subset(self, rows: Array) -> "MaskBank":
-        rows = np.asarray(rows, dtype=int)
+        rows = _subset_rows(rows)
         return MaskBank(masks=[m[rows] for m in self.masks])
 
 

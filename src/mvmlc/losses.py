@@ -40,13 +40,14 @@ or below by construction is skipped: its only gated key is itself, its own
 denominator gate is off, or its row is zero.  One whose other keys all
 underflow ``exp`` raises ``ContractError`` instead of being skipped; at
 ``train.TAU_MIN`` (2e-3), the smallest temperature training accepts, no
-exponential underflows.  Below it the backward can still overflow at a
-subnormal denominator.  Both contrastive terms run as
-one taped primitive over the live rows of all views, those a gate admits
-as anchor or key, stacked into one matrix.  No other row's similarity can
-reach the loss, so dropping them is exact, and with half of all
-sample-view cells missing the similarity work falls about fourfold.  The
-stacked rows' similarities are symmetric, so only the square
+exponential underflows.  Below it the backward can overflow while the
+loss is still finite (an antipodal pair at tau = 1.4e-3, its denominators
+near e^-705), and then raises ``ContractError``.  Both contrastive terms
+run as one taped primitive over the live rows of all views, those a gate
+admits as anchor or key, stacked into one matrix.  No other row's
+similarity can reach the loss, so dropping them is exact, and with half of
+all sample-view cells missing the similarity work falls about fourfold.
+The stacked rows' similarities are symmetric, so only the square
 ``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal are formed,
 one at a time, in forward and again in backward: memory grows with
 TILE_ROWS^2 per tile, not with N^2.
@@ -112,8 +113,10 @@ class ContrastiveResult(NamedTuple):
 TILE_ROWS = 256
 
 
-def _unit_rows(x: Array) -> tuple[Array, Array]:
-    """Rows scaled to unit L2 norm, and the per-row scale (N x 1) used.
+def unit_rows(x: Array) -> tuple[Array, Array]:
+    """Rows scaled to unit L2 norm, and the per-row scale (N x 1) used: the
+    normalization of the contrastive loss and of
+    :func:`mvmlc.train.channel_similarity`.
 
     An all-zero row has no direction: it stays zero with scale 0, so its
     similarity to anything is the neutral 0.5 and its gradient is zero.
@@ -123,35 +126,27 @@ def _unit_rows(x: Array) -> tuple[Array, Array]:
     return x * inv, inv
 
 
-def _exponent_rows(units: Array, inv_tau: float) -> tuple[Array, Array]:
-    """Key rows ``[u, 1]`` of unit rows u, and the scale ``[s, ..., s, -s]``,
-    s = 0.5/tau, that makes a key row the anchor row ``[s u, -s]``.  The
-    product of anchor row i and key row j is s (u_i . u_j - 1) =
-    (sim01 - 1)/tau, sim01 = (u_i . u_j + 1)/2 the [0, 1]-mapped cosine, so
-    one product yields a block's exponents."""
-    s = 0.5 * inv_tau
-    keys = np.hstack([units, np.ones((units.shape[0], 1))])
-    return keys, np.append(np.full(units.shape[1], s), -s)
-
-
 def _exp_block(anchors: Array, keys: Array) -> Array:
     """exp((sim01 - 1) / tau) for every pair of anchor and key rows of
-    :func:`_exponent_rows`: one product, exponentiated in place."""
+    :func:`_tiles`: one product, exponentiated in place."""
     block = anchors @ keys.T
     return np.exp(block, out=block)
 
 
-def _tiles(keys: Array, anchor_scale: Array):
-    """Square tiles ``(rows, cols, block)``, ``block`` the :func:`_exp_block`
-    of key rows ``rows`` against key rows ``cols``, that cover the upper
-    triangle of the symmetric matrix over all pairs of ``keys`` rows once:
-    diagonal tiles whole, and the tiles above them.  Row bands come in
-    order, each starting with its diagonal tile; each band's anchor rows
-    are formed once."""
-    n = keys.shape[0]
+def _tiles(units: Array, s: float):
+    """Square tiles ``(rows, cols, block)`` that cover the upper triangle of
+    the symmetric matrix over all pairs of ``units`` rows once: diagonal
+    tiles whole and the tiles above them, in row bands, each band starting
+    with its diagonal tile.  ``block`` is the :func:`_exp_block` of the
+    band's anchor rows ``[s u, -s]``, formed once per band, and the key rows
+    ``[u, 1]``: their product is s (u_i . u_j - 1) = (sim01 - 1)/tau for
+    s = 0.5/tau, sim01 = (u_i . u_j + 1)/2 the [0, 1]-mapped cosine."""
+    n = units.shape[0]
+    keys = np.hstack([units, np.ones((n, 1))])
     for lo in range(0, n, TILE_ROWS):
         rows = slice(lo, min(lo + TILE_ROWS, n))
-        anchors = keys[rows] * anchor_scale
+        anchors = keys[rows] * s
+        anchors[:, -1] = -s
         for col in range(lo, n, TILE_ROWS):
             cols = slice(col, min(col + TILE_ROWS, n))
             yield rows, cols, _exp_block(anchors, keys[cols])
@@ -198,12 +193,8 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     inv_tau = 1.0 / tau
     live = (outer_gate != 0) | (denom_gate != 0)
     view_of, row_of = np.nonzero(live.T)  # the stacked live rows, in view order
-    units, inv_norms = _unit_rows(np.concatenate([f.value[live[:, k]] for k, f in enumerate(feats)]))
+    units, inv_norms = unit_rows(np.concatenate([f.value[live[:, k]] for k, f in enumerate(feats)]))
     n_live, d = units.shape
-    # Only the key rows are held; the unit rows are their first d columns,
-    # and each row band's anchor rows are formed from them.
-    keys, anchor_scale = _exponent_rows(units, inv_tau)
-    units = keys[:, :d]
     s = 0.5 * inv_tau
     gates = np.zeros((n_live, n_views))
     gates[np.arange(n_live), view_of] = denom_gate[row_of, view_of]
@@ -214,7 +205,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     self_pair = np.where(inv_norms[:, 0] > 0, 0.0, np.exp((0.5 - 1.0) * inv_tau) - 1.0)
 
     live_sums = np.zeros((n_live, n_views))
-    for rows, cols, block in _tiles(keys, anchor_scale):
+    for rows, cols, block in _tiles(units, s):
         if rows == cols:
             np.fill_diagonal(block, self_pair[rows])
         else:
@@ -254,36 +245,38 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         logger.warning("contrastive loss: %d anchors had no available comparison", skipped)
 
     def vjp(g: Array) -> tuple[Array, ...]:
-        # The loss is -0.5/n times the weighted sum over pairs of
-        # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
-        # adjoints of the positive cosines and of the row sums.
-        weight = effective * (-0.5 / n * g[0, 0])
-        d_pos = weight * s
-        d_units = (d_pos + d_pos.transpose(0, 2, 1)) @ sample_units
-        d_sums = -weight / safe
-        diag = np.arange(n_views)
-        d_sums[:, diag, diag] = d_sums.sum(axis=2)
-        # With E the exponentials and D the row sums' adjoints on the stacked
-        # rows, d loss / d E is D gates^T, and E symmetric folds in its
-        # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
-        # E * s is dE / d cosine; s goes into D.  The diagonal, the
-        # self-pair, is a constant in the forward, so it is zeroed here.
-        d_live = d_sums[row_of, view_of] * s
-        left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
-        du = d_units[row_of, view_of]
-        for rows, cols, w in _tiles(keys, anchor_scale):
-            w *= left[rows] @ right[cols].T
-            if rows == cols:
-                np.fill_diagonal(w, 0.0)
-            else:
-                du[cols] += w.T @ units[rows]
-            du[rows] += w @ units[cols]
-        # Through the normalization: remove the radial part, divide by the
-        # norm; then back from the stacked rows to each view's N rows.
-        du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms
-        grads = np.zeros((n_views, n, d))
-        grads[view_of, row_of] = du
-        return tuple(grads)
+        # Below TAU_MIN this can overflow where the loss is finite: refuse it.
+        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}"):
+            # The loss is -0.5/n times the weighted sum over pairs of
+            # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
+            # adjoints of the positive cosines and of the row sums.
+            weight = effective * (-0.5 / n * g[0, 0])
+            d_pos = weight * s
+            d_units = (d_pos + d_pos.transpose(0, 2, 1)) @ sample_units
+            d_sums = -weight / safe
+            diag = np.arange(n_views)
+            d_sums[:, diag, diag] = d_sums.sum(axis=2)
+            # With E the exponentials and D the row sums' adjoints on the stacked
+            # rows, d loss / d E is D gates^T, and E symmetric folds in its
+            # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
+            # E * s is dE / d cosine; s goes into D.  The diagonal, the
+            # self-pair, is a constant in the forward, so it is zeroed here.
+            d_live = d_sums[row_of, view_of] * s
+            left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
+            du = d_units[row_of, view_of]
+            for rows, cols, w in _tiles(units, s):
+                w *= left[rows] @ right[cols].T
+                if rows == cols:
+                    np.fill_diagonal(w, 0.0)
+                else:
+                    du[cols] += w.T @ units[rows]
+                du[rows] += w @ units[cols]
+            # Through the normalization: remove the radial part, divide by the
+            # norm; then back from the stacked rows to each view's N rows.
+            du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms
+            grads = np.zeros((n_views, n, d))
+            grads[view_of, row_of] = du
+            return tuple(grads)
 
     return ContrastiveResult(nm.emit(np.array([[total]]), tuple(feats), vjp), skipped)
 

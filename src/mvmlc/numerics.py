@@ -37,18 +37,14 @@ Array = np.ndarray
 _ACTIVE_TAPE: ContextVar["Tape | None"] = ContextVar("mvmlc_active_tape", default=None)
 
 
-class Tape:
-    """Execution-ordered record of primitive applications.
+class Tape(list):
+    """Execution-ordered list of primitive applications, each an
+    ``(output, inputs, vjp)`` record; entering it makes it the active tape.
 
     Records are appended as primitives execute, so every record's operands
     precede it; one reversed sweep therefore propagates adjoints visiting
     each record exactly once.
     """
-
-    def __init__(self) -> None:
-        self._records: list[
-            tuple["Matrix", tuple["Matrix", ...], Callable[[Array], tuple[Array | None, ...]]]
-        ] = []
 
     def __enter__(self) -> "Tape":
         self._token = _ACTIVE_TAPE.set(self)
@@ -56,17 +52,6 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         _ACTIVE_TAPE.reset(self._token)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def record(
-        self,
-        out: "Matrix",
-        inputs: tuple["Matrix", ...],
-        vjp: Callable[[Array], tuple[Array | None, ...]],
-    ) -> None:
-        self._records.append((out, inputs, vjp))
 
 
 class Matrix:
@@ -135,7 +120,7 @@ def emit(value: Array, inputs: tuple[Matrix, ...],
     out = Matrix(value)
     tape = _ACTIVE_TAPE.get()
     if tape is not None:
-        tape.record(out, inputs, vjp)
+        tape.append((out, inputs, vjp))
     return out
 
 
@@ -296,7 +281,7 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
     if len(slots) != len(params):
         raise ContractError("backward: a parameter is listed twice")
     adjoint: dict[int, Array] = {id(loss): np.ones((1, 1))}
-    for node, inputs, vjp in reversed(tape._records):
+    for node, inputs, vjp in reversed(tape):
         grad_out = adjoint.pop(id(node), None)
         if grad_out is None:
             continue

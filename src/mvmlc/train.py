@@ -381,7 +381,7 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     with refuse_overflow("channel similarity"):
         means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
                  for feats in (cache.shared, cache.private) for f in feats]
-        unit, _ = ls._unit_rows(np.array(means))
+        unit, _ = ls.unit_rows(np.array(means))
     sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     return sim

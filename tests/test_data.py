@@ -259,6 +259,9 @@ MALFORMED = {
     "data in a missing row": (dict(views=[np.array([[1.0, 2.0], [0.0, 5.0]]), np.array([[3.0], [4.0]])]),
                               "view 0 has nonzero data"),
     "unknown label set": (dict(labels=np.array([[1.0, 0.0], [0.0, 1.0]])), "label is unknown"),
+    "no sample": (dict(views=[np.zeros((0, 2)), np.zeros((0, 1))], labels=np.zeros((0, 2)),
+                       view_indicator=np.zeros((0, 2)), label_indicator=np.zeros((0, 2))),
+                  "at least one sample"),
 }
 
 
@@ -293,9 +296,17 @@ class TestSubset:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert ds.subset(rows).labels is not ds.labels
 
-    def test_rows_must_be_one_dimensional(self):
+    @pytest.mark.parametrize("rows", [np.array(2), np.array([[0, 1]]),
+                                      np.array([True, False, True, False, True, False]),
+                                      np.array([0.7, 1.2]), np.array([], dtype=int)],
+                             ids=["0-D", "2-D", "boolean", "float", "empty"])
+    @pytest.mark.parametrize("of", ["dataset", "mask bank"])
+    def test_rows_must_be_a_non_empty_one_dimensional_integer_array(self, rows, of):
+        # A boolean mask or float rows would index other rows than meant.
+        ds = tiny_dataset(n=6)
+        whole = ds if of == "dataset" else MaskBank.generate(6, ds.view_dims, 0.5, seed=0)
         with pytest.raises(ValidationError, match="1-D"):
-            tiny_dataset().subset(np.array(2))
+            whole.subset(rows)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_construction_still_rejects(self, case):

@@ -1,9 +1,11 @@
 """Every module of the package uses what it imports and the private
 helpers it defines, every class it defines is named somewhere, and every
 public name is used outside its definition, so a deletion leaves nothing
-unreferenced behind."""
+unreferenced behind; no module reads another module's private names."""
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,16 @@ def test_every_public_name_is_named_elsewhere():
 def test_finds_every_module():
     assert {p.stem for p in MODULES} >= {"cli", "data", "losses", "metrics", "model",
                                          "numerics", "train"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_reads_another_modules_private_name(path):
+    # A helper another module needs is part of its interface: it is public.
+    module = importlib.import_module(f"mvmlc.{path.stem}")
+    modules = {name for name, value in vars(module).items() if isinstance(value, types.ModuleType)}
+    reads = [f"{node.value.id}.{node.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules
+             and node.attr.startswith("_") and not node.attr.startswith("__")]
+    assert reads == [], "private names read from other modules"

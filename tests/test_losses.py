@@ -30,31 +30,34 @@ def rand_feats(rng, n, v, d):
 
 class TestCosineSim01:
     """The [0,1]-mapped cosine of the contrastive blocks: unit rows from
-    ``_unit_rows``, their exponent rows from ``_exponent_rows``, then
-    exp((sim01 - 1) / tau) from ``_exp_block``."""
+    ``unit_rows``, then exp((sim01 - 1) / tau) from the one tile ``_tiles``
+    forms over fewer than ``TILE_ROWS`` rows."""
 
     @staticmethod
-    def sim01(a, b):
-        unit, _ = losses._unit_rows(np.array([a, b], dtype=np.float64))
-        keys, anchor_scale = losses._exponent_rows(unit, 1.0)
-        return 1.0 + math.log(losses._exp_block(keys[:1] * anchor_scale, keys[1:])[0, 0])
+    def only_tile(unit, tau):
+        (rows, cols, block), = losses._tiles(unit, 0.5 / tau)
+        assert rows == cols == slice(0, len(unit))
+        return block
+
+    @classmethod
+    def sim01(cls, a, b):
+        unit, _ = losses.unit_rows(np.array([a, b], dtype=np.float64))
+        return 1.0 + math.log(cls.only_tile(unit, 1.0)[0, 1])
 
     @pytest.mark.parametrize("tau", [1.0, 0.5, 0.05])
     def test_block_matches_the_four_pass_form(self, tau):
         # The shift by -1/tau happens inside the product; the former form
         # mapped the cosine to [0, 1], shifted and scaled it in four passes.
         rng = np.random.default_rng(17)
-        unit, _ = losses._unit_rows(rng.normal(size=(40, 6)))
+        unit, _ = losses.unit_rows(rng.normal(size=(40, 6)))
         unit[3] = 0.0  # a zero row: every exponent is exactly -0.5/tau
-        want = unit[:15] @ unit.T
+        want = unit @ unit.T
         want += 1.0
         want *= 0.5
         want -= 1.0
         want *= 1.0 / tau
         np.exp(want, out=want)
-        keys, anchor_scale = losses._exponent_rows(unit, 1.0 / tau)
-        np.testing.assert_allclose(losses._exp_block(keys[:15] * anchor_scale, keys), want,
-                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(self.only_tile(unit, tau), want, rtol=1e-14, atol=0)
 
     def test_identical_vectors(self):
         assert self.sim01([1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
@@ -352,7 +355,7 @@ class TestFusedContrastive:
         monkeypatch.setattr(losses, "TILE_ROWS", 4)
         covered = np.zeros((n, n), dtype=int)
         band = None
-        for rows, cols, block in losses._tiles(np.zeros((n, 1)), np.ones(1)):
+        for rows, cols, block in losses._tiles(np.zeros((n, 1)), 1.0):
             if rows != band:  # each row band starts with its diagonal tile
                 assert cols == rows and (band is None or band.stop == rows.start)
                 band = rows
@@ -456,7 +459,8 @@ class TestSmallTemperature:
 class TestTemperatureFloor:
     """At ``TAU_MIN`` every exponent is at least -500: no exponential
     underflows and the backward has headroom.  Below it the library refuses
-    a denominator that underflowed, where the exact one is positive."""
+    a denominator that underflowed, where the exact one is positive, and a
+    backward that overflows."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_antipodal_key_at_the_floor_is_finite(self, seed):
@@ -469,6 +473,24 @@ class TestTemperatureFloor:
                                             np.ones((1, 2)), TAU_MIN)
         assert res.skipped == 0 and math.isfinite(res.loss.item())
         assert all(np.isfinite(g).all() for g in grads)
+
+    @pytest.mark.parametrize("tau,refused", [(1.45e-3, False), (1.42e-3, True),
+                                             (1.41e-3, True), (1.40e-3, True)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_antipodal_gradient_overflow_below_the_floor_is_refused(self, seed, tau, refused):
+        # The loss is still finite here and the denominators are normal
+        # doubles (~e^-705), but the backward overflows: an error, never a
+        # warning or an infinite gradient.
+        u = np.random.default_rng(seed).normal(size=(1, 3))
+        feats = [Matrix(u), Matrix(-u)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(ContractError, match=f"contrastive gradient at temperature {tau}:"):
+                    infonce_with_grads(feats, np.ones((1, 2)), np.ones((1, 2)), tau)
+                return
+            res, grads = infonce_with_grads(feats, np.ones((1, 2)), np.ones((1, 2)), tau)
+        assert math.isfinite(res.loss.item()) and all(np.isfinite(g).all() for g in grads)
 
     @staticmethod
     def _random(n=200, v=3, d=16, missing=0.4, seed=7):

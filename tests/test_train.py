@@ -511,7 +511,7 @@ class TestTapeLength:
         weights = {tuple(id(params[f"{prefix}.{layer}"]) for layer in
                          ("hidden.weight", "hidden.bias", "out.weight", "out.bias"))
                    for prefix in prefixes}
-        mlp_records = [inputs for _, inputs, _ in tape._records
+        mlp_records = [inputs for _, inputs, _ in tape
                        if tuple(map(id, inputs[1:])) in weights]
         assert len(mlp_records) == 15
         assert len(tape) == 44
