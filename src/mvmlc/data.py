@@ -40,13 +40,17 @@ def _check_binary(arr: Array, what: str) -> None:
         raise ValidationError(f"{what}: entry at row {i}, col {j} is {arr[i, j]}, expected 0 or 1")
 
 
-def _subset_rows(rows) -> Array:
-    """``rows`` as a row index array.  Only integers are taken: cast to
-    integers, a boolean mask or float rows name other rows than meant."""
+def _subset_rows(rows, n: int) -> Array:
+    """``rows`` as an index array into ``n`` rows.  Only integers in
+    [0, n) are taken: cast to integers, a boolean mask or float rows name
+    other rows than meant, and numpy reads a negative row from the end."""
     rows = np.asarray(rows)
     if rows.ndim != 1 or rows.size == 0 or rows.dtype.kind not in "iu":
         raise ValidationError(f"subset rows must be a non-empty 1-D integer index array, "
                               f"got {rows.dtype} of shape {rows.shape}")
+    for row in (rows.min(), rows.max()):
+        if not 0 <= row < n:
+            raise ValidationError(f"subset row {row} is outside [0, {n})")
     return rows
 
 
@@ -125,7 +129,7 @@ class MultiViewDataset:
         """The dataset of the given rows, not validated again: every check
         of ``__post_init__`` holds row by row, so rows of a valid dataset
         pass it."""
-        rows = _subset_rows(rows)
+        rows = _subset_rows(rows, self.n_samples)
         part = copy.copy(self)
         part.views = [v[rows] for v in self.views]
         part.labels = self.labels[rows]
@@ -163,7 +167,7 @@ class MaskBank:
         return cls(masks=masks)
 
     def subset(self, rows: Array) -> "MaskBank":
-        rows = _subset_rows(rows)
+        rows = _subset_rows(rows, min(map(len, self.masks), default=0))
         return MaskBank(masks=[m[rows] for m in self.masks])
 
 

@@ -39,7 +39,7 @@ log-sum-exp evaluation to a few ulps.  An anchor whose denominator is 0
 or below by construction is skipped: its only gated key is itself, its own
 denominator gate is off, or its row is zero.  One whose other keys all
 underflow ``exp`` raises ``ContractError`` instead of being skipped; at
-``train.TAU_MIN`` (2e-3), the smallest temperature training accepts, no
+``TAU_MIN`` (2e-3), the smallest temperature training accepts, no
 exponential underflows.  Below it the backward can overflow while the
 loss is still finite (an antipodal pair at tau = 1.4e-3, its denominators
 near e^-705), and then raises ``ContractError``.  Both contrastive terms
@@ -70,6 +70,11 @@ logger = logging.getLogger(__name__)
 Array = np.ndarray
 
 PROB_CLIP = 1e-12
+
+# The smallest temperature: every contrastive exponent is at least -1/tau =
+# -500, so each exponential stays a normal double (e^-500 ~ 7e-218) and the
+# backward keeps about e^200 of headroom before it overflows.
+TAU_MIN = 2e-3
 
 
 def reconstruction_loss(recon: list[Matrix], masked_views: list[Matrix], view_indicator: Array) -> Matrix:
@@ -246,7 +251,9 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
 
     def vjp(g: Array) -> tuple[Array, ...]:
         # Below TAU_MIN this can overflow where the loss is finite: refuse it.
-        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}"):
+        cause = (f"the temperature is below TAU_MIN = {TAU_MIN}" if tau < TAU_MIN
+                 else "the parameters are out of range")
+        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}", cause):
             # The loss is -0.5/n times the weighted sum over pairs of
             # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
             # adjoints of the positive cosines and of the row sums.

@@ -22,6 +22,7 @@ projection heads, which feed only those losses, do not run.
 
 from __future__ import annotations
 
+import base64
 import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -267,7 +268,7 @@ def forward_all(
     )
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(
@@ -278,12 +279,11 @@ def save_checkpoint(
     epoch: int,
     config: dict | None = None,
 ) -> None:
-    """Serialize each parameter's slice of the vector, with its shape, as JSON.
-
-    Floats are written with shortest round-trip repr, so identical
-    parameters produce byte-identical files.
+    """Serialize the architecture, ``seed``, ``epoch`` and ``config`` as
+    JSON, with the parameter vector as one ``"vector"`` string: the base64
+    of its little-endian float64 bytes.  Every bit is kept, so identical
+    parameters give byte-identical files, and so does a load then a save.
     """
-    values = params.vector.tolist()
     doc = {
         "version": CHECKPOINT_VERSION,
         "view_dims": list(params.view_dims),
@@ -293,22 +293,21 @@ def save_checkpoint(
         "seed": seed,
         "epoch": epoch,
         "config": config or {},
-        "parameters": {
-            name: {"shape": list(p.shape), "values": values[part]}
-            for (name, p), (_, part) in zip(params.named_parameters(), params.named_slices())
-        },
+        "vector": base64.b64encode(params.vector.astype("<f8", copy=False).tobytes()).decode(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     """Rebuild ModelParams from a checkpoint, with its ``seed``, ``epoch``
-    and ``config``; shape mismatches are rejected.
+    and ``config``.
 
-    Every stored matrix is checked against :func:`parameter_layout` before
-    the parameter vector is allocated; the matrices then fill their slices.
+    The widths, ``seed`` and ``epoch`` must be integers, and ``"vector"``
+    strict base64 of exactly the values :func:`parameter_layout` names and
+    shapes, all checked before the parameter vector is allocated; a
+    non-finite value is refused naming its parameter.  Each refusal is a
+    :class:`ValidationError` naming the checkpoint.
     """
     doc = read_json_object(path, "checkpoint")
     version = doc.get("version")
@@ -325,7 +324,6 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
             raise ValidationError(f"checkpoint {path}: malformed field {field}, expected a "
                                   f"positive integer, got {value!r}")
     try:
-        stored = doc["parameters"]
         meta = {k: doc[k] for k in ("seed", "epoch", "config")}
     except KeyError as exc:
         raise ValidationError(f"checkpoint {path}: missing field {exc}") from None
@@ -333,23 +331,18 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
         if isinstance(meta[field], bool) or not isinstance(meta[field], int):
             raise ValidationError(f"checkpoint {path}: {field} must be an integer, "
                                   f"got {meta[field]!r}")
+    try:
+        raw = base64.b64decode(doc.get("vector"), validate=True)
+    except (TypeError, ValueError) as exc:  # missing, not a str, or not strict base64
+        raise ValidationError(f"checkpoint {path}: vector is not a base64 string ({exc})") from None
     architecture = (tuple(view_dims), doc["n_labels"], doc["embed_dim"], doc["hidden_dim"])
-    layout = parameter_layout(*architecture)
-    if not isinstance(stored, dict) or set(stored) != {name for name, _ in layout}:
-        raise ValidationError(f"checkpoint {path}: parameter set does not match architecture")
-    parts = []
-    for name, expected in layout:
-        try:
-            shape = tuple(stored[name]["shape"])
-            values = np.asarray(stored[name]["values"], dtype=np.float64).reshape(shape)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"checkpoint {path}: {name} is malformed ({exc!r})") from None
-        if shape != expected:
-            raise ValidationError(
-                f"checkpoint {path}: {name} has shape {shape}, expected {expected}")
-        if not np.isfinite(values).all():
-            raise ValidationError(f"checkpoint {path}: {name} has non-finite values")
-        parts.append(values)
+    size = sum(rows * cols for _, (rows, cols) in parameter_layout(*architecture))
+    if len(raw) != 8 * size:
+        raise ValidationError(f"checkpoint {path}: vector holds {len(raw)} bytes, the "
+                              f"architecture needs {size} float64 values ({8 * size} bytes)")
     params = ModelParams.allocate(*architecture)
-    np.concatenate(parts, axis=None, out=params.vector)
+    params.vector[:] = np.frombuffer(raw, dtype="<f8")
+    for name, part in params.named_slices():
+        if not np.isfinite(params.vector[part]).all():
+            raise ValidationError(f"checkpoint {path}: {name} has non-finite values")
     return params, meta

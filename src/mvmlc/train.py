@@ -32,18 +32,12 @@ import numpy as np
 from . import losses as ls
 from .data import MaskBank, MultiViewDataset, csv_text
 from .errors import ConfigError, ContractError
-from .losses import COMPONENTS, LossBreakdown, label_availability_gate, total_loss
+from .losses import COMPONENTS, TAU_MIN, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
 from .model import ModelParams, forward_all
 from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
-
-
-# The smallest temperature: every contrastive exponent is at least -1/tau =
-# -500, so each exponential stays a normal double (e^-500 ~ 7e-218) and the
-# backward keeps about e^200 of headroom before it overflows.
-TAU_MIN = 2e-3
 
 
 def _finite(value: numbers.Real) -> bool:

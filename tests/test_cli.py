@@ -1,9 +1,11 @@
 import argparse
+import base64
 import contextlib
 import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -308,14 +310,22 @@ def _edit_json(path, edit):
     path.write_text(json.dumps(doc))
 
 
-def _malformed_checkpoint(drop_from):
-    """Train a checkpoint, then corrupt the first hidden weight's entry."""
+def _malformed_checkpoint(edit):
+    """Train a checkpoint, then apply ``edit`` to its JSON document."""
     def setup(data, tmp):
         main(train_args(data / "manifest.json", tmp / "run"))
         ckpt = tmp / "run" / "checkpoint.json"
-        _edit_json(ckpt, lambda d: drop_from(d["parameters"]["shared_encoder.0.hidden.weight"]))
+        _edit_json(ckpt, edit)
         return ["eval", "--checkpoint", str(ckpt), "--manifest", str(data / "manifest.json")]
     return setup
+
+
+def _vector_bytes(edit):
+    """A checkpoint edit that rewrites the parameter vector's float64 bytes.
+    The first 8 are the first value of shared_encoder.0.hidden.weight."""
+    def apply(doc):
+        doc["vector"] = base64.b64encode(edit(base64.b64decode(doc["vector"]))).decode()
+    return apply
 
 
 def _checkpoint_meta(field, value, command):
@@ -424,21 +434,26 @@ MALFORMED_INPUTS = [
      lambda data, tmp: ["train", "--manifest", str(data / "manifest.json"),
                         "--out", str(tmp / "run"), "--config", _config_file(tmp, {"seed": True})],
      EXIT_USAGE, "seed"),
-    ("checkpoint values shorter than shape",
-     _malformed_checkpoint(lambda p: p["values"].pop()),
-     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
-    ("checkpoint parameter without shape",
-     _malformed_checkpoint(lambda p: p.pop("shape")),
-     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
+    ("checkpoint vector one value short",
+     _malformed_checkpoint(_vector_bytes(lambda raw: raw[:-8])),
+     EXIT_VALIDATION, "checkpoint.json: vector holds "),
+    ("checkpoint without vector",
+     _malformed_checkpoint(lambda d: d.pop("vector")),
+     EXIT_VALIDATION, "checkpoint.json: vector is not a base64 string"),
     ("checkpoint not a JSON object", _checkpoint_text("[1, 2]"), EXIT_VALIDATION, "checkpoint"),
-    ("checkpoint parameters not an object",
-     _checkpoint_text('{"version": 1, "view_dims": [5, 6], "n_labels": 3, "embed_dim": 4, '
-                      '"hidden_dim": 6, "seed": 0, "epoch": 1, "config": {}, "parameters": 7}'),
-     EXIT_VALIDATION, "parameter set"),
+    ("checkpoint vector not a string",
+     _checkpoint_text('{"version": 2, "view_dims": [5, 6], "n_labels": 3, "embed_dim": 4, '
+                      '"hidden_dim": 6, "seed": 0, "epoch": 1, "config": {}, "vector": 7}'),
+     EXIT_VALIDATION, "checkpoint.json: vector is not a base64 string"),
+    ("checkpoint vector not base64",
+     _malformed_checkpoint(lambda d: d.update(vector="!" + d["vector"][1:])),
+     EXIT_VALIDATION, "checkpoint.json: vector is not a base64 string"),
     ("checkpoint view widths not integers",
-     _checkpoint_text('{"version": 1, "view_dims": ["x"], "n_labels": 3, "embed_dim": 4, '
-                      '"hidden_dim": 6, "parameters": {}}'),
+     _checkpoint_text('{"version": 2, "view_dims": ["x"], "n_labels": 3, "embed_dim": 4, '
+                      '"hidden_dim": 6, "vector": ""}'),
      EXIT_VALIDATION, "malformed field"),
+    ("checkpoint of version 1", _checkpoint_meta("version", 1, "eval"),
+     EXIT_VALIDATION, "checkpoint.json: unsupported version 1"),
     ("checkpoint seed not an integer", _checkpoint_meta("seed", "x", "eval"),
      EXIT_VALIDATION, "seed"),
     ("checkpoint epoch not an integer", _checkpoint_meta("epoch", "x", "heatmap"),
@@ -474,8 +489,8 @@ MALFORMED_INPUTS = [
                         "--noise", "1e308", "--out", str(tmp / "s")],
      EXIT_USAGE, "noise must keep the view values finite"),
     ("checkpoint value not finite",
-     _malformed_checkpoint(lambda p: p["values"].__setitem__(0, float("nan"))),
-     EXIT_VALIDATION, "shared_encoder.0.hidden.weight"),
+     _malformed_checkpoint(_vector_bytes(lambda raw: struct.pack("<d", float("nan")) + raw[8:])),
+     EXIT_VALIDATION, "shared_encoder.0.hidden.weight has non-finite values"),
     ("config file a list of names", _config_doc(["epochs"]), EXIT_VALIDATION, "cfg.json"),
     ("config file a list of pairs", _config_doc([["epochs", 3]]), EXIT_VALIDATION, "cfg.json"),
     ("config file null", _config_doc(None), EXIT_VALIDATION, "cfg.json"),

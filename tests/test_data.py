@@ -308,6 +308,17 @@ class TestSubset:
         with pytest.raises(ValidationError, match="1-D"):
             whole.subset(rows)
 
+    @pytest.mark.parametrize("rows,row", [([-1], -1), ([-1, -6], -6), ([6], 6), ([0, 7, 5], 7)],
+                             ids=["-1", "-1 and -6", "n", "n + 1"])
+    @pytest.mark.parametrize("of", ["dataset", "mask bank"])
+    def test_rows_must_lie_in_range(self, rows, row, of):
+        # numpy would read a negative row from the end, and end in an
+        # IndexError at a row of n or more.
+        ds = tiny_dataset(n=6)
+        whole = ds if of == "dataset" else MaskBank.generate(6, ds.view_dims, 0.5, seed=0)
+        with pytest.raises(ValidationError, match=rf"^subset row {row} is outside \[0, 6\)$"):
+            whole.subset(np.array(rows))
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_construction_still_rejects(self, case):
         assert MultiViewDataset(**_valid_parts()).n_samples == 2

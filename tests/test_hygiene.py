@@ -1,10 +1,12 @@
 """Every module of the package uses what it imports and the private
 helpers it defines, every class it defines is named somewhere, and every
 public name is used outside its definition, so a deletion leaves nothing
-unreferenced behind; no module reads another module's private names."""
+unreferenced behind; no module reads another module's private names, and
+the package imports only the standard library, numpy and itself."""
 
 import ast
 import importlib
+import sys
 import types
 from pathlib import Path
 
@@ -89,3 +91,17 @@ def test_no_module_reads_another_modules_private_name(path):
              and node.value.id in modules
              and node.attr.startswith("_") and not node.attr.startswith("__")]
     assert reads == [], "private names read from other modules"
+
+
+@pytest.mark.parametrize("path", sorted(Path(mvmlc.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_imports_only_the_standard_library_numpy_and_itself(path):
+    # numpy is the one dependency pyproject.toml declares; any other
+    # installed package (a faster JSON library, scipy) is not one.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mvmlc"}
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    assert [name for name in imported if name.split(".")[0] not in allowed] == []

@@ -1,3 +1,8 @@
+import base64
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,25 +332,70 @@ class TestCheckpoint:
         md.save_checkpoint(folder / "b.json", loaded, seed=seed, epoch=1)
         assert (folder / "a.json").read_bytes() == (folder / "b.json").read_bytes()
 
-    def test_shape_tamper_rejected(self, tmp_path):
-        import json
+    def test_subnormals_and_signed_zeros_round_trip_bitwise(self, tmp_path):
         params = make_params()
-        path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, params, seed=0, epoch=0)
-        doc = json.loads(path.read_text())
-        doc["parameters"]["classifier.weight"]["shape"] = [2, 2]
+        tiny = np.array([5e-324, -5e-324, 2.2e-308, -1e-310, 0.0, -0.0])
+        params.vector[:] = np.resize(tiny, params.vector.size)
+        md.save_checkpoint(tmp_path / "a.json", params, seed=0, epoch=0)
+        loaded, _ = md.load_checkpoint(tmp_path / "a.json")
+        assert loaded.vector.tobytes() == params.vector.tobytes()
+        md.save_checkpoint(tmp_path / "b.json", loaded, seed=0, epoch=0)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @staticmethod
+    def _saved(path, params=None):
+        """Save a checkpoint and return its JSON document."""
+        md.save_checkpoint(path, params or make_params(), seed=0, epoch=0)
+        return json.loads(path.read_text())
+
+    @staticmethod
+    def _store(doc, at, value):
+        """Write ``value`` as entry ``at`` of the document's parameter vector."""
+        raw = bytearray(base64.b64decode(doc["vector"]))
+        raw[8 * at:8 * at + 8] = struct.pack("<d", value)
+        doc["vector"] = base64.b64encode(raw).decode()
+
+    def test_width_tamper_rejected(self, tmp_path):
+        # The layout comes from the widths alone: other widths need another
+        # number of values than the vector holds.
+        params, path = make_params(), tmp_path / "ckpt.json"
+        doc = self._saved(path, params)
+        doc["n_labels"] += 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="classifier.weight"):
+        with pytest.raises(ValidationError, match=f"^checkpoint {re.escape(str(path))}: vector "
+                                                  f"holds {8 * params.vector.size} bytes, the "):
             md.load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_rejected(self, tmp_path, value):
-        import json
         params = make_params()
         path = tmp_path / "ckpt.json"
-        md.save_checkpoint(path, params, seed=0, epoch=0)
-        doc = json.loads(path.read_text())
-        doc["parameters"]["classifier.bias"]["values"][1] = value
+        doc = self._saved(path, params)
+        self._store(doc, dict(params.named_slices())["classifier.bias"].start + 1, value)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="classifier.bias has non-finite"):
             md.load_checkpoint(path)
+
+    @settings(max_examples=60)
+    @given(data=st.data(), edit=st.sampled_from(["truncate", "insert", "non-finite"]))
+    def test_corrupt_vector_is_a_validation_error(self, tmp_path_factory, data, edit):
+        params = make_params()
+        path = tmp_path_factory.mktemp("ckpt", numbered=True) / "ckpt.json"
+        doc = self._saved(path, params)
+        text = doc["vector"]
+        if edit == "truncate":
+            k = data.draw(st.integers(1, len(text)), label="k")
+            doc["vector"] = text[:-k]
+        elif edit == "insert":
+            at = data.draw(st.integers(0, len(text)), label="at")
+            char = data.draw(st.sampled_from("!-_.~ \n=é\x00"), label="char")
+            doc["vector"] = text[:at] + char + text[at:]
+        else:
+            at = data.draw(st.integers(0, params.vector.size - 1), label="index")
+            self._store(doc, at, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+            name = next(name for name, part in params.named_slices() if part.start <= at < part.stop)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^checkpoint {re.escape(str(path))}: ") as err:
+            md.load_checkpoint(path)
+        if edit == "non-finite":
+            assert str(err.value).endswith(f": {name} has non-finite values")
