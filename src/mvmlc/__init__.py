@@ -29,7 +29,7 @@ from .losses import (
 )
 from .metrics import MetricsReport, evaluate_all
 from .model import ForwardCache, ModelParams, forward_all, load_checkpoint, save_checkpoint
-from .numerics import GradientCheckReport, Matrix, Tape, backward, gradient_check
+from .numerics import Matrix, Tape, backward
 from .train import (
     AdamState,
     TrainConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "ConfigError",
     "ContractError",
     "ForwardCache",
-    "GradientCheckReport",
     "LossBreakdown",
     "MaskBank",
     "Matrix",
@@ -69,7 +68,6 @@ __all__ = [
     "evaluate_all",
     "forward_all",
     "generate_indicators",
-    "gradient_check",
     "instance_contrastive",
     "label_availability_gate",
     "label_contrastive",

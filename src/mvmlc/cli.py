@@ -195,8 +195,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict, MultiViewDataset]:
-    """Load --checkpoint and --manifest; their view widths and label counts must agree."""
+    """Load --checkpoint and --manifest; the checkpoint's config must be one
+    TrainConfig takes, and their view widths and label counts must agree."""
     params, meta = load_checkpoint(args.checkpoint)
+    config = meta["config"]
+    try:
+        if not isinstance(config, dict):
+            raise ConfigError(f"not a JSON object: {config!r}")
+        TrainConfig(**config)
+    except (ConfigError, TypeError) as exc:  # TypeError: a field TrainConfig does not have
+        raise ValidationError(f"checkpoint {args.checkpoint}: config: {exc}") from None
     dataset = load_dataset(args.manifest)
     if params.view_dims != dataset.view_dims or params.n_labels != dataset.n_labels:
         raise ValidationError(

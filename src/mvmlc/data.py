@@ -6,8 +6,9 @@ the label indicator (label j of sample i is known).  Missing entries are
 zero-filled at construction time, and the losses additionally gate by the
 indicators, so the two protections are independent.
 
-On-disk format: a JSON manifest referencing headerless CSV matrices, one
-sample per row.  Label and indicator entries must be exactly 0 or 1.
+On-disk format: a JSON manifest referencing matrix files, one sample per
+row: numpy ``.npy`` files (what :func:`save_dataset` writes) or headerless
+CSV.  Label and indicator entries must be exactly 0 or 1.
 This module owns mvmlc's text formats too: the one reader of JSON inputs,
 the indented JSON writer and the one CSV cell rule.
 """
@@ -15,7 +16,10 @@ the indented JSON writer and the one CSV cell rule.
 from __future__ import annotations
 
 import copy
+import io
 import json
+import os
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -346,10 +350,9 @@ def csv_text(rows) -> str:
     return "".join([",".join(["" if x is None else str(x) for x in row]) + "\n" for row in rows])
 
 
-def write_matrix_csv(path: Path | str, matrix: Array, integer: bool = False) -> None:
-    """Write a matrix as headerless CSV, entries as ints (truncated) or floats."""
-    matrix = np.asarray(matrix, dtype=np.int64 if integer else np.float64)
-    Path(path).write_text(csv_text(matrix.tolist()))
+def write_matrix_csv(path: Path | str, matrix: Array) -> None:
+    """Write a matrix as headerless CSV of its float64 values."""
+    Path(path).write_text(csv_text(np.asarray(matrix, dtype=np.float64).tolist()))
 
 
 def _read_matrix_csv(path: Path, what: str) -> Array:
@@ -367,22 +370,73 @@ def _read_matrix_csv(path: Path, what: str) -> Array:
     return arr
 
 
+# The most a .npy header can take under numpy's default reader limit: the
+# magic string, a 4-byte length and 10000 characters.
+_NPY_HEADER_MAX = 8 + 4 + 10000
+
+
+def _read_matrix_npy(path: Path) -> Array:
+    """The 2-D real matrix in the ``.npy`` file ``path``, as float64.  The
+    header is parsed from at most ``_NPY_HEADER_MAX`` bytes, and its dtype,
+    shape and data size are checked against the file before any array is
+    allocated; each refusal is a ValueError.  OSError propagates."""
+    fmt = np.lib.format
+    with open(path, "rb") as fh:
+        head = io.BytesIO(fh.read(_NPY_HEADER_MAX))
+        version = fmt.read_magic(head)
+        read_header = {(1, 0): fmt.read_array_header_1_0,
+                       (2, 0): fmt.read_array_header_2_0}.get(version)
+        if read_header is None:
+            raise ValueError(f"unsupported .npy format version {version}")
+        try:
+            shape, fortran_order, dtype = read_header(head)
+        except (SyntaxError, TypeError, tokenize.TokenError) as exc:
+            raise ValueError(f"cannot parse the array header ({exc})") from None
+        if dtype.kind not in "biuf":
+            raise ValueError(f"holds {dtype} values, expected bool, integer or float")
+        if len(shape) != 2 or min(shape) < 0:
+            raise ValueError(f"holds an array of shape {shape}, expected a 2-D matrix")
+        if 0 in shape:
+            raise ValueError("file holds no data")
+        size = shape[0] * shape[1] * dtype.itemsize
+        held = os.fstat(fh.fileno()).st_size - head.tell()
+        if held != size:
+            raise ValueError(f"the header declares {shape[0]} x {shape[1]} {dtype} values "
+                             f"({size} bytes), the file holds {held} bytes of data")
+        fh.seek(head.tell())
+        arr = np.fromfile(fh, dtype=dtype, count=shape[0] * shape[1])
+    return arr.reshape(shape, order="F" if fortran_order else "C").astype(np.float64, copy=False)
+
+
+def _read_matrix(manifest_path: Path, rel: str, what: str) -> Array:
+    """The matrix the manifest names ``rel``: a ``.npy`` file by that suffix,
+    CSV otherwise."""
+    path = manifest_path.parent / rel
+    if not rel.endswith(".npy"):
+        return _read_matrix_csv(path, what)
+    try:
+        return _read_matrix_npy(path)
+    except ValueError as exc:
+        raise ValidationError(f"manifest {manifest_path}: {what} file {rel}: {exc}") from None
+
+
 def save_dataset(dataset: MultiViewDataset, out_dir: Path | str) -> Path:
-    """Write a dataset as CSV matrices plus a manifest; returns the manifest path."""
+    """Write a dataset as ``.npy`` matrices of its float64 values plus a
+    manifest; returns the manifest path.  Indicator files are written only
+    when some entry is 0."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"name": dataset.name or out.name, "views": [], "labels": "labels.csv"}
-    for m, view in enumerate(dataset.views):
-        fname = f"view_{m}.csv"
-        write_matrix_csv(out / fname, view)
-        manifest["views"].append(fname)
-    write_matrix_csv(out / "labels.csv", dataset.labels, integer=True)
-    if np.any(dataset.view_indicator == 0):
-        write_matrix_csv(out / "view_indicator.csv", dataset.view_indicator, integer=True)
-        manifest["view_indicator"] = "view_indicator.csv"
-    if np.any(dataset.label_indicator == 0):
-        write_matrix_csv(out / "label_indicator.csv", dataset.label_indicator, integer=True)
-        manifest["label_indicator"] = "label_indicator.csv"
+    matrices = {f"view_{m}.npy": view for m, view in enumerate(dataset.views)}
+    manifest: dict = {"name": dataset.name or out.name, "views": list(matrices),
+                      "labels": "labels.npy"}
+    matrices["labels.npy"] = dataset.labels
+    for key in ("view_indicator", "label_indicator"):
+        indicator = getattr(dataset, key)
+        if np.any(indicator == 0):
+            manifest[key] = f"{key}.npy"
+            matrices[manifest[key]] = indicator
+    for name, matrix in matrices.items():
+        np.save(out / name, matrix)
     manifest_path = out / "manifest.json"
     write_json(manifest_path, manifest)
     return manifest_path
@@ -391,7 +445,8 @@ def save_dataset(dataset: MultiViewDataset, out_dir: Path | str) -> Path:
 def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     """Load a dataset from a JSON manifest.
 
-    Relative file paths resolve against the manifest's directory.  The
+    Relative file paths resolve against the manifest's directory; a name
+    ending in ``.npy`` is read as a numpy array file, any other as CSV.  The
     indicator files (all ones when omitted) are composed into the complete
     data by :func:`apply_indicators`, which zero-fills what they hide.
     """
@@ -404,18 +459,16 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
                     files + [manifest["labels"]] + [manifest.get(k, "") for k in indicators])):
         raise ValidationError(f"manifest {manifest_path}: needs 'views', a non-empty list of "
                               "file names, and 'labels' (and any indicator) as a file name")
-    base = manifest_path.parent
-
-    labels = _read_matrix_csv(base / manifest["labels"], "labels")
+    labels = _read_matrix(manifest_path, manifest["labels"], "labels")
     n = labels.shape[0]
     views = []
     for m, rel in enumerate(files):
-        view = _read_matrix_csv(base / rel, f"view {m}")
+        view = _read_matrix(manifest_path, rel, f"view {m}")
         if view.shape[0] != n:
             raise ValidationError(f"view file {rel} has {view.shape[0]} rows, labels have {n}")
         views.append(view)
-    masks = [_read_matrix_csv(base / manifest[k], k.replace("_", " ")) if k in manifest else None
-             for k in indicators]
+    masks = [_read_matrix(manifest_path, manifest[k], k.replace("_", " ")) if k in manifest
+             else None for k in indicators]
     try:
         complete = MultiViewDataset(views=views, labels=labels,
                                     view_indicator=np.ones((n, len(views))),

@@ -10,8 +10,9 @@ A primitive with a hand-written VJP is recorded through :func:`emit`:
 is one record where a composition of generic primitives would be several,
 and its tests audit it against finite differences; ``mlp`` and the
 reconstruction and classification losses also repeat the numpy operations
-of that composition in its order, so they are bitwise equal to it.  An
-independent finite-difference audit is provided by :func:`gradient_check`.
+of that composition in its order, so they are bitwise equal to it.  The
+finite-difference audit, ``gradient_check``, lives with the test oracles,
+the only code that calls it.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -297,57 +297,3 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
                 np.add(slot, contrib, out=slot)
     return grads
 
-
-@dataclass
-class GradientCheckReport:
-    """Outcome of a finite-difference audit of analytic gradients."""
-
-    max_rel_err: float
-    n_coords: int
-    passed: bool
-
-
-def gradient_check(
-    f: Callable[[Sequence[Matrix]], Matrix],
-    params: Sequence[Matrix],
-    step: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradientCheckReport:
-    """Compare taped gradients of ``f`` against central finite differences.
-
-    ``f`` maps the parameter list to a scalar Matrix and must be
-    deterministic; this is verified by evaluating it twice and comparing
-    bitwise (mismatch raises :class:`ContractError`).  Per-coordinate
-    relative error uses ``|a - n| / max(|a|, |n|, 1e-6)`` so that
-    coordinates whose gradient is essentially zero are compared on an
-    absolute scale instead of blowing up.  A coordinate whose analytic or
-    numeric derivative is not finite has error ``inf``, so it fails.
-    """
-    if step <= 0:
-        raise ContractError(f"gradient_check: step must be positive, got {step}")
-    base = f(params).item()
-    if f(params).item() != base:
-        raise ContractError("gradient_check: f is not deterministic")
-
-    with Tape() as tape:
-        loss = f(params)
-    analytic = backward(tape, loss, params)
-
-    max_err = 0.0
-    n_coords = 0
-    for p, grad in zip(params, analytic):
-        for coord in np.ndindex(p.shape):
-            orig = p.value[coord]
-            p.value[coord] = orig + step
-            up = f(params).item()
-            p.value[coord] = orig - step
-            down = f(params).item()
-            p.value[coord] = orig
-            numeric = (up - down) / (2.0 * step)
-            a = grad[coord]
-            if not np.isfinite(a) or not np.isfinite(numeric):
-                max_err = np.inf
-            else:
-                max_err = max(max_err, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
-            n_coords += 1
-    return GradientCheckReport(max_rel_err=max_err, n_coords=n_coords, passed=max_err < tol)

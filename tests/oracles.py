@@ -4,14 +4,20 @@ Everything here is written with plain python loops and math functions, on
 purpose: these oracles must stay independent of the vectorized/taped code
 paths they are used to check.  The two exceptions are references for
 bitwise equality, which must therefore run the same numpy operations as
-the library: ``sigmoid_oracle`` and ``adam_oracle``.
+the library: ``sigmoid_oracle`` and ``adam_oracle``.  ``gradient_check``
+audits taped gradients against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
+
+from mvmlc.errors import ContractError
+from mvmlc.numerics import Matrix, Tape, backward
 
 
 def matmul_oracle(a, b):
@@ -221,3 +227,59 @@ def coverage_oracle(scores, labels):
     if not per_sample:
         return 0.0
     return sum(per_sample) / len(per_sample)
+
+
+@dataclass
+class GradientCheckReport:
+    """Outcome of a finite-difference audit of analytic gradients."""
+
+    max_rel_err: float
+    n_coords: int
+    passed: bool
+
+
+def gradient_check(
+    f: Callable[[Sequence[Matrix]], Matrix],
+    params: Sequence[Matrix],
+    step: float = 1e-5,
+    tol: float = 1e-4,
+) -> GradientCheckReport:
+    """Compare taped gradients of ``f`` against central finite differences.
+
+    ``f`` maps the parameter list to a scalar Matrix and must be
+    deterministic; this is verified by evaluating it twice and comparing
+    bitwise (mismatch raises :class:`ContractError`).  Per-coordinate
+    relative error uses ``|a - n| / max(|a|, |n|, 1e-6)`` so that
+    coordinates whose gradient is essentially zero are compared on an
+    absolute scale instead of blowing up.  A coordinate whose analytic or
+    numeric derivative is not finite has error ``inf``, so it fails.
+    """
+    if step <= 0:
+        raise ContractError(f"gradient_check: step must be positive, got {step}")
+    base = f(params).item()
+    if f(params).item() != base:
+        raise ContractError("gradient_check: f is not deterministic")
+
+    with Tape() as tape:
+        loss = f(params)
+    analytic = backward(tape, loss, params)
+
+    max_err = 0.0
+    n_coords = 0
+    for p, grad in zip(params, analytic):
+        for coord in np.ndindex(p.shape):
+            orig = p.value[coord]
+            p.value[coord] = orig + step
+            up = f(params).item()
+            p.value[coord] = orig - step
+            down = f(params).item()
+            p.value[coord] = orig
+            numeric = (up - down) / (2.0 * step)
+            a = grad[coord]
+            if not np.isfinite(a) or not np.isfinite(numeric):
+                max_err = np.inf
+            else:
+                max_err = max(max_err, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
+            n_coords += 1
+    return GradientCheckReport(max_rel_err=max_err, n_coords=n_coords, passed=max_err < tol)
+

@@ -34,7 +34,7 @@ from mvmlc.metrics import (
     ranking_loss,
 )
 from mvmlc.model import ModelParams, forward_all
-from mvmlc.numerics import Matrix, Tape, backward, gradient_check
+from mvmlc.numerics import Matrix, Tape, backward
 from mvmlc.train import TrainConfig, train
 from mvmlc.train import _epoch_losses
 from mvmlc.metrics import evaluate_all
@@ -44,6 +44,7 @@ from oracles import (
     auc_oracle,
     bce_oracle,
     coverage_oracle,
+    gradient_check,
     hamming_oracle,
     masked_infonce_oracle,
     one_error_oracle,

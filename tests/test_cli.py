@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 import mvmlc
 from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser,
                        build_train_config, main)
+from mvmlc.data import load_dataset, save_dataset, synth_dataset
 from mvmlc.train import TrainConfig
+
+from manifests import malformed_npy, write_csv_manifest
 
 
 def synth_args(out, n=24, views=2, labels=3, seed=1):
@@ -59,15 +62,17 @@ class TestSynth:
         assert main(["synth", "--n", "20", "--views", "3", "--labels", "4",
                      "--seed", "1", "--out", str(out)]) == EXIT_OK
         names = {p.name for p in out.iterdir()}
-        assert names == {"manifest.json", "labels.csv", "view_0.csv", "view_1.csv",
-                         "view_2.csv", "run_config.json"}
+        assert names == {"manifest.json", "labels.npy", "view_0.npy", "view_1.npy",
+                         "view_2.npy", "run_config.json"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(synth_args(a))
         main(synth_args(b))
-        for name in ("manifest.json", "labels.csv", "view_0.csv", "view_1.csv", "run_config.json"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_zero_samples_is_usage_error(self, tmp_path, capsys):
         assert main(synth_args(tmp_path / "x", n=0)) == EXIT_USAGE
@@ -395,11 +400,21 @@ def _json_list(path):
 
 
 def _view_value_nan(data, tmp):
-    """Make the value at row 2, col 0 of view 1's CSV a NaN."""
-    lines = (data / "view_1.csv").read_text().splitlines()
+    """Write the dataset as a CSV manifest, then make the value at row 2,
+    col 0 of view 1's CSV a NaN."""
+    manifest = write_csv_manifest(load_dataset(data / "manifest.json"), tmp / "csv")
+    lines = (tmp / "csv" / "view_1.csv").read_text().splitlines()
     lines[2] = ",".join(["nan"] + lines[2].split(",")[1:])
-    (data / "view_1.csv").write_text("\n".join(lines) + "\n")
-    return train_args(data / "manifest.json", tmp / "run")
+    (tmp / "csv" / "view_1.csv").write_text("\n".join(lines) + "\n")
+    return train_args(manifest, tmp / "run")
+
+
+def _npy_file(raw):
+    """Replace view 1's .npy file with the bytes ``raw``."""
+    def setup(data, tmp):
+        (data / "view_1.npy").write_bytes(raw)
+        return train_args(data / "manifest.json", tmp / "run")
+    return setup
 
 
 def _manifest_views_string(data, tmp):
@@ -546,7 +561,19 @@ MALFORMED_INPUTS = [
      "tau_s must be >= 0.002, got 1e-16"),
     ("config temperature below the floor", _config_doc({"tau_l": 1e-3}), EXIT_USAGE,
      "tau_l must be >= 0.002, got 0.001"),
+    ("checkpoint config not an object", _checkpoint_meta("config", "not a config", "eval"),
+     EXIT_VALIDATION, "checkpoint.json: config: not a JSON object: 'not a config'"),
+    ("checkpoint config with an unknown field", _checkpoint_meta("config", {"bogus": 1}, "heatmap"),
+     EXIT_VALIDATION, "checkpoint.json: config: "),
+    ("checkpoint config value out of range", _checkpoint_meta("config", {"epochs": 0}, "eval"),
+     EXIT_VALIDATION, "checkpoint.json: config: epochs must be >= 1, got 0"),
 ]
+# Damaged .npy files in place of view 1 of the dataset synth_args writes.
+MALFORMED_INPUTS += [
+    (f"view file {case}", _npy_file(raw), EXIT_VALIDATION,
+     f"manifest.json: view 1 file view_1.npy: {message}")
+    for case, (raw, message) in malformed_npy(
+        synth_dataset(24, 2, 3, (5, 6), noise=0.3, seed=1).views[1]).items()]
 
 
 @pytest.mark.parametrize("what,argv,code,names", MALFORMED_INPUTS,
@@ -557,6 +584,63 @@ def test_malformed_input_maps_to_exit_code(dataset_dir, tmp_path, capsys, what, 
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("command", ["eval", "heatmap"])
+@pytest.mark.parametrize("config", [{}, {"epochs": 5, "tau_s": 0.3}], ids=["empty", "partial"])
+def test_checkpoint_config_of_known_valid_fields_loads(dataset_dir, tmp_path, capsys, command,
+                                                       config):
+    # save_checkpoint's default config is {}; train writes every field.
+    argv = _checkpoint_meta("config", config, command)(dataset_dir, tmp_path)
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_csv_and_npy_manifests_load_and_evaluate_alike(tmp_path, capsys):
+    dataset = synth_dataset(30, 2, 3, (5, 6), noise=0.3, seed=3)
+    v, w = mvmlc.generate_indicators(30, 2, 3, 0.3, 0.3, seed=4)
+    dataset = mvmlc.apply_indicators(dataset, v, w)
+    manifests = [save_dataset(dataset, tmp_path / "npy"), write_csv_manifest(dataset, tmp_path / "csv")]
+    assert {p.suffix for p in manifests[0].parent.iterdir()} == {".json", ".npy"}
+    npy, csv = [load_dataset(m) for m in manifests]
+    for a, b in zip(npy.views + [npy.labels, npy.view_indicator, npy.label_indicator],
+                    csv.views + [csv.labels, csv.view_indicator, csv.label_indicator], strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert main(train_args(manifests[0], tmp_path / "run")) == EXIT_OK
+    reports = []
+    for manifest in manifests:
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--manifest", str(manifest)]) == EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0].startswith("ap ") and reports[0] == reports[1]
+
+
+def test_damaged_npy_file_ends_in_exit_0_or_3(tmp_path, capsys):
+    # Seeded truncations and byte flips of one small .npy file, each run
+    # through eval: it evaluates or is refused as a validation error.
+    data = tmp_path / "data"
+    assert main(["synth", "--n", "30", "--views", "2", "--labels", "3", "--dims", "3,4",
+                 "--seed", "6", "--out", str(data)]) == EXIT_OK
+    assert main(train_args(data / "manifest.json", tmp_path / "run", epochs="1")) == EXIT_OK
+    argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+            "--manifest", str(data / "manifest.json")]
+    good = (data / "view_0.npy").read_bytes()
+    header = good.index(b"\n") + 1
+    rng = np.random.default_rng(21)
+    damaged = [good[:cut] for cut in rng.integers(0, len(good), 100)]
+    for at in [*rng.integers(0, header, 150), *rng.integers(header, len(good), 100)]:
+        raw = bytearray(good)
+        raw[at] ^= int(rng.integers(1, 256))
+        damaged.append(bytes(raw))
+    codes = []
+    for raw in damaged:
+        (data / "view_0.npy").write_bytes(raw)
+        capsys.readouterr()
+        codes.append(main(argv))
+        err = capsys.readouterr().err
+        assert codes[-1] == EXIT_OK or (codes[-1] == EXIT_VALIDATION and err.startswith("error: ")), err
+    assert set(codes) == {EXIT_OK, EXIT_VALIDATION}
 
 
 def test_parameters_beyond_memory_are_a_usage_error(dataset_dir, tmp_path, capsys,

@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from mvmlc.data import (
     save_dataset,
     split,
     synth_dataset,
+    write_matrix_csv,
 )
 from mvmlc.errors import ConfigError, ShapeError, ValidationError
+
+from manifests import malformed_npy, npy_bytes, write_csv_manifest
 
 
 def tiny_dataset(n=6, v=2, c=3, seed=0):
@@ -343,12 +347,15 @@ class TestManifestRoundTrip:
         ind_v, ind_w = generate_indicators(n, v, c, view_missing * (v - 1) / v, label_missing,
                                            seed=seed)
         ds = apply_indicators(ds, ind_v, ind_w)
-        loaded = load_dataset(save_dataset(ds, tmp_path_factory.mktemp("ds", numbered=True)))
-        for got, want in zip(loaded.views + [loaded.labels, loaded.view_indicator,
-                                             loaded.label_indicator],
-                             ds.views + [ds.labels, ds.view_indicator, ds.label_indicator],
-                             strict=True):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # The .npy files save_dataset writes and a CSV manifest load alike.
+        for manifest in (save_dataset(ds, tmp_path_factory.mktemp("ds", numbered=True)),
+                         write_csv_manifest(ds, tmp_path_factory.mktemp("csv", numbered=True))):
+            loaded = load_dataset(manifest)
+            for got, want in zip(loaded.views + [loaded.labels, loaded.view_indicator,
+                                                 loaded.label_indicator],
+                                 ds.views + [ds.labels, ds.view_indicator, ds.label_indicator],
+                                 strict=True):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_defaults_when_indicators_absent(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -377,16 +384,14 @@ class TestManifestRoundTrip:
             np.testing.assert_array_equal(a, b)
 
     def test_row_mismatch_names_file(self, tmp_path):
-        ds = tiny_dataset(n=10)
-        save_dataset(ds, tmp_path)
+        manifest = write_csv_manifest(tiny_dataset(n=10), tmp_path)
         bad = "\n".join(",".join("0.0" for _ in range(4)) for _ in range(9))
         (tmp_path / "view_0.csv").write_text(bad + "\n")
         with pytest.raises(ValidationError, match="view_0.csv"):
-            load_dataset(tmp_path / "manifest.json")
+            load_dataset(manifest)
 
     def test_non_binary_label_reports_coordinates(self, tmp_path):
-        ds = tiny_dataset(n=4)
-        save_dataset(ds, tmp_path)
+        write_csv_manifest(tiny_dataset(n=4), tmp_path)
         rows = (tmp_path / "labels.csv").read_text().splitlines()
         cells = rows[2].split(",")
         cells[1] = "0.5"
@@ -424,8 +429,7 @@ class TestManifestRoundTrip:
          "label indicator: entry at row 1, col 1 is nan, expected 0 or 1"),
     ])
     def test_bad_indicator_file_is_rejected_naming_manifest(self, tmp_path, name, text, message):
-        save_dataset(tiny_dataset(n=4), tmp_path)
-        manifest = tmp_path / "manifest.json"
+        manifest = write_csv_manifest(tiny_dataset(n=4), tmp_path)
         doc = json.loads(manifest.read_text())
         doc[name.removesuffix(".csv")] = name
         manifest.write_text(json.dumps(doc))
@@ -438,10 +442,10 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize("text", ["", "\n  \n", "# header only\n"],
                              ids=["empty", "blank lines", "comment only"])
     def test_empty_matrix_file_is_rejected_naming_it(self, tmp_path, recwarn, name, text):
-        save_dataset(tiny_dataset(n=4), tmp_path)
+        manifest = write_csv_manifest(tiny_dataset(n=4), tmp_path)
         (tmp_path / name).write_text(text)
         with pytest.raises(ValidationError, match=rf"{name}\): file holds no data"):
-            load_dataset(tmp_path / "manifest.json")
+            load_dataset(manifest)
         assert not recwarn.list
 
     def test_missing_manifest_is_os_error(self, tmp_path):
@@ -449,11 +453,91 @@ class TestManifestRoundTrip:
             load_dataset(tmp_path / "nope.json")
 
     def test_save_is_byte_identical(self, tmp_path):
-        ds = tiny_dataset(n=7)
+        v, w = generate_indicators(7, 2, 3, 0.3, 0.3, seed=1)
+        ds = apply_indicators(tiny_dataset(n=7), v, w)
         save_dataset(ds, tmp_path / "a")
         save_dataset(ds, tmp_path / "b")
-        for name in ("manifest.json", "labels.csv", "view_0.csv", "view_1.csv"):
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["label_indicator.npy", "labels.npy", "manifest.json", "view_0.npy",
+                         "view_1.npy", "view_indicator.npy"]
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+MALFORMED_NPY = malformed_npy(tiny_dataset(n=4).views[1])
+
+
+class TestNpyFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NPY))
+    def test_malformed_file_is_refused_naming_manifest_and_file(self, tmp_path, case):
+        manifest = save_dataset(tiny_dataset(n=4), tmp_path)
+        raw, message = MALFORMED_NPY[case]
+        (tmp_path / "view_1.npy").write_bytes(raw)
+        with pytest.raises(ValidationError) as info:
+            load_dataset(manifest)
+        assert str(info.value).startswith(f"manifest {manifest}: view 1 file view_1.npy: {message}")
+
+    @pytest.mark.parametrize("case", ["shape larger than the file",
+                                      "header length larger than the file"])
+    def test_refusal_allocates_no_more_than_the_file(self, tmp_path, case):
+        manifest = save_dataset(tiny_dataset(n=4), tmp_path)
+        (tmp_path / "view_1.npy").write_bytes(MALFORMED_NPY[case][0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError):
+                load_dataset(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_missing_file_is_os_error(self, tmp_path):
+        manifest = save_dataset(tiny_dataset(n=4), tmp_path)
+        (tmp_path / "labels.npy").unlink()
+        with pytest.raises(OSError):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("convert", [
+        lambda m: m.astype("<f4"), lambda m: m.astype(">f8"), lambda m: (m * 4).astype("<i2"),
+        lambda m: (m * 4).astype(">u8"), lambda m: m > 0, np.asfortranarray,
+    ], ids=["float32", "big-endian float64", "int16", "big-endian uint64", "bool", "Fortran order"])
+    def test_real_dtypes_and_orders_load_as_float64(self, tmp_path, convert):
+        ds = tiny_dataset(n=5)
+        manifest = save_dataset(ds, tmp_path)
+        stored = convert(np.abs(ds.views[0]))
+        (tmp_path / "view_0.npy").write_bytes(npy_bytes(stored))
+        got = load_dataset(manifest).views[0]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, stored.astype(np.float64))
+
+    @pytest.mark.parametrize("stem,edit,message", [
+        ("view_1", lambda ds: _with(ds.views[1], 2, 0, np.nan),
+         "manifest <manifest>: view 1: entry at row 2, col 0 is nan, expected a finite value"),
+        ("labels", lambda ds: _with(ds.labels, 2, 1, 0.5),
+         "manifest <manifest>: labels: entry at row 2, col 1 is 0.5, expected 0 or 1"),
+        ("view_0", lambda ds: ds.views[0][:3], "view file view_0.<ext> has 3 rows, labels have 4"),
+    ], ids=["NaN view value", "non-binary label", "row count"])
+    def test_dataset_checks_give_the_csv_messages(self, tmp_path, stem, edit, message):
+        ds = tiny_dataset(n=4)
+        for ext, manifest in (("npy", save_dataset(ds, tmp_path / "npy")),
+                              ("csv", write_csv_manifest(ds, tmp_path / "csv"))):
+            path = manifest.parent / f"{stem}.{ext}"
+            if ext == "npy":
+                np.save(path, edit(ds))
+            else:
+                write_matrix_csv(path, edit(ds))
+            with pytest.raises(ValidationError) as info:
+                load_dataset(manifest)
+            assert str(info.value).replace(str(manifest), "<manifest>") == \
+                message.replace("<ext>", ext)
+
+
+def _with(matrix, row, col, value):
+    """A copy of ``matrix`` with ``value`` at (row, col)."""
+    out = matrix.copy()
+    out[row, col] = value
+    return out
 
 
 def test_csv_text_writes_one_cell_rule():

@@ -18,10 +18,10 @@ from mvmlc.losses import (
     reconstruction_loss,
     total_loss,
 )
-from mvmlc.numerics import Matrix, Tape, backward, gradient_check
+from mvmlc.numerics import Matrix, Tape, backward
 from mvmlc.train import TAU_MIN
 
-from oracles import bce_oracle, masked_infonce_oracle, reconstruction_oracle
+from oracles import bce_oracle, gradient_check, masked_infonce_oracle, reconstruction_oracle
 
 
 def rand_feats(rng, n, v, d):

@@ -4,9 +4,9 @@ import pytest
 from mvmlc import losses
 from mvmlc import numerics as nm
 from mvmlc.errors import ContractError, ShapeError
-from mvmlc.numerics import Matrix, Tape, backward, gradient_check
+from mvmlc.numerics import Matrix, Tape, backward
 
-from oracles import matmul_oracle, sigmoid_oracle
+from oracles import gradient_check, matmul_oracle, sigmoid_oracle
 
 
 def rand(rng, r, c):

@@ -12,7 +12,7 @@ from mvmlc.data import MaskBank, MultiViewDataset, apply_indicators, generate_in
 from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import label_availability_gate
 from mvmlc.model import ModelParams, forward_all, load_checkpoint, save_checkpoint
-from mvmlc.numerics import Matrix, Tape, backward, gradient_check
+from mvmlc.numerics import Matrix, Tape, backward
 from mvmlc.train import (
     ADAM_CHUNK,
     TAU_MIN,
@@ -24,7 +24,7 @@ from mvmlc.train import (
 )
 from mvmlc.train import _epoch_losses
 
-from oracles import adam_oracle, cos01_oracle
+from oracles import adam_oracle, cos01_oracle, gradient_check
 
 
 def small_dataset(n=12, v=2, c=3, seed=0, view_missing=0.0, label_missing=0.0):
