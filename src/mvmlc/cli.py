@@ -187,8 +187,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(args.out / "checkpoint.json", result.params, seed=config.seed,
                     epoch=config.epochs, config=config.to_dict())
     result.log.write_csv(args.out / "train_log.csv", include_timing=args.log_timing)
-    report = _evaluate(result.params, test_data if test_data is not None else train_data,
-                       config.seed, config.epochs)
+    # With --eval-every dividing --epochs, the last epoch's report is the final one.
+    report = result.log.records[-1].report or _evaluate(
+        result.params, test_data if test_data is not None else train_data, config.seed, config.epochs)
     _write_report(report, args.out)
     print(report.to_text(), end="")
     return EXIT_OK

@@ -355,19 +355,14 @@ def write_matrix_csv(path: Path | str, matrix: Array) -> None:
     Path(path).write_text(csv_text(np.asarray(matrix, dtype=np.float64).tolist()))
 
 
-def _read_matrix_csv(path: Path, what: str) -> Array:
-    # OSError (missing/unreadable file) propagates untouched; only parse
-    # failures are wrapped as validation errors.  A file without a data line
-    # is rejected here, before numpy warns about it.
-    try:
-        with open(path) as fh:
-            has_data = any(line.split("#", 1)[0].strip() for line in fh)
-        if not has_data:
+def _read_matrix_csv(path: Path) -> Array:
+    """The matrix in the CSV file ``path``; a parse failure is a
+    ValueError, and OSError propagates.  A file without a data line is
+    refused here, before numpy warns about it."""
+    with open(path) as fh:
+        if not any(line.split("#", 1)[0].strip() for line in fh):
             raise ValueError("file holds no data")
-        arr = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{what} ({path}): {exc}") from None
-    return arr
+    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 # The most a .npy header can take under numpy's default reader limit: the
@@ -390,8 +385,11 @@ def _read_matrix_npy(path: Path) -> Array:
             raise ValueError(f"unsupported .npy format version {version}")
         try:
             shape, fortran_order, dtype = read_header(head)
-        except (SyntaxError, TypeError, tokenize.TokenError) as exc:
-            raise ValueError(f"cannot parse the array header ({exc})") from None
+        except (SyntaxError, TypeError, ValueError, tokenize.TokenError) as exc:
+            if str(exc).startswith("EOF"):  # a short read, which numpy's text names
+                raise
+            # numpy's parse text can quote the whole header or a memory address
+            raise ValueError(f"cannot parse the array header ({type(exc).__name__})") from None
         if dtype.kind not in "biuf":
             raise ValueError(f"holds {dtype} values, expected bool, integer or float")
         if len(shape) != 2 or min(shape) < 0:
@@ -412,10 +410,8 @@ def _read_matrix(manifest_path: Path, rel: str, what: str) -> Array:
     """The matrix the manifest names ``rel``: a ``.npy`` file by that suffix,
     CSV otherwise."""
     path = manifest_path.parent / rel
-    if not rel.endswith(".npy"):
-        return _read_matrix_csv(path, what)
     try:
-        return _read_matrix_npy(path)
+        return (_read_matrix_npy if rel.endswith(".npy") else _read_matrix_csv)(path)
     except ValueError as exc:
         raise ValidationError(f"manifest {manifest_path}: {what} file {rel}: {exc}") from None
 
@@ -465,7 +461,8 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     for m, rel in enumerate(files):
         view = _read_matrix(manifest_path, rel, f"view {m}")
         if view.shape[0] != n:
-            raise ValidationError(f"view file {rel} has {view.shape[0]} rows, labels have {n}")
+            raise ValidationError(f"manifest {manifest_path}: view {m} file {rel}: "
+                                  f"has {view.shape[0]} rows, labels have {n}")
         views.append(view)
     masks = [_read_matrix(manifest_path, manifest[k], k.replace("_", " ")) if k in manifest
              else None for k in indicators]

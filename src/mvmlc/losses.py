@@ -19,38 +19,31 @@ the generic primitives they would otherwise compose, in the same order, so
 their values and gradients are bitwise those of that composition.
 
 Numerical care: contrastive exponents are shifted by the largest one
-exact arithmetic attains (similarity 1 over temperature).  Rounding can
-leave the product of two unit rows a few ulps above 1 (two copies of the
-row [0, 0.3, -0.27] give 1 + 4.4e-16), so an exponent can still be
-positive, by about 2.2e-16/tau: harmless at tau = 1e-3, but below about
-1e-16 the positive term, formed by another product than its denominator
-entry, can exceed that entry and make the loss negative, and ``exp``
-overflows for tau below about 3e-19.  The shift happens inside the
-similarity product: anchor rows carry an extra column -1/(2 tau) against
-a key column of ones, so one product yields the shifted exponents and one
-in-place ``exp`` the block.  Classifier probabilities are clamped away
-from 0/1 before the logs.  Each contrastive denominator subtracts the
-self-pair term from its sum over gated keys; the two cancel before the
-sum, not after it.  The self-pair enters at its exact value less 1 (0,
-or exp(-1/(2 tau)) - 1 for an all-zero row), not as the rounded
-exponential of u.u, so the other keys are never rounded against 1: at
-tau = 1e-3 their sum can be ~1e-200, and the loss still agrees with a
-log-sum-exp evaluation to a few ulps.  An anchor whose denominator is 0
-or below by construction is skipped: its only gated key is itself, its own
-denominator gate is off, or its row is zero.  One whose other keys all
-underflow ``exp`` raises ``ContractError`` instead of being skipped; at
-``TAU_MIN`` (2e-3), the smallest temperature training accepts, no
-exponential underflows.  Below it the backward can overflow while the
-loss is still finite (an antipodal pair at tau = 1.4e-3, its denominators
-near e^-705), and then raises ``ContractError``.  Both contrastive terms
-run as one taped primitive over the live rows of all views, those a gate
-admits as anchor or key, stacked into one matrix.  No other row's
-similarity can reach the loss, so dropping them is exact, and with half of
-all sample-view cells missing the similarity work falls about fourfold.
-The stacked rows' similarities are symmetric, so only the square
-``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal are formed,
-one at a time, in forward and again in backward: memory grows with
-TILE_ROWS^2 per tile, not with N^2.
+exact arithmetic attains (similarity 1 over temperature), so at tau >=
+``TAU_MIN`` each is at least -500: no exponential underflows, and the
+backward keeps headroom.  Rounding can leave the product of two unit rows
+a few ulps above 1, so an exponent can still be positive, by about
+2.2e-16/tau.  The shift happens inside the similarity product: anchor
+rows carry an extra column -1/(2 tau) against a key column of ones, so
+one product yields the shifted exponents and one in-place ``exp`` the
+block.  Classifier probabilities are clamped away from 0/1 before the
+logs.  Each contrastive denominator subtracts the self-pair term from its
+sum over gated keys; the two cancel before the sum, not after it.  The
+self-pair enters at its exact value less 1 (0, or exp(-1/(2 tau)) - 1 for
+an all-zero row), not as the rounded exponential of u.u, so the other
+keys are never rounded against 1: at ``TAU_MIN`` their sum can be
+~1e-60, and the loss still agrees with a log-sum-exp evaluation to a few
+ulps.  An anchor whose denominator is 0 or below is skipped: its only
+gated key is itself, its own denominator gate is off, or its row is zero.
+
+Both contrastive terms run as one taped primitive over the live rows of
+all views, those a gate admits as anchor or key, stacked into one matrix.
+No other row's similarity can reach the loss, so dropping them is exact,
+and with half of all sample-view cells missing the similarity work falls
+about fourfold.  The stacked rows' similarities are symmetric, so only
+the square ``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal
+are formed, one at a time, in forward and again in backward: memory
+grows with TILE_ROWS^2 per tile, not with N^2.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ShapeError
 from .numerics import Matrix
 
 logger = logging.getLogger(__name__)
@@ -171,6 +164,10 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     denominator gate is off, and whose sum so holds no self-pair, has the
     1 subtracted from its denominator.
 
+    ``tau`` below ``TAU_MIN``, or NaN, is a ``ConfigError``.  The gates are
+    0/1 availability indicators: each other gated key then adds at least
+    e^-500 to a denominator, so only the gates and rows can make it 0.
+
     Only live rows take part, those with a nonzero outer or denominator
     gate in their view.  Any other row is neither a weighted anchor nor a
     gated key, so none of its similarities reaches the loss or a gradient.
@@ -187,8 +184,8 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     """
     n_views = len(feats)
     n = feats[0].rows
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    if not tau >= TAU_MIN:  # NaN included
+        raise ConfigError(f"temperature must be >= {TAU_MIN}, got {tau}")
     if outer_gate.shape != (n, n_views) or denom_gate.shape != (n, n_views):
         raise ShapeError(
             f"gates must be {(n, n_views)}, got {outer_gate.shape} and {denom_gate.shape}")
@@ -229,17 +226,6 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     denom = (np.diagonal(exp_sums, axis1=1, axis2=2)[:, :, None] + exp_sums
              - (1.0 - denom_gate[:, :, None]))
     gate = outer_gate[:, :, None] * outer_gate[:, None, :] * (1.0 - np.eye(n_views))
-    # An anchor holding its own key and a direction, in a pair of views with
-    # another gated key, has a positive exact denominator: at or below 0 it
-    # underflowed, and skipping it would hide that.
-    own_key = np.zeros((n, n_views), dtype=bool)
-    own_key[row_of, view_of] = (denom_gate[row_of, view_of] == 1) & (inv_norms[:, 0] > 0)
-    n_keys = np.count_nonzero(denom_gate, axis=0)
-    underflowed = np.count_nonzero((gate > 0) & own_key[:, :, None] & (denom <= 0)
-                                   & (n_keys[:, None] + n_keys[None, :] > 1))
-    if underflowed:
-        raise ContractError(f"contrastive loss: the denominators of {underflowed} anchors "
-                            f"underflowed at temperature {tau}")
     valid = ~(denom <= 0)  # a NaN denominator is no skip: its term is NaN
     skipped = int(np.count_nonzero((gate > 0) & ~valid))
     effective = gate * valid
@@ -250,10 +236,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         logger.warning("contrastive loss: %d anchors had no available comparison", skipped)
 
     def vjp(g: Array) -> tuple[Array, ...]:
-        # Below TAU_MIN this can overflow where the loss is finite: refuse it.
-        cause = (f"the temperature is below TAU_MIN = {TAU_MIN}" if tau < TAU_MIN
-                 else "the parameters are out of range")
-        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}", cause):
+        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}"):
             # The loss is -0.5/n times the weighted sum over pairs of
             # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
             # adjoints of the positive cosines and of the row sums.

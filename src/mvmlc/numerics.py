@@ -125,15 +125,15 @@ def emit(value: Array, inputs: tuple[Matrix, ...],
 
 
 @contextmanager
-def refuse_overflow(what: str, cause: str = "the parameters are out of range"):
-    """Raise :class:`ContractError` naming ``what`` and ``cause`` at the
-    first overflow or invalid operation in the block, the only ways finite
-    inputs give an inf or a NaN."""
+def refuse_overflow(what: str):
+    """Raise :class:`ContractError` naming ``what`` at the first overflow
+    or invalid operation in the block, the only ways finite inputs give an
+    inf or a NaN."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise ContractError(f"{what}: {exc}; {cause}") from None
+        raise ContractError(f"{what}: {exc}; the parameters are out of range") from None
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:

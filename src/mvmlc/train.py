@@ -167,6 +167,8 @@ class TrainResult:
 # 32-wide views (2 vCPUs).
 ADAM_CHUNK = 32768
 
+SQUARE_OVERFLOW = "a squared gradient overflows the Adam second moment"
+
 
 @dataclass
 class AdamState:
@@ -220,7 +222,7 @@ def adam_step(
             part = slice(start, start + ADAM_CHUNK)
             p, g, m, v = params[part], grads[part], state.first[part], state.second[part]
             a, b = (x[:p.size] for x in state.scratch)
-            what = "a squared gradient overflows the Adam second moment"
+            what = SQUARE_OVERFLOW
             try:
                 m *= beta1
                 np.multiply(1.0 - beta1, g, out=a)
@@ -345,8 +347,11 @@ def train(
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
             except FloatingPointError as exc:
                 what, index = exc.args
+                # Before the first update only the data can make a gradient that large.
+                cause = ("the input values are too large" if state.step == 1 and what == SQUARE_OVERFLOW
+                         else "lower the learning rate")
                 raise ContractError(f"epoch {epoch}: {what} at '{_name_at(index, slices)}'; "
-                                    "lower the learning rate") from None
+                                    f"{cause}") from None
             collected.append((len(rows) / n, breakdown))
         epoch_losses = LossBreakdown.weighted_mean(collected)
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -59,7 +59,11 @@ def malformed_npy(matrix) -> dict[str, tuple[bytes, str]]:
         # np.load raises tokenize.TokenError on this header
         "unparsable header": (npy_with_header(
             f"{{'descr': '<f8', 'fortran_order': False, 'shape': ({rows}, {cols}", data),
-            "cannot parse the array header"),
+            "cannot parse the array header (TokenError)"),
+        # ast.literal_eval's text for a bare name holds a memory address
+        "bare name in the header": (npy_with_header(
+            f"{{descr: '<f8', 'fortran_order': False, 'shape': ({rows}, {cols}), }}", data),
+            "cannot parse the array header (ValueError)"),
         # np.load raises MemoryError on this header before it reads anything
         "shape larger than the file": (npy_with_header(
             f"{{'descr': '<f8', 'fortran_order': False, 'shape': (10000000000000, {cols}), }}",

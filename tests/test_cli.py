@@ -1,6 +1,7 @@
 import argparse
 import base64
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -21,6 +22,7 @@ import mvmlc
 from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser,
                        build_train_config, main)
 from mvmlc.data import load_dataset, save_dataset, synth_dataset
+from mvmlc.metrics import evaluate_all
 from mvmlc.train import TrainConfig
 
 from manifests import malformed_npy, write_csv_manifest
@@ -294,6 +296,28 @@ def test_run_replays_from_its_record(dataset_dir, tmp_path, capsys, run):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("epochs,every", [(4, 2), (4, 1), (3, 2)])
+def test_train_evaluates_the_final_model_once(dataset_dir, tmp_path, capsys, monkeypatch,
+                                              epochs, every):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["epoch"])
+        return evaluate_all(*args, **kwargs)
+
+    for module in ("mvmlc.train", "mvmlc.cli"):  # the package re-exports train()
+        monkeypatch.setattr(importlib.import_module(module), "evaluate_all", counted)
+    manifest = dataset_dir / "manifest.json"
+    assert main(train_args(manifest, tmp_path / "k", epochs=str(epochs), train_frac="0.7",
+                           eval_every=str(every))) == EXIT_OK
+    assert calls == sorted(set(range(every, epochs + 1, every)) | {epochs})
+    assert main(train_args(manifest, tmp_path / "once", epochs=str(epochs),
+                           train_frac="0.7")) == EXIT_OK
+    capsys.readouterr()
+    for name in ("metrics.txt", "metrics.csv", "checkpoint.json"):
+        assert (tmp_path / "k" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
 def test_heatmap_record_config_is_a_valid_config_file(dataset_dir, tmp_path, capsys):
     heatmap = ["heatmap", "--manifest", str(dataset_dir / "manifest.json"), "--snapshots", "0,1,3"]
     assert main([*heatmap, "--out", str(tmp_path / "a"), "--epochs", "3",
@@ -415,6 +439,16 @@ def _npy_file(raw):
         (data / "view_1.npy").write_bytes(raw)
         return train_args(data / "manifest.json", tmp / "run")
     return setup
+
+
+def _huge_view_value(data, tmp):
+    """Make the value at row 0, col 0 of view 0 1e80; train at the default
+    widths, whose first step it overflows."""
+    view = np.load(data / "view_0.npy")
+    view[0, 0] = 1e80
+    np.save(data / "view_0.npy", view)
+    return ["train", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "run"),
+            "--epochs", "2"]
 
 
 def _manifest_views_string(data, tmp):
@@ -549,6 +583,9 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
     ("learning rate overflows the Adam second moment", _train_flag(lr="1e30"),
      EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
+    ("view value overflows the Adam second moment at the first step", _huge_view_value,
+     EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
+                      "'private_encoder.0.hidden.weight'; the input values are too large"),
     ("learning rate overflows the network", _train_flag(lr="1e300"),
      EXIT_VALIDATION, "epoch 2: loss component 'loss_recon' is not finite"),
     ("learning rate overflows the evaluation",

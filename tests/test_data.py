@@ -427,6 +427,8 @@ class TestManifestRoundTrip:
          "view indicator: entry at row 2, col 1 is nan, expected 0 or 1"),
         ("label_indicator.csv", "1,1,1\n1,nan,1\n1,1,1\n1,1,1\n",
          "label indicator: entry at row 1, col 1 is nan, expected 0 or 1"),
+        ("label_indicator.csv", "1,1,1\n1,x,1\n1,1,1\n1,1,1\n",
+         "label indicator file label_indicator.csv: could not convert string 'x'"),
     ])
     def test_bad_indicator_file_is_rejected_naming_manifest(self, tmp_path, name, text, message):
         manifest = write_csv_manifest(tiny_dataset(n=4), tmp_path)
@@ -444,8 +446,10 @@ class TestManifestRoundTrip:
     def test_empty_matrix_file_is_rejected_naming_it(self, tmp_path, recwarn, name, text):
         manifest = write_csv_manifest(tiny_dataset(n=4), tmp_path)
         (tmp_path / name).write_text(text)
-        with pytest.raises(ValidationError, match=rf"{name}\): file holds no data"):
+        what = {"labels.csv": "labels", "view_1.csv": "view 1"}[name]
+        with pytest.raises(ValidationError) as info:
             load_dataset(manifest)
+        assert str(info.value) == f"manifest {manifest}: {what} file {name}: file holds no data"
         assert not recwarn.list
 
     def test_missing_manifest_is_os_error(self, tmp_path):
@@ -477,6 +481,7 @@ class TestNpyFiles:
         with pytest.raises(ValidationError) as info:
             load_dataset(manifest)
         assert str(info.value).startswith(f"manifest {manifest}: view 1 file view_1.npy: {message}")
+        assert "0x" not in str(info.value)
 
     @pytest.mark.parametrize("case", ["shape larger than the file",
                                       "header length larger than the file"])
@@ -516,7 +521,8 @@ class TestNpyFiles:
          "manifest <manifest>: view 1: entry at row 2, col 0 is nan, expected a finite value"),
         ("labels", lambda ds: _with(ds.labels, 2, 1, 0.5),
          "manifest <manifest>: labels: entry at row 2, col 1 is 0.5, expected 0 or 1"),
-        ("view_0", lambda ds: ds.views[0][:3], "view file view_0.<ext> has 3 rows, labels have 4"),
+        ("view_0", lambda ds: ds.views[0][:3],
+         "manifest <manifest>: view 0 file view_0.<ext>: has 3 rows, labels have 4"),
     ], ids=["NaN view value", "non-binary label", "row count"])
     def test_dataset_checks_give_the_csv_messages(self, tmp_path, stem, edit, message):
         ds = tiny_dataset(n=4)
