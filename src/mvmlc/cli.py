@@ -111,19 +111,15 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> list[argparse.Action
 
 
 def build_train_config(args: argparse.Namespace) -> TrainConfig:
-    """Defaults < config file < explicit flags (each flag's dest is its field)."""
-    values = TrainConfig().to_dict()
+    """Defaults < a valid config file < explicit flags (each flag's dest is its field)."""
+    config = TrainConfig()
     if args.config is not None:
-        from_file = read_json_object(args.config, "config file")
-        unknown = set(from_file) - set(values)
-        if unknown:
-            raise ConfigError(f"config file {args.config}: unknown fields {sorted(unknown)}")
-        values.update(from_file)
-    for f in fields(TrainConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            values[f.name] = flag
-    return TrainConfig(**values)
+        try:
+            config = TrainConfig.from_dict(read_json_object(args.config, "config file"))
+        except ConfigError as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
+    flags = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig)}
+    return replace(config, **{name: flag for name, flag in flags.items() if flag is not None})
 
 
 def _training_inputs(args: argparse.Namespace) -> tuple[
@@ -199,12 +195,9 @@ def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict
     """Load --checkpoint and --manifest; the checkpoint's config must be one
     TrainConfig takes, and their view widths and label counts must agree."""
     params, meta = load_checkpoint(args.checkpoint)
-    config = meta["config"]
     try:
-        if not isinstance(config, dict):
-            raise ConfigError(f"not a JSON object: {config!r}")
-        TrainConfig(**config)
-    except (ConfigError, TypeError) as exc:  # TypeError: a field TrainConfig does not have
+        TrainConfig.from_dict(meta["config"])
+    except ConfigError as exc:
         raise ValidationError(f"checkpoint {args.checkpoint}: config: {exc}") from None
     dataset = load_dataset(args.manifest)
     if params.view_dims != dataset.view_dims or params.n_labels != dataset.n_labels:

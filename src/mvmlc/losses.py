@@ -236,37 +236,36 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         logger.warning("contrastive loss: %d anchors had no available comparison", skipped)
 
     def vjp(g: Array) -> tuple[Array, ...]:
-        with nm.refuse_overflow(f"contrastive gradient at temperature {tau}"):
-            # The loss is -0.5/n times the weighted sum over pairs of
-            # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
-            # adjoints of the positive cosines and of the row sums.
-            weight = effective * (-0.5 / n * g[0, 0])
-            d_pos = weight * s
-            d_units = (d_pos + d_pos.transpose(0, 2, 1)) @ sample_units
-            d_sums = -weight / safe
-            diag = np.arange(n_views)
-            d_sums[:, diag, diag] = d_sums.sum(axis=2)
-            # With E the exponentials and D the row sums' adjoints on the stacked
-            # rows, d loss / d E is D gates^T, and E symmetric folds in its
-            # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
-            # E * s is dE / d cosine; s goes into D.  The diagonal, the
-            # self-pair, is a constant in the forward, so it is zeroed here.
-            d_live = d_sums[row_of, view_of] * s
-            left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
-            du = d_units[row_of, view_of]
-            for rows, cols, w in _tiles(units, s):
-                w *= left[rows] @ right[cols].T
-                if rows == cols:
-                    np.fill_diagonal(w, 0.0)
-                else:
-                    du[cols] += w.T @ units[rows]
-                du[rows] += w @ units[cols]
-            # Through the normalization: remove the radial part, divide by the
-            # norm; then back from the stacked rows to each view's N rows.
-            du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms
-            grads = np.zeros((n_views, n, d))
-            grads[view_of, row_of] = du
-            return tuple(grads)
+        # The loss is -0.5/n times the weighted sum over pairs of
+        # pos01/tau - log(denom[a,b]), linear in exp_sums; first the
+        # adjoints of the positive cosines and of the row sums.
+        weight = effective * (-0.5 / n * g[0, 0])
+        d_pos = weight * s
+        d_units = (d_pos + d_pos.transpose(0, 2, 1)) @ sample_units
+        d_sums = -weight / safe
+        diag = np.arange(n_views)
+        d_sums[:, diag, diag] = d_sums.sum(axis=2)
+        # With E the exponentials and D the row sums' adjoints on the stacked
+        # rows, d loss / d E is D gates^T, and E symmetric folds in its
+        # transpose: W = D gates^T + gates D^T = [D, gates] [gates, D]^T.
+        # E * s is dE / d cosine; s goes into D.  The diagonal, the
+        # self-pair, is a constant in the forward, so it is zeroed here.
+        d_live = d_sums[row_of, view_of] * s
+        left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
+        du = d_units[row_of, view_of]
+        for rows, cols, w in _tiles(units, s):
+            w *= left[rows] @ right[cols].T
+            if rows == cols:
+                np.fill_diagonal(w, 0.0)
+            else:
+                du[cols] += w.T @ units[rows]
+            du[rows] += w @ units[cols]
+        # Through the normalization: remove the radial part, divide by the
+        # norm; then back from the stacked rows to each view's N rows.
+        du = (du - units * np.sum(units * du, axis=1, keepdims=True)) * inv_norms
+        grads = np.zeros((n_views, n, d))
+        grads[view_of, row_of] = du
+        return tuple(grads)
 
     return ContrastiveResult(nm.emit(np.array([[total]]), tuple(feats), vjp), skipped)
 

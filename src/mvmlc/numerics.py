@@ -109,13 +109,13 @@ def _lift(x) -> Matrix:
 
 
 def emit(value: Array, inputs: tuple[Matrix, ...],
-         vjp: Callable[[Array], tuple[Array | None, ...]]) -> Matrix:
+         vjp: Callable[[Array], tuple[Array, ...]]) -> Matrix:
     """Wrap ``value`` as the output of a primitive applied to ``inputs``.
 
     While a tape is active the application is recorded with ``vjp``, which
-    maps the output's adjoint to one adjoint per input (``None`` for an
-    input that gets none).  Every primitive here is built on it, and so is
-    any primitive with a hand-written VJP defined elsewhere.
+    maps the output's adjoint to one adjoint per input.  Every primitive
+    here is built on it, and so is any primitive with a hand-written VJP
+    defined elsewhere.
     """
     out = Matrix(value)
     tape = _ACTIVE_TAPE.get()
@@ -128,12 +128,12 @@ def emit(value: Array, inputs: tuple[Matrix, ...],
 def refuse_overflow(what: str):
     """Raise :class:`ContractError` naming ``what`` at the first overflow
     or invalid operation in the block, the only ways finite inputs give an
-    inf or a NaN."""
+    inf or a NaN: either the parameters or the input values are too large."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise ContractError(f"{what}: {exc}; the parameters are out of range") from None
+        raise ContractError(f"{what}: {exc}; the parameters or the input values are out of range") from None
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
@@ -286,8 +286,6 @@ def backward(tape: Tape, loss: Matrix, params: Sequence[Matrix],
         if grad_out is None:
             continue
         for operand, contrib in zip(inputs, vjp(grad_out)):
-            if contrib is None:
-                continue
             key = id(operand)
             slot = slots.get(key)
             if slot is None:

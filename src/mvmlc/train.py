@@ -117,6 +117,18 @@ class TrainConfig:
             raise ConfigError(f"label_gate_mode must be {' or '.join(map(repr, LABEL_GATE_MODES))}, "
                               f"got {self.label_gate_mode!r}")
 
+    @classmethod
+    def from_dict(cls, doc) -> "TrainConfig":
+        """The config of a JSON object's fields, the rest at their defaults,
+        for a config file and a checkpoint alike; a non-object, or unknown
+        fields (named, sorted), is a :class:`ConfigError`."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"not a JSON object: {doc!r}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown fields {unknown}")
+        return cls(**doc)
+
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
@@ -167,8 +179,6 @@ class TrainResult:
 # 32-wide views (2 vCPUs).
 ADAM_CHUNK = 32768
 
-SQUARE_OVERFLOW = "a squared gradient overflows the Adam second moment"
-
 
 @dataclass
 class AdamState:
@@ -207,8 +217,9 @@ def adam_step(
     another, so every value is bitwise the one the out-of-place
     expressions give.  An overflow of a squared gradient (its second
     moment would be inf and its update silently 0) or of the update raises
-    ``FloatingPointError(what, index)``, the index being that in
-    ``params`` of the first value it hit.
+    ``FloatingPointError(what, cause, index)``, the index being that in
+    ``params`` of the first value it hit.  m/sqrt(v) does not grow with the
+    gradient, so only the rate can make the update overflow.
     """
     if not params.shape == grads.shape == state.first.shape == (params.size,):
         raise ContractError(f"adam_step: parameters {params.shape}, gradients {grads.shape} "
@@ -222,14 +233,15 @@ def adam_step(
             part = slice(start, start + ADAM_CHUNK)
             p, g, m, v = params[part], grads[part], state.first[part], state.second[part]
             a, b = (x[:p.size] for x in state.scratch)
-            what = SQUARE_OVERFLOW
+            failure = ("a squared gradient overflows the Adam second moment",
+                       "the input values, the loss weights or the learning rate are too large")
             try:
                 m *= beta1
                 np.multiply(1.0 - beta1, g, out=a)
                 m += a
                 v *= beta2
                 np.multiply(g, g, out=a)
-                what = "the Adam update overflows"
+                failure = ("the Adam update overflows", "lower the learning rate")
                 a *= 1.0 - beta2
                 v += a
                 np.divide(m, correct1, out=a)
@@ -241,7 +253,7 @@ def adam_step(
                 p -= a
             except FloatingPointError:  # the ufunc that overflowed has stored its inf
                 finite = np.isfinite(a) & np.isfinite(m) & np.isfinite(v) & np.isfinite(p)
-                raise FloatingPointError(what, start + int(finite.argmin())) from None
+                raise FloatingPointError(*failure, start + int(finite.argmin())) from None
 
 
 def _epoch_losses(
@@ -346,10 +358,7 @@ def train(
                 adam_step(params.vector, grad, state, config.learning_rate,
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
             except FloatingPointError as exc:
-                what, index = exc.args
-                # Before the first update only the data can make a gradient that large.
-                cause = ("the input values are too large" if state.step == 1 and what == SQUARE_OVERFLOW
-                         else "lower the learning rate")
+                what, cause, index = exc.args
                 raise ContractError(f"epoch {epoch}: {what} at '{_name_at(index, slices)}'; "
                                     f"{cause}") from None
             collected.append((len(rows) / n, breakdown))

@@ -441,14 +441,51 @@ def _npy_file(raw):
     return setup
 
 
+def _set_view_value(data, value):
+    """Make the value at row 0, col 0 of view 0 ``value``."""
+    view = np.load(data / "view_0.npy")
+    view[0, 0] = value
+    np.save(data / "view_0.npy", view)
+
+
 def _huge_view_value(data, tmp):
     """Make the value at row 0, col 0 of view 0 1e80; train at the default
     widths, whose first step it overflows."""
-    view = np.load(data / "view_0.npy")
-    view[0, 0] = 1e80
-    np.save(data / "view_0.npy", view)
+    _set_view_value(data, 1e80)
     return ["train", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "run"),
             "--epochs", "2"]
+
+
+def _synth60(tmp, *flags):
+    """Write a 60-row, 2-view, 4-label synth of seed 1 (32-wide views unless
+    ``flags`` set ``--dims``); returns its manifest."""
+    main(["synth", "--n", "60", "--views", "2", "--labels", "4", "--seed", "1", *flags,
+          "--out", str(tmp / "d60")])
+    return tmp / "d60" / "manifest.json"
+
+
+def _train60(*flags, synth=(), value=None):
+    """Train 2 epochs at the default widths, with ``flags``, on the synth of
+    :func:`_synth60`, its view 0 value at row 0, col 0 set to ``value`` if
+    given."""
+    def setup(data, tmp):
+        manifest = _synth60(tmp, *synth)
+        if value is not None:
+            _set_view_value(manifest.parent, value)
+        return ["train", "--manifest", str(manifest), "--out", str(tmp / "run"),
+                "--epochs", "2", *flags]
+    return setup
+
+
+def _heatmap60_huge_view_value(data, tmp):
+    """Train a checkpoint on the clean synth of :func:`_synth60`, then make
+    its view 0 value at row 0, col 0 1e160 and export the checkpoint's
+    heatmap."""
+    manifest = _synth60(tmp)
+    main(["train", "--manifest", str(manifest), "--out", str(tmp / "run"), "--epochs", "2"])
+    _set_view_value(manifest.parent, 1e160)
+    return ["heatmap", "--checkpoint", str(tmp / "run" / "checkpoint.json"),
+            "--manifest", str(manifest), "--out", str(tmp / "h")]
 
 
 def _manifest_views_string(data, tmp):
@@ -585,12 +622,25 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
     ("view value overflows the Adam second moment at the first step", _huge_view_value,
      EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
-                      "'private_encoder.0.hidden.weight'; the input values are too large"),
+                      "'private_encoder.0.hidden.weight'; the input values, the loss weights or "
+                      "the learning rate are too large"),
+    ("view value overflows a mini-batch's Adam second moment",
+     _train60("--batch-size", "16", "--seed", "2", value=1e80),
+     EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
+                      "'private_encoder.0.hidden.weight'; the input values, the loss weights or "
+                      "the learning rate are too large"),
+    ("view value overflows the heatmap of a checkpoint", _heatmap60_huge_view_value,
+     EXIT_VALIDATION, "channel similarity: overflow encountered in multiply; the parameters or "
+                      "the input values are out of range"),
+    ("contrastive gradient overflows at the temperature floor",
+     _train60("--alpha", "1e306", "--tau-s", "0.002", "--embed-dim", "4", synth=("--dims", "8")),
+     EXIT_VALIDATION, "epoch 1: gradient of 'shared_encoder.0.hidden.weight' is not finite"),
     ("learning rate overflows the network", _train_flag(lr="1e300"),
      EXIT_VALIDATION, "epoch 2: loss component 'loss_recon' is not finite"),
     ("learning rate overflows the evaluation",
      _train_flag(lr="1e300", epochs="1", train_frac="0.7"),
-     EXIT_VALIDATION, "forward: overflow encountered in matmul; the parameters are out of range"),
+     EXIT_VALIDATION, "forward: overflow encountered in matmul; the parameters or the input values "
+                      "are out of range"),
     ("manifest a JSON list",
      lambda data, tmp: train_args(_json_list(data / "manifest.json"), tmp / "run"),
      EXIT_VALIDATION, "manifest.json: not a JSON object"),
@@ -601,7 +651,12 @@ MALFORMED_INPUTS = [
     ("checkpoint config not an object", _checkpoint_meta("config", "not a config", "eval"),
      EXIT_VALIDATION, "checkpoint.json: config: not a JSON object: 'not a config'"),
     ("checkpoint config with an unknown field", _checkpoint_meta("config", {"bogus": 1}, "heatmap"),
-     EXIT_VALIDATION, "checkpoint.json: config: "),
+     EXIT_VALIDATION, "checkpoint.json: config: unknown fields ['bogus']"),
+    ("config file with unknown fields", _config_doc({"zeta": 1, "epochs": 2, "bogus": 2}),
+     EXIT_USAGE, "cfg.json: unknown fields ['bogus', 'zeta']"),
+    ("config file value out of range under a flag",
+     lambda data, tmp: [*_config_doc({"epochs": 0})(data, tmp), "--epochs", "2"],
+     EXIT_USAGE, "cfg.json: epochs must be >= 1, got 0"),
     ("checkpoint config value out of range", _checkpoint_meta("config", {"epochs": 0}, "eval"),
      EXIT_VALIDATION, "checkpoint.json: config: epochs must be >= 1, got 0"),
 ]
@@ -611,6 +666,15 @@ MALFORMED_INPUTS += [
      f"manifest.json: view 1 file view_1.npy: {message}")
     for case, (raw, message) in malformed_npy(
         synth_dataset(24, 2, 3, (5, 6), noise=0.3, seed=1).views[1]).items()]
+
+
+# A loss weight so large that the first squared gradient overflows.
+MALFORMED_INPUTS += [
+    (f"loss weight {weight} overflows the Adam second moment", _train60(f"--{weight}", "1e200"),
+     EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
+                      f"'{encoder}_encoder.0.hidden.weight'; the input values, the loss weights or "
+                      "the learning rate are too large")
+    for weight, encoder in [("alpha", "shared"), ("beta", "shared"), ("gamma", "private")]]
 
 
 @pytest.mark.parametrize("what,argv,code,names", MALFORMED_INPUTS,

@@ -105,3 +105,17 @@ def test_imports_only_the_standard_library_numpy_and_itself(path):
     imported += [node.module for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.level == 0]
     assert [name for name in imported if name.split(".")[0] not in allowed] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_vjp_sets_its_own_overflow_policy(path):
+    # A training step runs forward and backward under one policy, overflow
+    # ignored, and its loss and gradient checks name the culprit; a VJP that
+    # raised on its own would skip them.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    vjps = [node for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+            for node in ast.walk(outer) if isinstance(node, ast.FunctionDef)
+            and node is not outer and node.name == "vjp"]
+    policies = [f"{path.stem}:{node.lineno}" for vjp in vjps for node in ast.walk(vjp)
+                if isinstance(node, ast.Call) and _names(node.func) & {"errstate", "refuse_overflow"}]
+    assert policies == [], "VJPs that enter np.errstate or refuse_overflow"

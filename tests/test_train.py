@@ -63,6 +63,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(seed=-1)
 
+    def test_from_dict_fills_defaults_and_names_unknown_fields_sorted(self):
+        assert TrainConfig.from_dict({"epochs": 3, "tau_s": 0.3}) == TrainConfig(epochs=3, tau_s=0.3)
+        with pytest.raises(ConfigError, match=r"^unknown fields \['bogus', 'zeta'\]$"):
+            TrainConfig.from_dict({"zeta": 1, "epochs": 3, "bogus": 2})
+        with pytest.raises(ConfigError, match=r"^not a JSON object: \['epochs'\]$"):
+            TrainConfig.from_dict(["epochs"])
+
     @pytest.mark.parametrize("field,value", [
         ("epochs", "5"), ("epochs", 2.0), ("seed", True), ("learning_rate", "0.1"),
         ("fixed_mask", 1), ("label_gate_mode", 0),
@@ -209,11 +216,14 @@ class TestAdamStep:
         (ADAM_CHUNK + 1, 10.0, 1e308, "the Adam update overflows"),
     ])
     def test_overflow_gives_its_index(self, index, grad, lr, what):
+        # Each kind has one cause; only the rate scales the update.
+        cause = {"the Adam update overflows": "lower the learning rate"}.get(
+            what, "the input values, the loss weights or the learning rate are too large")
         g = np.full(ADAM_CHUNK + 3, 1e-3)
         g[index] = grad
         with pytest.raises(FloatingPointError) as err:
             adam_step(np.zeros(g.size), g, AdamState.initialize(g.size), lr)
-        assert err.value.args == (what, index)
+        assert err.value.args == (what, cause, index)
 
     @settings(max_examples=40)
     @given(shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4),
@@ -324,19 +334,32 @@ class TestTrainLoop:
 
     def test_update_overflow_aborts_naming_parameter(self):
         with pytest.raises(ContractError, match=r"^epoch 1: the Adam update overflows at "
-                                                r"'private_encoder\.0\.hidden\.weight'; lower"):
+                                                r"'private_encoder\.0\.hidden\.weight'; "
+                                                r"lower the learning rate$"):
             train(small_dataset(), small_config(epochs=1, gamma=100.0, learning_rate=1.7e308))
 
     def test_out_of_range_parameters_are_refused_after_training(self):
+        # Untaped evaluation cannot tell the parameters from the input values.
         ds = small_dataset()
         params = small_params(ds.view_dims, ds.n_labels)
         params.vector *= 1e100
-        with pytest.raises(ContractError, match="^channel similarity: overflow encountered"):
+        with pytest.raises(ContractError, match="^channel similarity: overflow encountered in "
+                                                "multiply; the parameters or the input values "
+                                                "are out of range$"):
             channel_similarity(params, ds)
         params.vector *= 1e200
         with pytest.raises(ContractError, match="^forward: overflow encountered in matmul; "
-                                                "the parameters are out of range$"):
+                                                "the parameters or the input values are out of range$"):
             forward_all(params, ds, None, training=False)
+
+    @pytest.mark.parametrize("weight,encoder", [("alpha", "shared"), ("beta", "shared"),
+                                                ("gamma", "private")])
+    def test_loss_weight_overflow_names_the_weights(self, weight, encoder):
+        with pytest.raises(ContractError, match=r"^epoch 1: a squared gradient overflows the Adam "
+                                                rf"second moment at '{encoder}_encoder\.0\.hidden\.weight'; the "
+                                                r"input values, the loss weights or the learning "
+                                                r"rate are too large$"):
+            train(small_dataset(), small_config(epochs=1, **{weight: 1e200}))
 
     def test_nonfinite_gradient_aborts_before_adam_naming_parameter(self, monkeypatch):
         train_mod = importlib.import_module("mvmlc.train")  # the package re-exports train()
