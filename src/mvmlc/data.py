@@ -29,12 +29,28 @@ from .errors import ConfigError, ShapeError, ValidationError
 
 Array = np.ndarray
 
+# The largest view value a dataset takes.  The model has no normalization
+# layer, so a first-layer weight's gradient grows as x^2 (the reconstruction
+# error grows with x, and x multiplies it again) and Adam's second moment
+# as x^4.  (1e60)^4 = 1e240 leaves a factor of ~1e68 below the largest
+# double (1.8e308) for the row count, the widths, the initial weights and
+# the loss weights; a single value of 1e80 already overflows at the first
+# step at the default config.
+VIEW_MAX = 1e60
+
 
 def _as_float_matrix(x) -> Array:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def _within_view_max(x: Array) -> bool:
+    """Whether every value of ``x`` is at most ``VIEW_MAX`` in magnitude; a
+    NaN fails both comparisons.  Two reductions cost what one ``isfinite``
+    pass does, where a mask of ``np.abs(x)`` takes two temporaries."""
+    return bool(x.min(initial=np.inf) >= -VIEW_MAX and x.max(initial=-np.inf) <= VIEW_MAX)
 
 
 def _check_binary(arr: Array, what: str) -> None:
@@ -63,9 +79,10 @@ class MultiViewDataset:
     """Per-view features plus labels and availability indicators.
 
     Invariants enforced at construction: there is at least one sample, all
-    views share the sample count and hold only finite values, the view
-    indicator covers every sample with at least one view, rows of
-    unavailable views are all zeros, and unknown labels are stored as 0.
+    views share the sample count and hold only finite values of magnitude
+    at most ``VIEW_MAX``, the view indicator covers every sample with at
+    least one view, rows of unavailable views are all zeros, and unknown
+    labels are stored as 0.
     """
 
     views: list[Array]
@@ -98,11 +115,12 @@ class MultiViewDataset:
         _check_binary(self.label_indicator, "label indicator")
         _check_binary(self.labels, "labels")
         for m, v in enumerate(self.views):
-            bad = ~np.isfinite(v)
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
+            if not _within_view_max(v):
+                i, j = np.argwhere(~(np.abs(v) <= VIEW_MAX))[0]
+                expected = (f"a magnitude of at most {VIEW_MAX:g}" if np.isfinite(v[i, j])
+                            else "a finite value")
                 raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
-                                      "expected a finite value")
+                                      f"expected {expected}")
         uncovered = np.where(self.view_indicator.sum(axis=1) == 0)[0]
         if uncovered.size:
             raise ValidationError(f"sample {uncovered[0]} has no available view")
@@ -304,8 +322,9 @@ def synth_dataset(
         if noise > 0:
             with np.errstate(over="ignore"):
                 x = x + noise * rng.normal(size=x.shape)
-            if not np.isfinite(x).all():
-                raise ConfigError(f"noise must keep the view values finite, got {noise}")
+            if not _within_view_max(x):
+                raise ConfigError(f"noise must keep the view values finite and at most "
+                                  f"{VIEW_MAX:g} in magnitude, got {noise}")
         views.append(x)
 
     ones_v = np.ones((n_samples, n_views))

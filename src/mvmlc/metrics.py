@@ -51,11 +51,13 @@ def _wilcoxon(scores: Array, positive: Array) -> tuple[Array, Array]:
     ties counted half, and the number of such pairs.
 
     The correct count is the positives' midrank sum less its least value
-    n_pos (n_pos + 1) / 2.  Midranks come from one stable row-wise sort:
-    a tie group shares the mean of its first and last 1-based positions.
+    n_pos (n_pos + 1) / 2.  Midranks come from one row-wise sort: a tie
+    group shares the mean of its first and last 1-based positions.  Every
+    member of a group gets that one rank, so the order the sort leaves
+    inside a group cannot change the sum, and the sort need not be stable.
     """
     k = scores.shape[1]
-    order = np.argsort(scores, axis=1, kind="stable")
+    order = np.argsort(scores, axis=1)
     ranked = np.take_along_axis(scores, order, axis=1)
     pos = np.take_along_axis(positive, order, axis=1)
     opens = np.ones(ranked.shape, dtype=bool)  # first entry of a tie group

@@ -17,14 +17,15 @@ so their adjoints are exactly zero.  Per-view outputs therefore stay
 compact, and rows return to all N samples only through
 :func:`mvmlc.numerics.scatter_rows`, in :func:`fuse` and where the
 training losses take their N-row inputs.  At inference the decoders and
-projection heads, which feed only those losses, do not run.
+projection heads, which feed only those losses, do not run, and the
+encoders and the head run in blocks of ``INFER_ROWS`` samples, so each
+layer's temporaries span one block rather than all N rows.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,12 @@ from .errors import ConfigError, ContractError, ValidationError
 from .numerics import Matrix
 
 Array = np.ndarray
+
+# Samples per block of the inference forward, so that a block's encoder
+# temporaries (rows x hidden_dim) stay in cache.  On 10000 rows of three
+# 32-wide views, blocks of 1024 ran the forward ~1.4x faster than one pass
+# (2 vCPUs, BLAS on 1 thread); 256, 512 and 2048 were no faster.
+INFER_ROWS = 1024
 
 
 def parameter_layout(view_dims: tuple[int, ...], n_labels: int, embed_dim: int,
@@ -225,6 +232,46 @@ def classify(params: ModelParams, blended: Matrix) -> Matrix:
     return nm.sigmoid(blended @ params["classifier.weight"] + params["classifier.bias"])
 
 
+def _head(params: ModelParams, shared: list[Matrix], private: list[Matrix],
+          view_indicator: Array) -> Matrix:
+    """Fusion, channel interaction and the classifier: the scores of the
+    samples ``view_indicator`` covers."""
+    return classify(params, interact(*fuse(shared, private, view_indicator)))
+
+
+def _infer(params: ModelParams, views: list[Matrix], rows: list[Array],
+           view_indicator: Array) -> tuple[list[Matrix], list[Matrix], Matrix]:
+    """Shared and private features and scores, in blocks of ``INFER_ROWS``
+    samples.
+
+    Each block gathers every view's observed rows in it, a contiguous run of
+    ``rows[m]``, and runs the encoders and the head on them alone; its
+    outputs go to their rows of the compact feature arrays and of the N x C
+    scores.  Every row's values are the same ones a single pass computes,
+    except where a block holds one observed row of a view: numpy computes a
+    one-row product as a matrix-vector product, whose last bit can differ.
+    """
+    n = view_indicator.shape[0]
+    starts = range(0, n, INFER_ROWS)
+    if len(starts) > 1:
+        out_shared = [np.empty((len(r), params.embed_dim)) for r in rows]
+        out_private = [np.empty((len(r), params.embed_dim)) for r in rows]
+        out_scores = np.empty((n, params.n_labels))
+    for start in starts:
+        stop = min(start + INFER_ROWS, n)
+        spans = [np.searchsorted(r, (start, stop)) for r in rows]
+        shared, private = encode(params, [Matrix(x.value[r[lo:hi]])
+                                          for x, r, (lo, hi) in zip(views, rows, spans)])
+        scores = _head(params, shared, private, view_indicator[start:stop])
+        if len(starts) == 1:  # the block's outputs are the arrays: nothing is copied
+            return shared, private, scores
+        for m, (lo, hi) in enumerate(spans):
+            out_shared[m][lo:hi] = shared[m].value
+            out_private[m][lo:hi] = private[m].value
+        out_scores[start:stop] = scores.value
+    return [Matrix(s) for s in out_shared], [Matrix(p) for p in out_private], Matrix(out_scores)
+
+
 def forward_all(
     params: ModelParams,
     dataset: MultiViewDataset,
@@ -233,30 +280,33 @@ def forward_all(
 ) -> ForwardCache:
     """Run the network, each view's stack on its observed rows only.
 
-    Input masking applies only when training.  Without training only the
-    encoders, fusion and classifier run; the decoders and heads feed only
-    the training losses.  No loss check follows that forward, so there an
-    overflow is a :class:`ContractError`.
+    Input masking applies only when training, and the training forward is
+    one pass over all N rows, recorded on the active tape.  Without
+    training only the encoders, fusion and classifier run, in blocks of
+    ``INFER_ROWS`` samples (see :func:`_infer`): the decoders and heads
+    feed only the training losses, and a block's temporaries stay in cache
+    where all N rows' would not.  No loss check follows that forward, so
+    there an overflow is a :class:`ContractError`.
     """
     if training and bank is not None:
         masked = [Matrix(x) for x in apply_input_mask(dataset, bank)]
     else:
         masked = [Matrix(x) for x in dataset.views]
-    n = dataset.n_samples
     rows = _observed_rows(dataset.view_indicator)
-    with nullcontext() if training else nm.refuse_overflow("forward"):
-        shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
-        recon, instance_feats, label_probs = [], [], []
-        if training:
-            def lift(feats: list[Matrix]) -> list[Matrix]:
-                return [nm.scatter_rows([f], [r], n) for f, r in zip(feats, rows)]
+    if not training:
+        with nm.refuse_overflow("forward"):
+            shared, private, scores = _infer(params, masked, rows, dataset.view_indicator)
+        return ForwardCache(masked_views=masked, shared=shared, private=private, recon=[],
+                            instance_feats=[], label_probs=[], scores=scores)
+    n = dataset.n_samples
+    shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
 
-            recon = lift(decode(params, private))
-            instance_feats = lift(project_instances(params, shared))
-            label_probs = lift(project_labels(params, shared))
-        fused_shared, fused_private = fuse(shared, private, dataset.view_indicator)
-        blended = interact(fused_shared, fused_private)
-        scores = classify(params, blended)
+    def lift(feats: list[Matrix]) -> list[Matrix]:
+        return [nm.scatter_rows([f], [r], n) for f, r in zip(feats, rows)]
+
+    recon = lift(decode(params, private))
+    instance_feats = lift(project_instances(params, shared))
+    label_probs = lift(project_labels(params, shared))
     return ForwardCache(
         masked_views=masked,
         shared=shared,
@@ -264,7 +314,7 @@ def forward_all(
         recon=recon,
         instance_feats=instance_feats,
         label_probs=label_probs,
-        scores=scores,
+        scores=_head(params, shared, private, dataset.view_indicator),
     )
 
 

@@ -208,8 +208,9 @@ def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     pre += b1.value
     # np.maximum is one pass where np.where(pre > 0, pre, 0.0) is several,
     # and bitwise equal to it on finite input (-0.0 and 0.0 both map to
-    # 0.0); datasets reject non-finite values.
-    hidden = np.maximum(pre, 0.0)
+    # 0.0); datasets reject non-finite values.  Nothing reads pre after
+    # this, so the ReLU overwrites it rather than allocate a second array.
+    hidden = np.maximum(pre, 0.0, out=pre)
     out = hidden @ w2.value
     out += b2.value
 

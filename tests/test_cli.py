@@ -449,8 +449,8 @@ def _set_view_value(data, value):
 
 
 def _huge_view_value(data, tmp):
-    """Make the value at row 0, col 0 of view 0 1e80; train at the default
-    widths, whose first step it overflows."""
+    """Make the value at row 0, col 0 of view 0 1e80, above ``VIEW_MAX``
+    (at the default widths it overflowed the first step), and train."""
     _set_view_value(data, 1e80)
     return ["train", "--manifest", str(data / "manifest.json"), "--out", str(tmp / "run"),
             "--epochs", "2"]
@@ -620,18 +620,21 @@ MALFORMED_INPUTS = [
      EXIT_VALIDATION, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
     ("learning rate overflows the Adam second moment", _train_flag(lr="1e30"),
      EXIT_VALIDATION, "epoch 2: a squared gradient overflows the Adam second moment"),
-    ("view value overflows the Adam second moment at the first step", _huge_view_value,
-     EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
-                      "'private_encoder.0.hidden.weight'; the input values, the loss weights or "
-                      "the learning rate are too large"),
-    ("view value overflows a mini-batch's Adam second moment",
-     _train60("--batch-size", "16", "--seed", "2", value=1e80),
-     EXIT_VALIDATION, "epoch 1: a squared gradient overflows the Adam second moment at "
-                      "'private_encoder.0.hidden.weight'; the input values, the loss weights or "
-                      "the learning rate are too large"),
-    ("view value overflows the heatmap of a checkpoint", _heatmap60_huge_view_value,
-     EXIT_VALIDATION, "channel similarity: overflow encountered in multiply; the parameters or "
-                      "the input values are out of range"),
+    ("view value above VIEW_MAX in train", _huge_view_value, EXIT_VALIDATION,
+     "manifest.json: view 0: entry at row 0, col 0 is 1e+80, "
+     "expected a magnitude of at most 1e+60"),
+    ("view value above VIEW_MAX in a mini-batch",
+     _train60("--batch-size", "16", "--seed", "2", value=1e80), EXIT_VALIDATION,
+     "manifest.json: view 0: entry at row 0, col 0 is 1e+80, "
+     "expected a magnitude of at most 1e+60"),
+    ("view value above VIEW_MAX in a heatmap", _heatmap60_huge_view_value,
+     EXIT_VALIDATION, "manifest.json: view 0: entry at row 0, col 0 is 1e+160, "
+                      "expected a magnitude of at most 1e+60"),
+    ("synth noise above VIEW_MAX",
+     lambda data, tmp: ["synth", "--n", "10", "--views", "2", "--labels", "3",
+                        "--noise", "1e70", "--out", str(tmp / "s")],
+     EXIT_USAGE, "noise must keep the view values finite and at most 1e+60 in magnitude, "
+                 "got 1e+70"),
     ("contrastive gradient overflows at the temperature floor",
      _train60("--alpha", "1e306", "--tau-s", "0.002", "--embed-dim", "4", synth=("--dims", "8")),
      EXIT_VALIDATION, "epoch 1: gradient of 'shared_encoder.0.hidden.weight' is not finite"),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mvmlc import data
 from mvmlc.data import (
+    VIEW_MAX,
     MaskBank,
     MultiViewDataset,
     apply_indicators,
@@ -22,6 +23,7 @@ from mvmlc.data import (
     write_matrix_csv,
 )
 from mvmlc.errors import ConfigError, ShapeError, ValidationError
+from mvmlc.train import TrainConfig, train
 
 from manifests import malformed_npy, npy_bytes, write_csv_manifest
 
@@ -156,7 +158,8 @@ class TestSynthDataset:
         counts = ds.labels.sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
 
-    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, sys.float_info.max])
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1, 1e70,
+                                       sys.float_info.max])
     def test_invalid_noise_rejected(self, noise):
         with pytest.raises(ConfigError, match="noise"):
             synth_dataset(5, 2, 2, dims=3, noise=noise, seed=0)
@@ -249,7 +252,11 @@ MALFORMED = {
     "NaN view value": (dict(views=[np.array([[1.0, np.nan], [0.0, 0.0]]), np.array([[3.0], [4.0]])]),
                        "view 0: entry at row 0, col 1 is nan"),
     "infinite view value": (dict(views=[np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[3.0], [-np.inf]])]),
-                            "view 1: entry at row 1, col 0 is -inf"),
+                            "view 1: entry at row 1, col 0 is -inf, expected a finite value"),
+    "view value above VIEW_MAX": (dict(views=[np.array([[1.0, 2.0], [0.0, 0.0]]),
+                                              np.array([[3.0], [-1e61]])]),
+                                  r"view 1: entry at row 1, col 0 is -1e\+61, "
+                                  r"expected a magnitude of at most 1e\+60"),
     "view indicator shape": (dict(view_indicator=np.ones((2, 3))), "view indicator shape"),
     "label indicator shape": (dict(label_indicator=np.ones((2, 3))), "label indicator shape"),
     "non-binary label": (dict(labels=np.array([[1.0, 0.5], [0.0, 0.0]])), "labels: entry at row 0, col 1 is 0.5, expected 0 or 1"),
@@ -267,6 +274,31 @@ MALFORMED = {
                        view_indicator=np.zeros((0, 2)), label_indicator=np.zeros((0, 2))),
                   "at least one sample"),
 }
+
+
+class TestViewBound:
+    def test_the_bound_is_inclusive(self):
+        parts = _valid_parts()
+        parts["views"][1] = np.array([[VIEW_MAX], [-VIEW_MAX]])
+        MultiViewDataset(**parts)
+        parts["views"][1] = np.array([[VIEW_MAX], [-np.nextafter(VIEW_MAX, np.inf)]])
+        with pytest.raises(ValidationError, match=r"row 1, col 0 is -1.0+1e\+60, expected a "):
+            MultiViewDataset(**parts)
+
+    @pytest.mark.parametrize("batch_size", [0, 16], ids=["full batch", "mini-batch"])
+    def test_a_dataset_at_the_bound_trains_without_warning(self, caplog, batch_size):
+        # Every entry +-VIEW_MAX, half the views missing; the default config.
+        # pytest turns a warning into an error, and the log must stay empty.
+        ds = synth_dataset(60, 2, 4, dims=(32, 32), noise=0.1, seed=1)
+        vi, _ = generate_indicators(60, 2, 4, 0.5, 0.0, seed=2)
+        ds = apply_indicators(MultiViewDataset(
+            views=[np.where(v < 0, -VIEW_MAX, VIEW_MAX) for v in ds.views], labels=ds.labels,
+            view_indicator=ds.view_indicator, label_indicator=ds.label_indicator), vi, None)
+        result = train(ds, TrainConfig(epochs=3, batch_size=batch_size, seed=0), eval_data=ds,
+                       eval_every=3, snapshot_epochs=(0, 3))
+        assert [r.epoch for r in result.log.records] == [1, 2, 3]
+        assert all(np.isfinite(m).all() for m in result.snapshots.values())
+        assert caplog.records == []
 
 
 class TestSubset:
@@ -334,7 +366,8 @@ class TestSubset:
 class TestManifestRoundTrip:
     @settings(max_examples=40)
     @given(n=st.integers(1, 12), v=st.integers(1, 3), c=st.integers(1, 4),
-           seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e300]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, VIEW_MAX / 8]),
            view_missing=st.sampled_from([0.0, 0.3, 0.6]), label_missing=st.sampled_from([0.0, 0.5]))
     def test_every_matrix_round_trips_bitwise(self, tmp_path_factory, n, v, c, seed, scale,
                                               view_missing, label_missing):

@@ -184,6 +184,24 @@ def test_all_metrics_match_bruteforce_on_edge_shapes(n, c, equal):
         assert_metrics_match_oracles(scores, labels)
 
 
+def test_tie_heavy_rank_metrics_at_scale_equal_the_oracles_exactly():
+    # 2000 samples, scores on a grid of 0.01: every row the rank sort sees
+    # is long enough for numpy's vectorized sort, and holds tie groups of
+    # ~20 entries.  Label 0's scores are all equal, one tie group of 2000;
+    # label 1 is all positive, so macro_auc leaves it out.  The sort's order
+    # inside a tie group is not that of a stable sort, and the counts must
+    # still be exact.  The sample-label transpose makes the same rows the
+    # rows of ranking_loss.  Each mean is over fewer than 8 values, which
+    # numpy sums in order, as the oracles do.
+    rng = np.random.default_rng(5)
+    scores = np.round(rng.random((2000, 6)), 2)
+    scores[:, 0] = 0.37
+    labels = (rng.random((2000, 6)) > 0.9).astype(float)
+    labels[:, 1] = 1.0
+    assert macro_auc(scores, labels) == auc_oracle(scores, labels)
+    assert ranking_loss(scores.T, labels.T) == ranking_oracle(scores.T, labels.T)
+
+
 @pytest.mark.parametrize("metric", [ranking_loss, macro_auc], ids=lambda m: m.__name__)
 def test_pair_counts_take_memory_linear_in_the_scores(metric):
     # 1000 x 200 scores are 1.5 MiB; one N x C x C pair tensor would be ~300 MiB.

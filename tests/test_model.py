@@ -13,6 +13,7 @@ from mvmlc.data import MaskBank, MultiViewDataset, synth_dataset, generate_indic
 from mvmlc.errors import ConfigError, ContractError, ShapeError, ValidationError
 from mvmlc.model import ModelParams, forward_all, fuse, interact, classify
 from mvmlc.numerics import Matrix
+from mvmlc.train import channel_similarity
 
 
 def make_params(view_dims=(4, 5), n_labels=3, embed=4, hidden=6, seed=0):
@@ -257,6 +258,88 @@ class TestForwardAll:
         ds2.name = ds.name
         perturbed = forward_all(params, ds2, None, training=False).scores.value
         assert np.array_equal(base, perturbed)
+
+
+def blocked_dataset(n=23):
+    """A 3-view dataset for blocks of 5 or 10 rows: view 0 is missing from
+    rows 5-9, so the block of rows 5-9 holds none of it, view 1 is observed on
+    even rows and view 2 on rows 5-9 and 15 on.  Every view holds 0 or at
+    least 2 observed rows in each such block, the ragged tail included."""
+    vi = np.zeros((n, 3))
+    vi[:, 0] = 1.0
+    vi[5:10, 0] = 0.0
+    vi[::2, 1] = 1.0
+    vi[5:10, 2] = vi[15:, 2] = 1.0
+    return apply_indicators(synth_dataset(n, 3, 3, dims=(4, 5, 3), noise=0.2, seed=0), vi, None)
+
+
+class TestBlockedInference:
+    @staticmethod
+    def outputs(monkeypatch, params, ds, block):
+        monkeypatch.setattr(md, "INFER_ROWS", block)
+        cache = forward_all(params, ds, None, training=False)
+        return cache, channel_similarity(params, ds)
+
+    @pytest.mark.parametrize("block", [5, 10])
+    def test_blocks_are_bitwise_one_pass(self, monkeypatch, block):
+        params = make_params(view_dims=(4, 5, 3))
+        ds = blocked_dataset()
+        one, one_sim = self.outputs(monkeypatch, params, ds, ds.n_samples)
+        got, got_sim = self.outputs(monkeypatch, params, ds, block)
+        assert got.scores.value.tobytes() == one.scores.value.tobytes()
+        for a, b in zip(got.shared + got.private, one.shared + one.private):
+            assert a.shape == b.shape and a.value.tobytes() == b.value.tobytes()
+        assert got_sim.tobytes() == one_sim.tobytes()
+        assert got.recon == got.instance_feats == got.label_probs == []
+
+    def test_overflow_in_a_later_block_is_the_forward_error(self, monkeypatch):
+        # At 1e85 times the initial parameters, the scores of rows of values
+        # near 1 stay finite; the one row holding 1e60 overflows.
+        params = make_params(view_dims=(4, 5, 3))
+        params.vector *= 1e85
+        ds = blocked_dataset()
+        ds.views[0][21, 0] = 1e60  # within VIEW_MAX, so a valid dataset
+        monkeypatch.setattr(md, "INFER_ROWS", 5)
+        assert np.isfinite(forward_all(params, ds.subset(np.arange(20))).scores.value).all()
+        messages = []
+        for block in (5, ds.n_samples):
+            monkeypatch.setattr(md, "INFER_ROWS", block)
+            with pytest.raises(ContractError, match=r"^forward: overflow encountered in \w+; the "
+                                                    "parameters or the input values are out of "
+                                                    "range$") as err:
+                forward_all(params, ds)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("block,singles", [(4, 2), (22, 1)])
+    def test_a_block_with_one_observed_row_of_a_view(self, monkeypatch, block, singles):
+        # numpy computes a one-row product as a matrix-vector product, which
+        # can round differently from the matrix product of one pass.  Blocks of
+        # 4 leave view 0 one row in rows 4-7 and view 2 one in rows 12-15;
+        # blocks of 22 leave row 22 alone.  Such a block's scores are bitwise
+        # those of a forward on its rows alone, and within 1e-14 of one pass;
+        # every other block's are bitwise those of one pass.
+        params = make_params(view_dims=(4, 5, 3))
+        ds = blocked_dataset()
+        n = ds.n_samples
+        one, _ = self.outputs(monkeypatch, params, ds, n)
+        got, _ = self.outputs(monkeypatch, params, ds, block)
+        again, _ = self.outputs(monkeypatch, params, ds, block)
+        assert got.scores.value.tobytes() == again.scores.value.tobytes()
+        singles_seen = 0
+        for start in range(0, n, block):
+            rows = np.arange(start, min(start + block, n))
+            counts = ds.view_indicator[rows].sum(axis=0)
+            monkeypatch.setattr(md, "INFER_ROWS", n)
+            alone = forward_all(params, ds.subset(rows)).scores.value
+            assert got.scores.value[rows].tobytes() == alone.tobytes()
+            if 1 in counts:
+                singles_seen += 1
+                np.testing.assert_allclose(got.scores.value[rows], one.scores.value[rows],
+                                           rtol=1e-14, atol=0)
+            else:
+                assert got.scores.value[rows].tobytes() == one.scores.value[rows].tobytes()
+        assert singles_seen == singles
 
 
 class TestRowCompaction:
