@@ -2,9 +2,11 @@
 
 A dataset bundles per-view feature matrices, a binary label matrix and two
 binary indicator matrices: the view indicator (sample i has view m) and
-the label indicator (label j of sample i is known).  Missing entries are
-zero-filled at construction time, and the losses additionally gate by the
-indicators, so the two protections are independent.
+the label indicator (label j of sample i is known).  A dataset refuses
+nonzero data where an indicator is 0; :func:`load_dataset` and
+:func:`apply_indicators` zero-fill what the indicators they compose in
+hide.  The losses additionally gate by the indicators, so the two
+protections are independent.
 
 On-disk format: a JSON manifest referencing matrix files, one sample per
 row: numpy ``.npy`` files (what :func:`save_dataset` writes) or headerless
@@ -51,6 +53,17 @@ def _within_view_max(x: Array) -> bool:
     NaN fails both comparisons.  Two reductions cost what one ``isfinite``
     pass does, where a mask of ``np.abs(x)`` takes two temporaries."""
     return bool(x.min(initial=np.inf) >= -VIEW_MAX and x.max(initial=-np.inf) <= VIEW_MAX)
+
+
+def _check_view(v: Array, m: int) -> None:
+    """Refuse a view value that is not finite or exceeds ``VIEW_MAX`` in
+    magnitude, naming view ``m`` and the first such entry."""
+    if not _within_view_max(v):
+        i, j = np.argwhere(~(np.abs(v) <= VIEW_MAX))[0]
+        expected = (f"a magnitude of at most {VIEW_MAX:g}" if np.isfinite(v[i, j])
+                    else "a finite value")
+        raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
+                              f"expected {expected}")
 
 
 def _check_binary(arr: Array, what: str) -> None:
@@ -115,12 +128,7 @@ class MultiViewDataset:
         _check_binary(self.label_indicator, "label indicator")
         _check_binary(self.labels, "labels")
         for m, v in enumerate(self.views):
-            if not _within_view_max(v):
-                i, j = np.argwhere(~(np.abs(v) <= VIEW_MAX))[0]
-                expected = (f"a magnitude of at most {VIEW_MAX:g}" if np.isfinite(v[i, j])
-                            else "a finite value")
-                raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
-                                      f"expected {expected}")
+            _check_view(v, m)
         uncovered = np.where(self.view_indicator.sum(axis=1) == 0)[0]
         if uncovered.size:
             raise ValidationError(f"sample {uncovered[0]} has no available view")
@@ -462,8 +470,11 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
 
     Relative file paths resolve against the manifest's directory; a name
     ending in ``.npy`` is read as a numpy array file, any other as CSV.  The
-    indicator files (all ones when omitted) are composed into the complete
-    data by :func:`apply_indicators`, which zero-fills what they hide.
+    labels and view values are checked as read, so a bad value that an
+    indicator file hides is still refused.  Each indicator file (all ones
+    when omitted) is then multiplied into the arrays just read, in place,
+    which zero-fills what it hides with the values :func:`apply_indicators`
+    gives, and one :class:`MultiViewDataset` is built from them.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
@@ -485,11 +496,25 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
         views.append(view)
     masks = [_read_matrix(manifest_path, manifest[k], k.replace("_", " ")) if k in manifest
              else None for k in indicators]
+    view_mask, label_mask = masks
     try:
-        complete = MultiViewDataset(views=views, labels=labels,
-                                    view_indicator=np.ones((n, len(views))),
-                                    label_indicator=np.ones_like(labels),
-                                    name=str(manifest.get("name", manifest_path.stem)))
-        return apply_indicators(complete, *masks)
-    except (ShapeError, ValidationError) as exc:
+        _check_binary(labels, "labels")
+        for m, view in enumerate(views):
+            _check_view(view, m)
+        for key, mask, shape in zip(indicators, masks, ((n, len(views)), labels.shape)):
+            if mask is not None and mask.shape != shape:
+                raise ValidationError(f"{key.replace('_', ' ')} shape {mask.shape} != {shape}")
+        if view_mask is None:
+            view_mask = np.ones((n, len(views)))
+        else:
+            for m, view in enumerate(views):
+                view *= view_mask[:, m:m + 1]
+        if label_mask is None:
+            label_mask = np.ones_like(labels)
+        else:
+            labels *= label_mask
+        return MultiViewDataset(views=views, labels=labels, view_indicator=view_mask,
+                                label_indicator=label_mask,
+                                name=str(manifest.get("name", manifest_path.stem)))
+    except ValidationError as exc:
         raise ValidationError(f"manifest {manifest_path}: {exc}") from None

@@ -19,7 +19,8 @@ compact, and rows return to all N samples only through
 training losses take their N-row inputs.  At inference the decoders and
 projection heads, which feed only those losses, do not run, and the
 encoders and the head run in blocks of ``INFER_ROWS`` samples, so each
-layer's temporaries span one block rather than all N rows.
+layer's temporaries span one block rather than all N rows; only the
+scores are kept.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class ForwardCache:
     ``shared`` and ``private`` are compact: entry m holds view m's
     features on its n_m observed rows, in sample order.  The loss inputs
     ``recon``, ``instance_feats`` and ``label_probs`` span all N rows,
-    zero where the view is missing; a forward without training fills none
-    of them, so they are empty lists.
+    zero where the view is missing.  A forward without training keeps only
+    ``masked_views`` and ``scores``: the other fields are empty lists.
     """
 
     masked_views: list[Matrix]    # encoder inputs before row compaction, N x d_m
@@ -240,36 +241,25 @@ def _head(params: ModelParams, shared: list[Matrix], private: list[Matrix],
 
 
 def _infer(params: ModelParams, views: list[Matrix], rows: list[Array],
-           view_indicator: Array) -> tuple[list[Matrix], list[Matrix], Matrix]:
-    """Shared and private features and scores, in blocks of ``INFER_ROWS``
-    samples.
+           view_indicator: Array) -> Matrix:
+    """The N x C scores, computed in blocks of ``INFER_ROWS`` samples.
 
     Each block gathers every view's observed rows in it, a contiguous run of
-    ``rows[m]``, and runs the encoders and the head on them alone; its
-    outputs go to their rows of the compact feature arrays and of the N x C
-    scores.  Every row's values are the same ones a single pass computes,
-    except where a block holds one observed row of a view: numpy computes a
-    one-row product as a matrix-vector product, whose last bit can differ.
+    ``rows[m]``, runs the encoders and the head on them alone and writes its
+    scores to its rows of the output; nothing else is kept.  Every row's
+    scores are the ones a single pass computes, except where a block holds
+    one observed row of a view: numpy computes a one-row product as a
+    matrix-vector product, whose last bit can differ.
     """
     n = view_indicator.shape[0]
-    starts = range(0, n, INFER_ROWS)
-    if len(starts) > 1:
-        out_shared = [np.empty((len(r), params.embed_dim)) for r in rows]
-        out_private = [np.empty((len(r), params.embed_dim)) for r in rows]
-        out_scores = np.empty((n, params.n_labels))
-    for start in starts:
+    scores = np.empty((n, params.n_labels))
+    for start in range(0, n, INFER_ROWS):
         stop = min(start + INFER_ROWS, n)
         spans = [np.searchsorted(r, (start, stop)) for r in rows]
         shared, private = encode(params, [Matrix(x.value[r[lo:hi]])
                                           for x, r, (lo, hi) in zip(views, rows, spans)])
-        scores = _head(params, shared, private, view_indicator[start:stop])
-        if len(starts) == 1:  # the block's outputs are the arrays: nothing is copied
-            return shared, private, scores
-        for m, (lo, hi) in enumerate(spans):
-            out_shared[m][lo:hi] = shared[m].value
-            out_private[m][lo:hi] = private[m].value
-        out_scores[start:stop] = scores.value
-    return [Matrix(s) for s in out_shared], [Matrix(p) for p in out_private], Matrix(out_scores)
+        scores[start:stop] = _head(params, shared, private, view_indicator[start:stop]).value
+    return Matrix(scores)
 
 
 def forward_all(
@@ -283,10 +273,11 @@ def forward_all(
     Input masking applies only when training, and the training forward is
     one pass over all N rows, recorded on the active tape.  Without
     training only the encoders, fusion and classifier run, in blocks of
-    ``INFER_ROWS`` samples (see :func:`_infer`): the decoders and heads
-    feed only the training losses, and a block's temporaries stay in cache
-    where all N rows' would not.  No loss check follows that forward, so
-    there an overflow is a :class:`ContractError`.
+    ``INFER_ROWS`` samples (see :func:`_infer`), and only the scores are
+    kept: the decoders and heads feed only the training losses, and a
+    block's temporaries stay in cache where all N rows' would not.  No loss
+    check follows that forward, so there an overflow is a
+    :class:`ContractError`.
     """
     if training and bank is not None:
         masked = [Matrix(x) for x in apply_input_mask(dataset, bank)]
@@ -295,8 +286,8 @@ def forward_all(
     rows = _observed_rows(dataset.view_indicator)
     if not training:
         with nm.refuse_overflow("forward"):
-            shared, private, scores = _infer(params, masked, rows, dataset.view_indicator)
-        return ForwardCache(masked_views=masked, shared=shared, private=private, recon=[],
+            scores = _infer(params, masked, rows, dataset.view_indicator)
+        return ForwardCache(masked_views=masked, shared=[], private=[], recon=[],
                             instance_feats=[], label_probs=[], scores=scores)
     n = dataset.n_samples
     shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])

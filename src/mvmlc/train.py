@@ -34,7 +34,7 @@ from .data import MaskBank, MultiViewDataset, csv_text
 from .errors import ConfigError, ContractError
 from .losses import COMPONENTS, TAU_MIN, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
-from .model import ModelParams, forward_all
+from .model import ModelParams, encode, forward_all
 from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
@@ -383,12 +383,15 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     on unmasked inputs, and normalized as the contrastive loss normalizes
     its rows (a channel with no available row has similarity 0.5 to every
     other).  Returns a symmetric 2v x 2v matrix of [0,1]-mapped cosines
-    with unit diagonal.
+    with unit diagonal.  Only the encoders run, in one pass over each
+    view's observed rows.
     """
-    cache = forward_all(params, dataset, None, training=False)
+    observed = [Matrix(v[np.flatnonzero(dataset.view_indicator[:, m])])
+                for m, v in enumerate(dataset.views)]
+    with refuse_overflow("forward"):
+        shared, private = encode(params, observed)
     with refuse_overflow("channel similarity"):
-        means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
-                 for feats in (cache.shared, cache.private) for f in feats]
+        means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols) for f in shared + private]
         unit, _ = ls.unit_rows(np.array(means))
     sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)

@@ -572,6 +572,75 @@ class TestNpyFiles:
                 message.replace("<ext>", ext)
 
 
+def _hiding_manifests(tmp_path):
+    """A 4-row dataset whose indicators hide view 1 at row 2 and label
+    (2, 1), and its ``.npy`` and CSV manifests, each with indicator files."""
+    vi, wi = np.ones((4, 2)), np.ones((4, 3))
+    vi[2, 1] = wi[2, 1] = 0.0
+    ds = apply_indicators(tiny_dataset(n=4), vi, wi)
+    return ds, (("npy", save_dataset(ds, tmp_path / "npy")),
+                ("csv", write_csv_manifest(ds, tmp_path / "csv")))
+
+
+def _write(manifest, ext, stem, matrix):
+    path = manifest.parent / f"{stem}.{ext}"
+    if ext == "npy":
+        np.save(path, matrix)
+    else:
+        write_matrix_csv(path, matrix)
+
+
+class TestHiddenValues:
+    """A value an indicator file hides is zero-filled on load, but it is
+    refused first, with the text it gets where nothing hides it."""
+
+    @pytest.mark.parametrize("stem,cell,value,message", [
+        ("view_1", (2, 0), np.nan, "view 1: entry at row 2, col 0 is nan, expected a finite value"),
+        ("view_1", (2, 3), 1e61,
+         "view 1: entry at row 2, col 3 is 1e+61, expected a magnitude of at most 1e+60"),
+        ("labels", (2, 1), 0.5, "labels: entry at row 2, col 1 is 0.5, expected 0 or 1"),
+    ], ids=["NaN view value", "view value above VIEW_MAX", "non-binary label"])
+    def test_a_hidden_bad_value_is_refused(self, tmp_path, stem, cell, value, message):
+        ds, manifests = _hiding_manifests(tmp_path)
+        matrix = ds.labels if stem == "labels" else ds.views[1]
+        for ext, manifest in manifests:
+            _write(manifest, ext, stem, _with(matrix, *cell, value))
+            with pytest.raises(ValidationError) as info:
+                load_dataset(manifest)
+            assert str(info.value) == f"manifest {manifest}: {message}"
+
+    def test_a_bad_view_value_is_named_before_a_bad_indicator(self, tmp_path):
+        ds, manifests = _hiding_manifests(tmp_path)
+        for ext, manifest in manifests:
+            _write(manifest, ext, "view_1", _with(ds.views[1], 2, 0, 1e61))
+            _write(manifest, ext, "view_indicator", _with(ds.view_indicator, 0, 0, 2.0))
+            with pytest.raises(ValidationError) as info:
+                load_dataset(manifest)
+            assert str(info.value) == (f"manifest {manifest}: view 1: entry at row 2, col 0 "
+                                       "is 1e+61, expected a magnitude of at most 1e+60")
+
+    @pytest.mark.parametrize("indicators,write", [
+        (False, save_dataset), (True, save_dataset), (True, write_csv_manifest),
+    ], ids=["npy without indicator files", "npy with indicator files", "csv"])
+    def test_load_builds_one_dataset(self, tmp_path, monkeypatch, indicators, write):
+        ds = tiny_dataset(n=6)
+        if indicators:
+            vi, wi = generate_indicators(6, 2, 3, 0.3, 0.3, seed=1)
+            ds = apply_indicators(ds, vi, wi)
+        manifest = write(ds, tmp_path)
+        assert ("view_indicator" in json.loads(manifest.read_text())) == indicators
+        calls = []
+        check = MultiViewDataset.__post_init__
+
+        def counting(dataset):
+            calls.append(dataset)
+            check(dataset)
+
+        monkeypatch.setattr(MultiViewDataset, "__post_init__", counting)
+        loaded = load_dataset(manifest)
+        assert len(calls) == 1 and calls[0] is loaded
+
+
 def _with(matrix, row, col, value):
     """A copy of ``matrix`` with ``value`` at (row, col)."""
     out = matrix.copy()

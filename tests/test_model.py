@@ -2,6 +2,7 @@ import base64
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ class TestForwardAll:
             assert cache.scores.shape == (n, 3)
             assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
             infer = forward_all(params, ds, None, training=False)
-            assert [s.shape for s in infer.shared] == [(k, 4) for k in observed]
+            assert infer.shared == infer.private == []
             assert infer.recon == infer.instance_feats == infer.label_probs == []
             assert infer.scores.shape == (n, 3)
 
@@ -287,8 +288,6 @@ class TestBlockedInference:
         one, one_sim = self.outputs(monkeypatch, params, ds, ds.n_samples)
         got, got_sim = self.outputs(monkeypatch, params, ds, block)
         assert got.scores.value.tobytes() == one.scores.value.tobytes()
-        for a, b in zip(got.shared + got.private, one.shared + one.private):
-            assert a.shape == b.shape and a.value.tobytes() == b.value.tobytes()
         assert got_sim.tobytes() == one_sim.tobytes()
         assert got.recon == got.instance_feats == got.label_probs == []
 
@@ -310,6 +309,33 @@ class TestBlockedInference:
                 forward_all(params, ds)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("block", [4, 22])
+    def test_channel_similarity_is_one_pass_at_any_block(self, monkeypatch, block):
+        # Blocks of 22 leave row 22 alone, whose features a blocked forward
+        # would compute as matrix-vector products; the heatmap reads none.
+        params = make_params(view_dims=(4, 5, 3))
+        ds = blocked_dataset()
+        _, one = self.outputs(monkeypatch, params, ds, ds.n_samples)
+        _, got = self.outputs(monkeypatch, params, ds, block)
+        assert got.tobytes() == one.tobytes()
+
+    def test_memory_does_not_grow_with_the_rows(self):
+        # Only the N x C scores span all rows: 8 blocks peak below twice
+        # what one block does.
+        params = ModelParams.initialize(np.random.default_rng(0), (32, 32, 32), 6, 32, 64)
+        peaks = []
+        for n in (md.INFER_ROWS, 8 * md.INFER_ROWS):
+            ds = synth_dataset(n, 3, 6, 32, noise=1.0, seed=1)
+            vi, _ = generate_indicators(n, 3, 6, 0.3, 0.0, seed=2)
+            ds = apply_indicators(ds, vi, None)
+            tracemalloc.start()
+            try:
+                forward_all(params, ds, None, training=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
 
     @pytest.mark.parametrize("block,singles", [(4, 2), (22, 1)])
     def test_a_block_with_one_observed_row_of_a_view(self, monkeypatch, block, singles):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mvmlc.data import MaskBank, MultiViewDataset, apply_indicators, generate_indicators, synth_dataset
 from mvmlc.errors import ConfigError, ContractError
 from mvmlc.losses import label_availability_gate
-from mvmlc.model import ModelParams, forward_all, load_checkpoint, save_checkpoint
+from mvmlc.model import ModelParams, encode, forward_all, load_checkpoint, save_checkpoint
 from mvmlc.numerics import Matrix, Tape, backward
 from mvmlc.train import (
     ADAM_CHUNK,
@@ -602,6 +602,24 @@ class TestChannelSimilarity:
         sim = channel_similarity(params, ds)
         assert np.all(sim >= 0.0) and np.all(sim <= 1.0)
 
+    def test_reads_only_the_encoders(self):
+        # A classifier that overflows the scores does not reach the heatmap;
+        # encoder outputs whose fused sum overflows fail at the channel means.
+        ds = small_dataset()
+        params = small_params(ds.view_dims, ds.n_labels)
+        biases = [params[f"{kind}_encoder.{m}.out.bias"].value
+                  for kind in ("shared", "private") for m in range(ds.n_views)]
+        params["classifier.weight"].value[...] = 1e308
+        for bias in biases:
+            bias[...] = 10.0
+        with pytest.raises(ContractError, match="^forward: overflow encountered in matmul"):
+            forward_all(params, ds, None, training=False)
+        assert np.isfinite(channel_similarity(params, ds)).all()
+        for bias in biases:
+            bias[...] = 1.5e308
+        with pytest.raises(ContractError, match="^channel similarity: overflow encountered in "):
+            channel_similarity(params, ds)
+
     def test_matches_cosine_oracle_on_channel_means(self):
         # Views 0 and 1 hold the same data through the same shared encoder,
         # so shared channels 0 and 1 coincide; view 2 has no available row,
@@ -617,9 +635,9 @@ class TestChannelSimilarity:
             params[f"shared_encoder.1.{layer}"].value[...] = params[f"shared_encoder.0.{layer}"].value
         sim = channel_similarity(params, ds)
 
-        cache = forward_all(params, ds, None, training=False)
+        shared, private = encode(params, [Matrix(v) for v in ds.views])
         means = [f.value[vi[:, m] == 1].mean(axis=0) if vi[:, m].any() else np.zeros(f.cols)
-                 for feats in (cache.shared, cache.private) for m, f in enumerate(feats)]
+                 for feats in (shared, private) for m, f in enumerate(feats)]
         want = np.array([[1.0 if i == j else cos01_oracle(a, b) for j, b in enumerate(means)]
                          for i, a in enumerate(means)])
         np.testing.assert_allclose(sim, want, rtol=0, atol=1e-15)
