@@ -4,9 +4,9 @@ A dataset bundles per-view feature matrices, a binary label matrix and two
 binary indicator matrices: the view indicator (sample i has view m) and
 the label indicator (label j of sample i is known).  A dataset refuses
 nonzero data where an indicator is 0; :func:`load_dataset` and
-:func:`apply_indicators` zero-fill what the indicators they compose in
-hide.  The losses additionally gate by the indicators, so the two
-protections are independent.
+:func:`apply_indicators` compose indicators in and zero-fill what they hide
+through one method.  The losses additionally gate by the indicators, so
+the two protections are independent.
 
 On-disk format: a JSON manifest referencing matrix files, one sample per
 row: numpy ``.npy`` files (what :func:`save_dataset` writes) or headerless
@@ -55,15 +55,9 @@ def _within_view_max(x: Array) -> bool:
     return bool(x.min(initial=np.inf) >= -VIEW_MAX and x.max(initial=-np.inf) <= VIEW_MAX)
 
 
-def _check_view(v: Array, m: int) -> None:
-    """Refuse a view value that is not finite or exceeds ``VIEW_MAX`` in
-    magnitude, naming view ``m`` and the first such entry."""
-    if not _within_view_max(v):
-        i, j = np.argwhere(~(np.abs(v) <= VIEW_MAX))[0]
-        expected = (f"a magnitude of at most {VIEW_MAX:g}" if np.isfinite(v[i, j])
-                    else "a finite value")
-        raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
-                              f"expected {expected}")
+def _check_shape(arr: Array, shape: tuple[int, int], what: str) -> None:
+    if arr.shape != shape:
+        raise ValidationError(f"{what} shape {arr.shape} != {shape}")
 
 
 def _check_binary(arr: Array, what: str) -> None:
@@ -71,6 +65,12 @@ def _check_binary(arr: Array, what: str) -> None:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValidationError(f"{what}: entry at row {i}, col {j} is {arr[i, j]}, expected 0 or 1")
+
+
+def _check_covered(view_indicator: Array) -> None:
+    uncovered = np.where(view_indicator.sum(axis=1) == 0)[0]
+    if uncovered.size:
+        raise ValidationError(f"sample {uncovered[0]} has no available view")
 
 
 def _subset_rows(rows, n: int) -> Array:
@@ -115,23 +115,21 @@ class MultiViewDataset:
         for m, v in enumerate(self.views):
             if v.shape[0] != n:
                 raise ValidationError(f"view {m} has {v.shape[0]} rows, labels have {n}")
-        if self.view_indicator.shape != (n, len(self.views)):
-            raise ValidationError(
-                f"view indicator shape {self.view_indicator.shape} != ({n}, {len(self.views)})")
-        if self.label_indicator.shape != self.labels.shape:
-            raise ValidationError(
-                f"label indicator shape {self.label_indicator.shape} != {self.labels.shape}")
+        _check_shape(self.view_indicator, (n, len(self.views)), "view indicator")
+        _check_shape(self.label_indicator, self.labels.shape, "label indicator")
         if n == 0:
             raise ValidationError("dataset needs at least one sample")
-        # Indicators first, so a NaN apply_indicators multiplied in is blamed on them.
         _check_binary(self.view_indicator, "view indicator")
         _check_binary(self.label_indicator, "label indicator")
         _check_binary(self.labels, "labels")
         for m, v in enumerate(self.views):
-            _check_view(v, m)
-        uncovered = np.where(self.view_indicator.sum(axis=1) == 0)[0]
-        if uncovered.size:
-            raise ValidationError(f"sample {uncovered[0]} has no available view")
+            if not _within_view_max(v):
+                i, j = np.argwhere(~(np.abs(v) <= VIEW_MAX))[0]
+                expected = (f"a magnitude of at most {VIEW_MAX:g}" if np.isfinite(v[i, j])
+                            else "a finite value")
+                raise ValidationError(f"view {m}: entry at row {i}, col {j} is {v[i, j]}, "
+                                      f"expected {expected}")
+        _check_covered(self.view_indicator)
         for m, v in enumerate(self.views):
             missing = self.view_indicator[:, m] == 0
             if missing.any() and np.any(v[missing] != 0):
@@ -166,6 +164,35 @@ class MultiViewDataset:
         part.view_indicator = self.view_indicator[rows]
         part.label_indicator = self.label_indicator[rows]
         return part
+
+    def _hide(self, view_indicator: Array | None,
+              label_indicator: Array | None) -> "MultiViewDataset":
+        """AND extra indicators (``None``: none) into the dataset's own and
+        zero-fill what they hide, in place; returns the dataset.  Only the
+        composed indicators are checked, as ``__post_init__`` checks them:
+        a 0/1 product changes nothing else its checks see."""
+        names = ("view indicator", "label indicator")
+        composed = []
+        for extra, own, what in zip((view_indicator, label_indicator),
+                                    (self.view_indicator, self.label_indicator), names):
+            if extra is not None:
+                extra = _as_float_matrix(extra)
+                _check_shape(extra, own.shape, what)
+                extra = own * extra
+            composed.append(extra)
+        for indicator, what in zip(composed, names):
+            if indicator is not None:
+                _check_binary(indicator, what)
+        new_v, new_w = composed
+        if new_v is not None:
+            _check_covered(new_v)
+            for m, v in enumerate(self.views):
+                v *= new_v[:, m:m + 1]
+            self.view_indicator = new_v
+        if new_w is not None:
+            self.labels *= new_w
+            self.label_indicator = new_w
+        return self
 
 
 @dataclass
@@ -262,24 +289,13 @@ def apply_indicators(
     view_indicator: Array | None = None,
     label_indicator: Array | None = None,
 ) -> MultiViewDataset:
-    """Compose extra missingness into a dataset (logical AND with existing
-    indicators) and re-apply the zero-fill convention."""
-    new_v = dataset.view_indicator
-    if view_indicator is not None:
-        view_indicator = _as_float_matrix(view_indicator)
-        if view_indicator.shape != new_v.shape:
-            raise ShapeError(f"view indicator shape {view_indicator.shape} != {new_v.shape}")
-        new_v = new_v * view_indicator
-    new_w = dataset.label_indicator
-    if label_indicator is not None:
-        label_indicator = _as_float_matrix(label_indicator)
-        if label_indicator.shape != new_w.shape:
-            raise ShapeError(f"label indicator shape {label_indicator.shape} != {new_w.shape}")
-        new_w = new_w * label_indicator
-    views = [v * new_v[:, m:m + 1] for m, v in enumerate(dataset.views)]
-    labels = dataset.labels * new_w
-    return MultiViewDataset(views=views, labels=labels, view_indicator=new_v,
-                            label_indicator=new_w, name=dataset.name)
+    """A copy of ``dataset`` with extra missingness ANDed into its indicators
+    and zero-filled, checking only the composed indicators; ``dataset`` is
+    left unchanged."""
+    out = copy.copy(dataset)
+    out.views = [v.copy() for v in dataset.views]
+    out.labels = dataset.labels.copy()
+    return out._hide(view_indicator, label_indicator)
 
 
 def synth_dataset(
@@ -300,43 +316,47 @@ def synth_dataset(
     """
     if n_samples < 1 or n_views < 1 or n_labels < 1:
         raise ConfigError("n_samples, n_views and n_labels must all be >= 1")
-    if isinstance(dims, int):
-        dims = (dims,) * n_views
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != n_views:
-        raise ConfigError(f"got {len(dims)} view dims for {n_views} views")
-    if any(d < 1 for d in dims):
-        raise ConfigError(f"view dims must be >= 1, got {dims}")
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ConfigError(f"noise must be finite and >= 0, got {noise}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    sizes = f"n_samples {n_samples}, n_views {n_views}, n_labels {n_labels} and dims {dims}"
+    dims = dims if isinstance(dims, int) else tuple(int(d) for d in dims)
+    try:  # numpy refuses a size of 2**63 or more before it asks for memory
+        if isinstance(dims, int):
+            dims = (dims,) * n_views
+        if len(dims) != n_views:
+            raise ConfigError(f"got {len(dims)} view dims for {n_views} views")
+        if any(d < 1 for d in dims):
+            raise ConfigError(f"view dims must be >= 1, got {dims}")
+        if not (np.isfinite(noise) and noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {noise}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    rng = np.random.default_rng(seed)
-    latent_dim = n_labels + 2
-    prototypes = rng.normal(size=(n_labels, latent_dim))
+        rng = np.random.default_rng(seed)
+        latent_dim = n_labels + 2
+        prototypes = rng.normal(size=(n_labels, latent_dim))
 
-    labels = np.zeros((n_samples, n_labels))
-    counts = rng.integers(1, min(3, n_labels) + 1, size=n_samples)
-    for i in range(n_samples):
-        active = rng.choice(n_labels, size=counts[i], replace=False)
-        labels[i, active] = 1.0
+        labels = np.zeros((n_samples, n_labels))
+        counts = rng.integers(1, min(3, n_labels) + 1, size=n_samples)
+        for i in range(n_samples):
+            active = rng.choice(n_labels, size=counts[i], replace=False)
+            labels[i, active] = 1.0
 
-    latent = labels @ prototypes
-    views = []
-    for d in dims:
-        projection = rng.normal(size=(latent_dim, d)) / np.sqrt(latent_dim)
-        x = latent @ projection
-        if noise > 0:
-            with np.errstate(over="ignore"):
-                x = x + noise * rng.normal(size=x.shape)
-            if not _within_view_max(x):
-                raise ConfigError(f"noise must keep the view values finite and at most "
-                                  f"{VIEW_MAX:g} in magnitude, got {noise}")
-        views.append(x)
-
-    ones_v = np.ones((n_samples, n_views))
-    ones_w = np.ones((n_samples, n_labels))
+        latent = labels @ prototypes
+        views = []
+        for d in dims:
+            projection = rng.normal(size=(latent_dim, d)) / np.sqrt(latent_dim)
+            x = latent @ projection
+            if noise > 0:
+                with np.errstate(over="ignore"):
+                    x = x + noise * rng.normal(size=x.shape)
+                if not _within_view_max(x):
+                    raise ConfigError(f"noise must keep the view values finite and at most "
+                                      f"{VIEW_MAX:g} in magnitude, got {noise}")
+            views.append(x)
+        ones_v, ones_w = np.ones((n_samples, n_views)), np.ones((n_samples, n_labels))
+    except ConfigError:
+        raise
+    except (MemoryError, OverflowError, ValueError):
+        raise ConfigError(f"{sizes} need more values than memory holds") from None
     return MultiViewDataset(views=views, labels=labels, view_indicator=ones_v,
                             label_indicator=ones_w, name=f"synth-{seed}")
 
@@ -469,12 +489,11 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
     """Load a dataset from a JSON manifest.
 
     Relative file paths resolve against the manifest's directory; a name
-    ending in ``.npy`` is read as a numpy array file, any other as CSV.  The
-    labels and view values are checked as read, so a bad value that an
-    indicator file hides is still refused.  Each indicator file (all ones
-    when omitted) is then multiplied into the arrays just read, in place,
-    which zero-fills what it hides with the values :func:`apply_indicators`
-    gives, and one :class:`MultiViewDataset` is built from them.
+    ending in ``.npy`` is read as a numpy array file, any other as CSV.  One
+    :class:`MultiViewDataset` is built and checked from the arrays read
+    under all-ones indicators, so a bad value an indicator file hides is
+    still refused; the indicator files are then applied to it in place, as
+    :func:`apply_indicators` applies indicators to its copy.
     """
     manifest_path = Path(manifest_path)
     manifest = read_json_object(manifest_path, "manifest")
@@ -496,25 +515,10 @@ def load_dataset(manifest_path: Path | str) -> MultiViewDataset:
         views.append(view)
     masks = [_read_matrix(manifest_path, manifest[k], k.replace("_", " ")) if k in manifest
              else None for k in indicators]
-    view_mask, label_mask = masks
     try:
-        _check_binary(labels, "labels")
-        for m, view in enumerate(views):
-            _check_view(view, m)
-        for key, mask, shape in zip(indicators, masks, ((n, len(views)), labels.shape)):
-            if mask is not None and mask.shape != shape:
-                raise ValidationError(f"{key.replace('_', ' ')} shape {mask.shape} != {shape}")
-        if view_mask is None:
-            view_mask = np.ones((n, len(views)))
-        else:
-            for m, view in enumerate(views):
-                view *= view_mask[:, m:m + 1]
-        if label_mask is None:
-            label_mask = np.ones_like(labels)
-        else:
-            labels *= label_mask
-        return MultiViewDataset(views=views, labels=labels, view_indicator=view_mask,
-                                label_indicator=label_mask,
-                                name=str(manifest.get("name", manifest_path.stem)))
+        return MultiViewDataset(views=views, labels=labels,
+                                view_indicator=np.ones((n, len(views))),
+                                label_indicator=np.ones_like(labels),
+                                name=str(manifest.get("name", manifest_path.stem)))._hide(*masks)
     except ValidationError as exc:
         raise ValidationError(f"manifest {manifest_path}: {exc}") from None

@@ -99,13 +99,14 @@ class ModelParams:
         """Parameters of this architecture over one new, uninitialized vector.
 
         A vector too large to allocate is a :class:`ConfigError` that
-        names the widths and the parameter count.
+        names the widths and the parameter count; numpy refuses a size of
+        2**63 or more with a ValueError before it asks for memory.
         """
         layout = parameter_layout(view_dims, n_labels, embed_dim, hidden_dim)
         size = sum(rows * cols for _, (rows, cols) in layout)
         try:
             vector = np.empty(size)
-        except MemoryError:
+        except (MemoryError, ValueError):
             raise ConfigError(
                 f"view_dims {list(view_dims)}, embed_dim {embed_dim} and hidden_dim "
                 f"{hidden_dim} need {size} parameters, more than memory holds") from None
@@ -165,16 +166,13 @@ class ModelParams:
 class ForwardCache:
     """The activations of one forward pass.
 
-    ``shared`` and ``private`` are compact: entry m holds view m's
-    features on its n_m observed rows, in sample order.  The loss inputs
-    ``recon``, ``instance_feats`` and ``label_probs`` span all N rows,
-    zero where the view is missing.  A forward without training keeps only
-    ``masked_views`` and ``scores``: the other fields are empty lists.
+    The loss inputs ``recon``, ``instance_feats`` and ``label_probs`` span
+    all N rows, zero where the view is missing.  A forward without training
+    keeps only ``masked_views`` and ``scores``: the other fields are empty
+    lists.
     """
 
     masked_views: list[Matrix]    # encoder inputs before row compaction, N x d_m
-    shared: list[Matrix]          # per-view consistent features, n_m x embed
-    private: list[Matrix]         # per-view proprietary features, n_m x embed
     recon: list[Matrix]           # decoder outputs, N x d_m
     instance_feats: list[Matrix]  # instance head outputs, N x embed
     label_probs: list[Matrix]     # label head outputs through sigmoid, N x C
@@ -287,8 +285,8 @@ def forward_all(
     if not training:
         with nm.refuse_overflow("forward"):
             scores = _infer(params, masked, rows, dataset.view_indicator)
-        return ForwardCache(masked_views=masked, shared=[], private=[], recon=[],
-                            instance_feats=[], label_probs=[], scores=scores)
+        return ForwardCache(masked_views=masked, recon=[], instance_feats=[], label_probs=[],
+                            scores=scores)
     n = dataset.n_samples
     shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
 
@@ -300,8 +298,6 @@ def forward_all(
     label_probs = lift(project_labels(params, shared))
     return ForwardCache(
         masked_views=masked,
-        shared=shared,
-        private=private,
         recon=recon,
         instance_feats=instance_feats,
         label_probs=label_probs,

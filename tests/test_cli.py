@@ -671,6 +671,29 @@ MALFORMED_INPUTS += [
         synth_dataset(24, 2, 3, (5, 6), noise=0.3, seed=1).views[1]).items()]
 
 
+# Sizes of 2**63 or more, which numpy refuses before it asks the OS for memory.
+HUGE = str(10 ** 22)
+
+
+def _synth_too_large(flag):
+    """The row for ``synth`` of 40 rows, 2 views, 3 labels and 8-wide views
+    whose ``--flag`` is ``HUGE``."""
+    sizes = {"n": "40", "views": "2", "labels": "3", "dims": "8", flag: HUGE}
+    return (f"synth --{flag} beyond memory",
+            lambda data, tmp: ["synth", *[x for f, v in sizes.items() for x in (f"--{f}", v)],
+                               "--out", str(tmp / "s")],
+            EXIT_USAGE, "n_samples {n}, n_views {views}, n_labels {labels} and dims {dims} need "
+                        "more values than memory holds".format(**sizes))
+
+
+MALFORMED_INPUTS += [
+    ("embedding width beyond memory", _train_flag(embed_dim=HUGE), EXIT_USAGE,
+     f"embed_dim {HUGE} and hidden_dim 6 need "),
+    ("hidden width beyond memory", _train_flag(hidden_dim=HUGE), EXIT_USAGE,
+     f"embed_dim 4 and hidden_dim {HUGE} need "),
+] + [_synth_too_large(flag) for flag in ("n", "views", "labels", "dims")]
+
+
 # A loss weight so large that the first squared gradient overflows.
 MALFORMED_INPUTS += [
     (f"loss weight {weight} overflows the Adam second moment", _train60(f"--{weight}", "1e200"),

@@ -195,13 +195,28 @@ class TestSplit:
 
 class TestApplyIndicators:
     def test_zero_fill_enforced(self):
-        ds = tiny_dataset(n=8)
-        v, w = generate_indicators(8, 2, 3, 0.4, 0.3, seed=1)
+        # The views hold negative values, so hidden cells are -0.0; the input
+        # is left bitwise unchanged, its own missingness included.
+        vi, wi = np.ones((8, 2)), np.ones((8, 3))
+        vi[[0, 1], 0] = vi[6, 1] = wi[[0, 3], [2, 1]] = 0.0
+        ds = apply_indicators(tiny_dataset(n=8), vi, wi)
+        before = [x.tobytes() for x in ds.views + [ds.labels, ds.view_indicator,
+                                                   ds.label_indicator]]
+        v, w = np.ones((8, 2)), generate_indicators(8, 2, 3, 0.0, 0.3, seed=1)[1]
+        v[[2, 3], 0] = v[[4, 5], 1] = 0.0
         out = apply_indicators(ds, v, w)
+        composed_v, composed_w = ds.view_indicator * v, ds.label_indicator * w
         for m in range(out.n_views):
             rows = out.view_indicator[:, m] == 0
             assert np.all(out.views[m][rows] == 0)
+            assert out.views[m].tobytes() == (ds.views[m] * composed_v[:, m:m + 1]).tobytes()
         assert np.all(out.labels[out.label_indicator == 0] == 0)
+        assert out.labels.tobytes() == (ds.labels * composed_w).tobytes()
+        assert any(np.signbit(x[x == 0]).any() for x in out.views)
+        assert out.view_indicator.tobytes() == composed_v.tobytes()
+        assert out.label_indicator.tobytes() == composed_w.tobytes()
+        assert [x.tobytes() for x in ds.views + [ds.labels, ds.view_indicator,
+                                                 ds.label_indicator]] == before
 
     def test_composition_is_logical_and(self):
         ds = tiny_dataset(n=8)
@@ -216,6 +231,28 @@ class TestApplyIndicators:
         v2 = np.array([[0.0, 1.0]] + [[1.0, 1.0]] * 3)
         with pytest.raises(ValidationError, match="no available view"):
             apply_indicators(apply_indicators(ds, v1, None), v2, None)
+
+    def test_the_composed_indicator_is_checked(self):
+        # 0.5 on a cell its dataset already hides composes to 0; on a
+        # visible cell it is refused.
+        vi = np.ones((4, 2))
+        vi[1, 0] = 0.0
+        ds = apply_indicators(tiny_dataset(n=4), vi, None)
+        extra = np.ones((4, 2))
+        extra[1, 0] = 0.5
+        np.testing.assert_array_equal(apply_indicators(ds, extra, None).view_indicator, vi)
+        extra[2, 1] = 0.5
+        with pytest.raises(ValidationError, match=r"^view indicator: entry at row 2, col 1 "
+                                                  r"is 0.5, expected 0 or 1$"):
+            apply_indicators(ds, extra, None)
+
+    @pytest.mark.parametrize("shaped", ["view", "label"])
+    def test_a_wrong_shape_is_named_before_a_non_binary_entry(self, shaped):
+        extra = {"view": np.ones((4, 2)), "label": np.ones((4, 3))}
+        extra["label" if shaped == "view" else "view"][0, 0] = 2.0
+        extra[shaped] = np.ones((4, 4))
+        with pytest.raises(ValidationError, match=rf"^{shaped} indicator shape \(4, 4\) != "):
+            apply_indicators(tiny_dataset(n=4), extra["view"], extra["label"])
 
 
 class TestConstructionValidation:
@@ -307,6 +344,17 @@ class TestSubset:
         calls = []
         monkeypatch.setattr(data, "_check_binary", lambda *args: calls.append(args))
         ds.subset(np.array([5, 1, 2]))
+        assert calls == []
+
+    def test_apply_indicators_builds_no_dataset(self, monkeypatch):
+        # Like subset, apply_indicators checks only what its product can change.
+        ds = tiny_dataset(n=8)
+        v, w = generate_indicators(8, 2, 3, 0.4, 0.3, seed=1)
+        calls = []
+        monkeypatch.setattr(MultiViewDataset, "__post_init__",
+                            lambda dataset: calls.append(dataset))
+        for extra in ((v, None), (None, w), (v, w), (None, None)):
+            apply_indicators(ds, *extra)
         assert calls == []
 
     @settings(max_examples=40)

@@ -211,11 +211,8 @@ class TestForwardAll:
         params = make_params()
         for ds in (make_dataset(), make_dataset(n=10, missing=0.4)):
             n = ds.n_samples
-            observed = ds.view_indicator.sum(axis=0).astype(int)
             bank = MaskBank.generate(n, ds.view_dims, 0.3, seed=2)
             cache = forward_all(params, ds, bank, training=True)
-            assert [s.shape for s in cache.shared] == [(k, 4) for k in observed]
-            assert [p.shape for p in cache.private] == [(k, 4) for k in observed]
             assert [r.shape for r in cache.recon] == [(n, 4), (n, 5)]
             assert [p.shape for p in cache.instance_feats] == [(n, 4), (n, 4)]
             assert [l.shape for l in cache.label_probs] == [(n, 3), (n, 3)]
@@ -225,7 +222,6 @@ class TestForwardAll:
             assert cache.scores.shape == (n, 3)
             assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
             infer = forward_all(params, ds, None, training=False)
-            assert infer.shared == infer.private == []
             assert infer.recon == infer.instance_feats == infer.label_probs == []
             assert infer.scores.shape == (n, 3)
 
