@@ -36,7 +36,7 @@ from .data import (
     write_matrix_csv,
 )
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
-from .metrics import CSV_COLUMNS, MetricsReport, evaluate_all
+from .metrics import CSV_COLUMNS, MetricsReport, check_scorable, evaluate_all
 from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
 from .train import TrainConfig, channel_similarity, train
 
@@ -132,7 +132,12 @@ def _training_inputs(args: argparse.Namespace) -> tuple[
     if args.view_missing:
         vi, _ = generate_indicators(dataset.n_samples, dataset.n_views, dataset.n_labels,
                                     args.view_missing, 0.0, seed=config.seed + 1)
-        dataset = apply_indicators(dataset, vi, None)
+        try:
+            dataset = apply_indicators(dataset, vi, None)
+        except ValidationError as exc:
+            raise ValidationError(f"manifest {args.manifest}: --view-missing {args.view_missing}: "
+                                  f"{exc} (the flag keeps a random view of each sample, which "
+                                  "the manifest may already hide)") from None
     test_data = None
     if args.train_frac is not None:
         dataset, test_data = split(dataset, args.train_frac, seed=config.seed + 2)
@@ -141,6 +146,23 @@ def _training_inputs(args: argparse.Namespace) -> tuple[
                                     0.0, args.label_missing, seed=config.seed + 3)
         dataset = apply_indicators(dataset, None, wi)
     return config, dataset, test_data
+
+
+def _check_scorable(data: MultiViewDataset, what: str) -> None:
+    """Refuse ``data``, named ``what``, if the metrics cannot score its labels."""
+    try:
+        check_scorable(data.labels)
+    except ContractError as exc:
+        raise ValidationError(f"{what} cannot be scored: {exc}") from None
+
+
+def _scored_set(args: argparse.Namespace, train_data: MultiViewDataset,
+                test_data: MultiViewDataset | None) -> MultiViewDataset:
+    """The set the final report scores, the test split or else the training
+    set, once :func:`_check_scorable` accepts it."""
+    name, data = ("test", test_data) if test_data is not None else ("training", train_data)
+    _check_scorable(data, f"the {name} set of manifest {args.manifest}")
+    return data
 
 
 def _evaluate(params: ModelParams, data: MultiViewDataset, seed: int, epoch: int) -> MetricsReport:
@@ -177,6 +199,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config, train_data, test_data = _training_inputs(args)
+    target = _scored_set(args, train_data, test_data)
     result = train(train_data, config, eval_data=test_data,
                    eval_every=args.eval_every)
     _write_run_config(args.out, args, config)
@@ -185,7 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result.log.write_csv(args.out / "train_log.csv", include_timing=args.log_timing)
     # With --eval-every dividing --epochs, the last epoch's report is the final one.
     report = result.log.records[-1].report or _evaluate(
-        result.params, test_data if test_data is not None else train_data, config.seed, config.epochs)
+        result.params, target, config.seed, config.epochs)
     _write_report(report, args.out)
     print(report.to_text(), end="")
     return EXIT_OK
@@ -209,6 +232,7 @@ def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params, meta, dataset = _checkpoint_and_dataset(args)
+    _check_scorable(dataset, f"manifest {args.manifest}")
     report = _evaluate(params, dataset, meta["seed"], meta["epoch"])
     if args.out is not None:
         _write_run_config(args.out, args)
@@ -219,7 +243,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     config, train_data, test_data = _training_inputs(args)
-    target = test_data if test_data is not None else train_data
+    target = _scored_set(args, train_data, test_data)
     rows = [("instance_loss", "label_loss", "recon_loss", "ap", "auc")]
     for use_instance, use_label, use_recon in ABLATION_GRID:
         run_cfg = replace(config,

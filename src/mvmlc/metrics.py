@@ -198,3 +198,20 @@ def evaluate_all(scores, labels, seed: int | None = None, epoch: int | None = No
         seed=seed,
         epoch=epoch,
     )
+
+
+def check_scorable(labels) -> None:
+    """Raise the error :func:`evaluate_all` raises on ``labels`` whatever
+    the finite scores, if any.
+
+    AP, ranking loss and AUC refuse labels, never scores: each asks whether
+    some sample or some label qualifies.  So constant scores on the distinct
+    label rows decide it: ~1 ms where all 10000 rows of 6 labels take ~11 ms
+    (2 vCPUs).
+    """
+    _, labels = _validate(np.zeros_like(labels), labels)
+    packed = np.packbits(labels > 0, axis=1)
+    order = np.lexsort(packed.T)
+    ranked = packed[order]
+    distinct = labels[order[np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]]]
+    evaluate_all(np.zeros_like(distinct), distinct)

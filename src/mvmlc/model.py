@@ -14,13 +14,14 @@ Each view's stack runs only on the rows where that view is observed.  A
 missing view's zero-filled row would yield features that nothing reads:
 fusion, the reconstruction gate and the contrastive gates all drop them,
 so their adjoints are exactly zero.  Per-view outputs therefore stay
-compact, and rows return to all N samples only through
-:func:`mvmlc.numerics.scatter_rows`, in :func:`fuse` and where the
-training losses take their N-row inputs.  At inference the decoders and
-projection heads, which feed only those losses, do not run, and the
-encoders and the head run in blocks of ``INFER_ROWS`` samples, so each
-layer's temporaries span one block rather than all N rows; only the
-scores are kept.
+compact.  :func:`forward_all` turns the view indicator into row sets once
+(:func:`observed_rows`); nothing below it reads the indicator.  Rows return
+to all N samples only through :func:`mvmlc.numerics.scatter_rows`, in
+:func:`fuse` and where the training losses take their N-row inputs.  At
+inference the decoders and projection heads, which feed only those losses,
+do not run, and the encoders and the head run in blocks of ``INFER_ROWS``
+samples, so each layer's temporaries span one block rather than all N
+rows; only the scores are kept.
 """
 
 from __future__ import annotations
@@ -166,10 +167,10 @@ class ModelParams:
 class ForwardCache:
     """The activations of one forward pass.
 
-    The loss inputs ``recon``, ``instance_feats`` and ``label_probs`` span
-    all N rows, zero where the view is missing.  A forward without training
-    keeps only ``masked_views`` and ``scores``: the other fields are empty
-    lists.
+    The loss inputs ``masked_views``, ``recon``, ``instance_feats`` and
+    ``label_probs`` span all N rows, the last three zero where the view is
+    missing.  A forward without training keeps only ``scores``: the other
+    fields are empty lists.
     """
 
     masked_views: list[Matrix]    # encoder inputs before row compaction, N x d_m
@@ -179,8 +180,9 @@ class ForwardCache:
     scores: Matrix                # classifier probabilities, N x C
 
 
-def _observed_rows(view_indicator: Array) -> list[Array]:
-    """Per view, the indices of the samples where it is observed."""
+def observed_rows(view_indicator: Array) -> list[Array]:
+    """Per view, the ascending indices of the samples where it is observed:
+    the one reading of the view indicator, made once per forward."""
     return [np.flatnonzero(view_indicator[:, m]) for m in range(view_indicator.shape[1])]
 
 
@@ -202,20 +204,18 @@ def project_labels(params: ModelParams, shared: list[Matrix]) -> list[Matrix]:
     return [nm.sigmoid(params.mlp("label_head", s)) for s in shared]
 
 
-def fuse(shared: list[Matrix], private: list[Matrix], view_indicator: Array) -> tuple[Matrix, Matrix]:
-    """Average the available views of each sample.
+def fuse(shared: list[Matrix], private: list[Matrix], rows: list[Array], n: int) -> tuple[Matrix, Matrix]:
+    """Average the available views of each of ``n`` samples.
 
-    Entry m of ``shared`` and ``private`` holds view m's features on its
-    observed rows only (see :func:`_observed_rows`); each mean is one
+    Entry m of ``shared`` and ``private`` holds view m's features on the
+    samples ``rows[m]`` only (see :func:`observed_rows`); each mean is one
     :func:`~mvmlc.numerics.scatter_rows` over all views, scaled by one
-    over the sample's count of available views.
+    over the number of row sets that hold the sample.
     """
-    counts = view_indicator.sum(axis=1, keepdims=True)
+    counts = np.bincount(np.concatenate(rows), minlength=n)[:, None]
     if np.any(counts == 0):
         raise ContractError("fuse: a sample has no available view")
-    rows = _observed_rows(view_indicator)
     inv_counts = 1.0 / counts
-    n = view_indicator.shape[0]
     return (nm.scatter_rows(shared, rows, n, inv_counts),
             nm.scatter_rows(private, rows, n, inv_counts))
 
@@ -232,31 +232,29 @@ def classify(params: ModelParams, blended: Matrix) -> Matrix:
 
 
 def _head(params: ModelParams, shared: list[Matrix], private: list[Matrix],
-          view_indicator: Array) -> Matrix:
-    """Fusion, channel interaction and the classifier: the scores of the
-    samples ``view_indicator`` covers."""
-    return classify(params, interact(*fuse(shared, private, view_indicator)))
+          rows: list[Array], n: int) -> Matrix:
+    """Fusion, channel interaction and the classifier: the scores of ``n``
+    samples, from each view's features on its rows ``rows[m]``."""
+    return classify(params, interact(*fuse(shared, private, rows, n)))
 
 
-def _infer(params: ModelParams, views: list[Matrix], rows: list[Array],
-           view_indicator: Array) -> Matrix:
-    """The N x C scores, computed in blocks of ``INFER_ROWS`` samples.
+def _infer(params: ModelParams, views: list[Array], rows: list[Array], n: int) -> Matrix:
+    """The n x C scores, computed in blocks of ``INFER_ROWS`` samples.
 
-    Each block gathers every view's observed rows in it, a contiguous run of
-    ``rows[m]``, runs the encoders and the head on them alone and writes its
-    scores to its rows of the output; nothing else is kept.  Every row's
-    scores are the ones a single pass computes, except where a block holds
-    one observed row of a view: numpy computes a one-row product as a
-    matrix-vector product, whose last bit can differ.
+    Each block takes every view's observed rows in it, the run of ``rows[m]``
+    that ``searchsorted`` finds, runs the encoders on them and the head on
+    them shifted to the block's start, and writes its scores to its rows of
+    the output; nothing else is kept.  Every row's scores are the ones a
+    single pass computes, except where a block holds one observed row of a
+    view: numpy computes a one-row product as a matrix-vector product,
+    whose last bit can differ.
     """
-    n = view_indicator.shape[0]
     scores = np.empty((n, params.n_labels))
     for start in range(0, n, INFER_ROWS):
         stop = min(start + INFER_ROWS, n)
-        spans = [np.searchsorted(r, (start, stop)) for r in rows]
-        shared, private = encode(params, [Matrix(x.value[r[lo:hi]])
-                                          for x, r, (lo, hi) in zip(views, rows, spans)])
-        scores[start:stop] = _head(params, shared, private, view_indicator[start:stop]).value
+        block = [r[slice(*np.searchsorted(r, (start, stop)))] for r in rows]
+        feats = encode(params, [Matrix(x[b]) for x, b in zip(views, block)])
+        scores[start:stop] = _head(params, *feats, [b - start for b in block], stop - start).value
     return Matrix(scores)
 
 
@@ -268,6 +266,7 @@ def forward_all(
 ) -> ForwardCache:
     """Run the network, each view's stack on its observed rows only.
 
+    The view indicator becomes row sets here (:func:`observed_rows`).
     Input masking applies only when training, and the training forward is
     one pass over all N rows, recorded on the active tape.  Without
     training only the encoders, fusion and classifier run, in blocks of
@@ -277,17 +276,15 @@ def forward_all(
     check follows that forward, so there an overflow is a
     :class:`ContractError`.
     """
-    if training and bank is not None:
-        masked = [Matrix(x) for x in apply_input_mask(dataset, bank)]
-    else:
-        masked = [Matrix(x) for x in dataset.views]
-    rows = _observed_rows(dataset.view_indicator)
+    n = dataset.n_samples
+    rows = observed_rows(dataset.view_indicator)
     if not training:
         with nm.refuse_overflow("forward"):
-            scores = _infer(params, masked, rows, dataset.view_indicator)
-        return ForwardCache(masked_views=masked, recon=[], instance_feats=[], label_probs=[],
+            scores = _infer(params, dataset.views, rows, n)
+        return ForwardCache(masked_views=[], recon=[], instance_feats=[], label_probs=[],
                             scores=scores)
-    n = dataset.n_samples
+    views = dataset.views if bank is None else apply_input_mask(dataset, bank)
+    masked = [Matrix(x) for x in views]
     shared, private = encode(params, [Matrix(x.value[r]) for x, r in zip(masked, rows)])
 
     def lift(feats: list[Matrix]) -> list[Matrix]:
@@ -301,7 +298,7 @@ def forward_all(
         recon=recon,
         instance_feats=instance_feats,
         label_probs=label_probs,
-        scores=_head(params, shared, private, dataset.view_indicator),
+        scores=_head(params, shared, private, rows, n),
     )
 
 

@@ -34,7 +34,7 @@ from .data import MaskBank, MultiViewDataset, csv_text
 from .errors import ConfigError, ContractError
 from .losses import COMPONENTS, TAU_MIN, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, evaluate_all
-from .model import ModelParams, encode, forward_all
+from .model import ModelParams, encode, forward_all, observed_rows
 from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
@@ -386,8 +386,7 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     with unit diagonal.  Only the encoders run, in one pass over each
     view's observed rows.
     """
-    observed = [Matrix(v[np.flatnonzero(dataset.view_indicator[:, m])])
-                for m, v in enumerate(dataset.views)]
+    observed = [Matrix(v[r]) for v, r in zip(dataset.views, observed_rows(dataset.view_indicator))]
     with refuse_overflow("forward"):
         shared, private = encode(params, observed)
     with refuse_overflow("channel similarity"):

@@ -23,6 +23,7 @@ from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_pars
                        build_train_config, main)
 from mvmlc.data import load_dataset, save_dataset, synth_dataset
 from mvmlc.metrics import evaluate_all
+from mvmlc.model import ModelParams, save_checkpoint
 from mvmlc.train import TrainConfig
 
 from manifests import malformed_npy, write_csv_manifest
@@ -488,6 +489,32 @@ def _heatmap60_huge_view_value(data, tmp):
             "--manifest", str(manifest), "--out", str(tmp / "h")]
 
 
+def _view_missing_on_hidden_views(data, tmp):
+    """A 300-row, 3-view synth that hides 30% of its views, trained with
+    --view-missing 0.2: the flag's draw hides the last view the manifest
+    leaves sample 6."""
+    dataset = synth_dataset(300, 3, 6, 8, noise=0.3, seed=0)
+    vi, _ = mvmlc.generate_indicators(300, 3, 6, 0.3, 0.0, seed=2)
+    manifest = save_dataset(mvmlc.apply_indicators(dataset, vi, None), tmp / "hidden")
+    return ["train", "--manifest", str(manifest), "--out", str(tmp / "run"), "--epochs", "1",
+            "--view-missing", "0.2"]
+
+
+def _one_label(tmp):
+    """A 40-row, 2-view synth of one label, on which every sample is
+    degenerate for the ranking loss; returns its manifest."""
+    main(["synth", "--n", "40", "--views", "2", "--labels", "1", "--out", str(tmp / "one")])
+    return tmp / "one" / "manifest.json"
+
+
+def _eval_one_label(data, tmp):
+    """Evaluate a fresh checkpoint of the one-label synth's architecture on it."""
+    manifest = _one_label(tmp)
+    params = ModelParams.initialize(np.random.default_rng(0), (32, 32), 1, 4, 6)
+    save_checkpoint(tmp / "checkpoint.json", params, seed=0, epoch=0)
+    return ["eval", "--checkpoint", str(tmp / "checkpoint.json"), "--manifest", str(manifest)]
+
+
 def _manifest_views_string(data, tmp):
     _edit_json(data / "manifest.json", lambda d: d.update(views="view_0.csv"))
     return train_args(data / "manifest.json", tmp / "run")
@@ -663,6 +690,18 @@ MALFORMED_INPUTS = [
     ("checkpoint config value out of range", _checkpoint_meta("config", {"epochs": 0}, "eval"),
      EXIT_VALIDATION, "checkpoint.json: config: epochs must be >= 1, got 0"),
 ]
+MALFORMED_INPUTS += [
+    ("view missing on a manifest that hides views", _view_missing_on_hidden_views,
+     EXIT_VALIDATION, "hidden/manifest.json: --view-missing 0.2: sample 6 has no available view"),
+    ("train on labels the metrics cannot score",
+     lambda data, tmp: ["train", "--manifest", str(_one_label(tmp)), "--out", str(tmp / "run"),
+                        "--epochs", "1"],
+     EXIT_VALIDATION, "one/manifest.json cannot be scored: ranking_loss: every sample is "
+                      "degenerate"),
+    ("eval on labels the metrics cannot score", _eval_one_label,
+     EXIT_VALIDATION, "one/manifest.json cannot be scored: ranking_loss: every sample is "
+                      "degenerate"),
+]
 # Damaged .npy files in place of view 1 of the dataset synth_args writes.
 MALFORMED_INPUTS += [
     (f"view file {case}", _npy_file(raw), EXIT_VALIDATION,
@@ -711,6 +750,27 @@ def test_malformed_input_maps_to_exit_code(dataset_dir, tmp_path, capsys, what, 
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", []), ("train", ["--train-frac", "0.5", "--eval-every", "1"]), ("ablate", [])])
+def test_labels_the_metrics_cannot_score_are_refused_before_training(tmp_path, capsys, command,
+                                                                     flags):
+    # A one-label set would be trained on, then fail its first report.
+    manifest = _one_label(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main([command, "--manifest", str(manifest), "--out", str(out), "--epochs", "1",
+                 *flags]) == EXIT_VALIDATION
+    assert list(out.iterdir()) == []
+    assert "cannot be scored" in capsys.readouterr().err
+
+
+def test_heatmap_snapshots_take_labels_the_metrics_cannot_score(tmp_path, capsys):
+    manifest = _one_label(tmp_path)
+    assert main(["heatmap", "--manifest", str(manifest), "--out", str(tmp_path / "h"),
+                 "--epochs", "1", "--snapshots", "0,1"]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["eval", "heatmap"])

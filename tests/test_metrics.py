@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmlc.data import csv_text
 from mvmlc.errors import ContractError, ValidationError
@@ -9,6 +11,7 @@ from mvmlc.metrics import (
     CSV_COLUMNS,
     MetricsReport,
     average_precision,
+    check_scorable,
     coverage,
     evaluate_all,
     hamming,
@@ -314,3 +317,46 @@ class TestEvaluateAll:
         scores[1, 0] = bad
         with pytest.raises(ContractError, match="finite"):
             evaluate_all(scores, labels)
+
+
+def _refusal(fn, *args):
+    try:
+        fn(*args)
+    except (ContractError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckScorable:
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 7), st.integers(1, 11)), data=st.data())
+    def test_refuses_what_scoring_every_row_refuses(self, shape, data):
+        # Past 8 labels a row packs into more than one byte.
+        cells = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))
+        labels = np.array(cells).reshape(shape)
+        expected = _refusal(evaluate_all, np.zeros_like(labels), labels)
+        assert _refusal(check_scorable, labels) == expected
+        assert _refusal(check_scorable, labels[::-1]) == expected
+
+    @pytest.mark.parametrize("labels,message", [
+        ([[0.0, 0.0], [0.0, 0.0]], "average_precision: no sample has a relevant label"),
+        ([[1.0], [0.0]], "ranking_loss: every sample is degenerate"),
+        ([[1.0, 0.0], [1.0, 0.0]], "macro_auc: every label is degenerate"),
+    ])
+    def test_names_the_metric_that_refuses(self, labels, message):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            check_scorable(np.array(labels))
+
+    def test_a_row_that_differs_past_its_first_label_byte_is_kept(self):
+        # Only the ninth label tells these rows apart, and only the second
+        # row has a relevant label.
+        labels = np.zeros((3, 9))
+        labels[1, 8] = 1.0
+        check_scorable(labels)
+        check_scorable(labels[::-1])
+
+    def test_checks_the_labels_as_evaluate_all_does(self):
+        with pytest.raises(ValidationError, match="labels must be binary"):
+            check_scorable(np.array([[0.5, 1.0]]))
+        check_scorable(np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -125,14 +125,13 @@ class TestSharedHeads:
 class TestFuse:
     def test_single_available_view(self):
         s = [Matrix([[1.0, 2.0]]), Matrix(np.zeros((0, 2)))]
-        v = np.array([[1.0, 0.0]])
-        fused, _ = fuse(s, s, v)
+        rows = [np.array([0]), np.array([], dtype=np.intp)]
+        fused, _ = fuse(s, s, rows, 1)
         np.testing.assert_array_equal(fused.value, [[1.0, 2.0]])
 
     def test_mean_of_two_views(self):
         s = [Matrix([[1.0, 3.0]]), Matrix([[3.0, 5.0]])]
-        v = np.ones((1, 2))
-        fused, _ = fuse(s, s, v)
+        fused, _ = fuse(s, s, [np.array([0]), np.array([0])], 1)
         np.testing.assert_array_equal(fused.value, [[2.0, 4.0]])
 
     def test_masked_values_do_not_matter(self):
@@ -143,7 +142,8 @@ class TestFuse:
         full = [rng.normal(size=(6, 2)) for _ in range(3)]
         v = np.array([[1, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 1], [1, 1, 0], [0, 1, 1.0]])
         compact = [Matrix(f[v[:, m] == 1]) for m, f in enumerate(full)]
-        fused, _ = fuse(compact, compact, v)
+        rows = md.observed_rows(v)
+        fused, _ = fuse(compact, compact, rows, 6)
         for i in range(6):
             total = 0.0
             for m in range(3):
@@ -151,12 +151,23 @@ class TestFuse:
                     total = total + full[m][i]
             np.testing.assert_array_equal(fused.value[i], total * (1.0 / v[i].sum()))
         with pytest.raises(ShapeError, match="part 0"):
-            fuse([Matrix(f) for f in full], compact, v)
+            fuse([Matrix(f) for f in full], compact, rows, 6)
 
     def test_all_zero_row_rejected(self):
         s = [Matrix(np.zeros((0, 2)))]
         with pytest.raises(ContractError):
-            fuse(s, s, np.array([[0.0]]))
+            fuse(s, s, [np.array([], dtype=np.intp)], 1)
+
+    def test_a_sample_in_two_of_three_row_sets_gets_their_mean(self):
+        # Sample 1 is in views 0 and 2, sample 0 in view 1 alone.
+        s = [Matrix([[1.0, 3.0]]), Matrix([[7.0, 8.0]]), Matrix([[3.0, 5.0]])]
+        fused, _ = fuse(s, s, [np.array([1]), np.array([0]), np.array([1])], 2)
+        np.testing.assert_array_equal(fused.value, [[7.0, 8.0], [2.0, 4.0]])
+
+    def test_a_sample_in_no_row_set_is_refused(self):
+        s = [Matrix(np.ones((1, 2))), Matrix(np.ones((2, 2)))]
+        with pytest.raises(ContractError, match="^fuse: a sample has no available view$"):
+            fuse(s, s, [np.array([0]), np.array([0, 2])], 3)
 
 
 class TestInteract:
@@ -222,6 +233,7 @@ class TestForwardAll:
             assert cache.scores.shape == (n, 3)
             assert np.all(cache.scores.value > 0) and np.all(cache.scores.value < 1)
             infer = forward_all(params, ds, None, training=False)
+            assert infer.masked_views == []
             assert infer.recon == infer.instance_feats == infer.label_probs == []
             assert infer.scores.shape == (n, 3)
 
@@ -362,6 +374,46 @@ class TestBlockedInference:
             else:
                 assert got.scores.value[rows].tobytes() == one.scores.value[rows].tobytes()
         assert singles_seen == singles
+
+
+class TestObservedRows:
+    """A forward reads each view's column of the indicator once, in
+    ``observed_rows``, and passes the row sets down."""
+
+    @staticmethod
+    def count_flatnonzero(monkeypatch):
+        calls = []
+        real = np.flatnonzero
+
+        def counting(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(np, "flatnonzero", counting)
+        return calls
+
+    def test_a_training_forward_derives_each_view_once(self, monkeypatch):
+        params = make_params()
+        ds = make_dataset(n=12, missing=0.4)
+        bank = MaskBank.generate(ds.n_samples, ds.view_dims, 0.3, seed=2)
+        calls = self.count_flatnonzero(monkeypatch)
+        forward_all(params, ds, bank, training=True)
+        assert len(calls) == ds.n_views
+
+    def test_a_blocked_inference_forward_derives_each_view_once(self, monkeypatch):
+        params = make_params(view_dims=(4, 5, 3))
+        ds = blocked_dataset()
+        monkeypatch.setattr(md, "INFER_ROWS", 5)
+        calls = self.count_flatnonzero(monkeypatch)
+        forward_all(params, ds, None, training=False)
+        assert len(calls) == ds.n_views
+
+    def test_channel_similarity_derives_each_view_once(self, monkeypatch):
+        params = make_params(view_dims=(4, 5, 3))
+        ds = blocked_dataset()
+        calls = self.count_flatnonzero(monkeypatch)
+        channel_similarity(params, ds)
+        assert len(calls) == ds.n_views
 
 
 class TestRowCompaction:
