@@ -38,7 +38,7 @@ from .data import (
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
 from .metrics import CSV_COLUMNS, MetricsReport, check_scorable, evaluate_all
 from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
-from .train import TrainConfig, channel_similarity, train
+from .train import TrainConfig, channel_similarity, knob_domain, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,12 +58,14 @@ ABLATION_GRID = (
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative number with an exponent, such as -1e-3, as a value,
-    not as a flag.  ``__init__`` sets the matcher, so it is replaced after."""
+    """Reads a negative number with an exponent (-1e-3), or float()'s -inf,
+    -infinity or -nan in any case, as a value, not as a flag.  ``__init__``
+    sets the matcher, so it is replaced after."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig | None = None) -> None:
@@ -78,14 +80,10 @@ def _write_run_config(out: Path, args: argparse.Namespace, config: TrainConfig |
                {"flags": flags, "config": None if config is None else config.to_dict()})
 
 
-# The two flags not named after their TrainConfig field.
-FLAG_NAMES = {"learning_rate": "--lr", "label_gate_mode": "--label-gate"}
-
-
 def _add_training_flags(parser: argparse.ArgumentParser) -> list[argparse.Action]:
     """Add --manifest, --out, the missingness protocol, --config and one flag
-    per TrainConfig field (dest the field, type and default from it); returns
-    the actions that configure training, in that order."""
+    per TrainConfig field (dest, type, default, flag and domain from the
+    field); returns the actions that configure training, in that order."""
     parser.add_argument("--manifest", type=Path, required=True, help="dataset manifest path")
     parser.add_argument("--out", type=Path, required=True, help="output directory")
     protocol = parser.add_argument_group("missingness protocol")
@@ -101,12 +99,13 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> list[argparse.Action
                             help="JSON file with training-config fields; explicit flags override it"),
     ]
     for f in fields(TrainConfig):
-        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
         kind = type(f.default)
         options = ({"action": "store_true", "default": None} if kind is bool
                    else {"type": kind, "choices": f.metadata["choices"]})
-        actions.append(config.add_argument(flag, dest=f.name, help=f"{f.metadata['help']} "
-                                           f"(default {f.default})", **options))
+        domain = None if f.metadata["choices"] else knob_domain(f)  # argparse shows choices
+        actions.append(config.add_argument(flag, dest=f.name, help=f"{f.metadata['help']} (default "
+                                           f"{f.default}{'; ' + domain if domain else ''})", **options))
     return actions
 
 

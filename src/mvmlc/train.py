@@ -47,39 +47,59 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
-# The denominator gates the label contrast can take (``label_gate_mode``).
-LABEL_GATE_MODES = ("view", "label")
+def _knob(default, help: str, *, at_least=None, above=None, below=None, choices=None, flag=None):
+    """A config field whose metadata holds its help, its domain and, if not
+    ``--<name-with-dashes>``, its flag.  The domain is ``at_least`` (>=),
+    ``above`` (>), ``below`` (<, with ``at_least``) or the ``choices``."""
+    return field(default=default, metadata={"help": help, "at_least": at_least, "above": above,
+                                            "below": below, "choices": choices, "flag": flag})
 
 
-def _knob(default, help: str, choices: tuple | None = None):
-    """A config field whose metadata holds its command-line help and, for a
-    field of a few named values, their ``choices``."""
-    return field(default=default, metadata={"help": help, "choices": choices})
+def knob_domain(f) -> str | None:
+    """The domain of :class:`TrainConfig` field ``f`` as its refusal and its
+    ``--help`` line write it (``>= 1``, ``> 0``, ``in [0, 1)``, ``'view' or
+    'label'``), or None for a field without one."""
+    m = f.metadata
+    if m["choices"] is not None:
+        return " or ".join(map(repr, m["choices"]))
+    if m["below"] is not None:
+        return f"in [{m['at_least']}, {m['below']})"
+    if m["at_least"] is not None:
+        return f">= {m['at_least']}"
+    return None if m["above"] is None else f"> {m['above']}"
+
+
+def _in_domain(value, m) -> bool:
+    return ((m["at_least"] is None or value >= m["at_least"])
+            and (m["above"] is None or value > m["above"])
+            and (m["below"] is None or value < m["below"])
+            and (m["choices"] is None or value in m["choices"]))
 
 
 @dataclass
 class TrainConfig:
-    """Every training knob, declared once: the command line builds one flag
-    per field from its default (type and default) and metadata (help)."""
+    """Every training knob, declared once: a field's default gives its type,
+    and its :func:`_knob` metadata its help, domain and flag, from which
+    ``__post_init__`` checks it and the command line builds its flag."""
 
-    epochs: int = _knob(60, "training epochs")
-    learning_rate: float = _knob(1e-3, "Adam learning rate")
-    adam_beta1: float = _knob(0.9, "Adam first-moment decay")
-    adam_beta2: float = _knob(0.999, "Adam second-moment decay")
-    adam_eps: float = _knob(1e-8, "Adam epsilon")
-    alpha: float = _knob(0.01, "instance-contrast weight")
-    beta: float = _knob(0.01, "label-contrast weight")
-    gamma: float = _knob(0.1, "reconstruction weight")
-    tau_s: float = _knob(0.5, "instance-contrast temperature")
-    tau_l: float = _knob(0.5, "label-contrast temperature")
-    mask_ratio: float = _knob(0.3, "masked fraction of each input row")
-    embed_dim: int = _knob(64, "embedding width")
-    hidden_dim: int = _knob(128, "MLP hidden width")
-    batch_size: int = _knob(0, "mini-batch size; 0 = full batch")
-    seed: int = _knob(0, "master RNG seed")
+    epochs: int = _knob(60, "training epochs", at_least=1)
+    learning_rate: float = _knob(1e-3, "Adam learning rate", above=0, flag="--lr")
+    adam_beta1: float = _knob(0.9, "Adam first-moment decay", at_least=0, below=1)
+    adam_beta2: float = _knob(0.999, "Adam second-moment decay", at_least=0, below=1)
+    adam_eps: float = _knob(1e-8, "Adam epsilon", above=0)
+    alpha: float = _knob(0.01, "instance-contrast weight", at_least=0)
+    beta: float = _knob(0.01, "label-contrast weight", at_least=0)
+    gamma: float = _knob(0.1, "reconstruction weight", at_least=0)
+    tau_s: float = _knob(0.5, "instance-contrast temperature", at_least=TAU_MIN)
+    tau_l: float = _knob(0.5, "label-contrast temperature", at_least=TAU_MIN)
+    mask_ratio: float = _knob(0.3, "masked fraction of each input row", at_least=0, below=1)
+    embed_dim: int = _knob(64, "embedding width", at_least=1)
+    hidden_dim: int = _knob(128, "MLP hidden width", at_least=1)
+    batch_size: int = _knob(0, "mini-batch size; 0 = full batch", at_least=0)
+    seed: int = _knob(0, "master RNG seed", at_least=0)
     fixed_mask: bool = _knob(False, "reuse one input mask for all epochs instead of fresh draws")
     label_gate_mode: str = _knob("view", "denominator gate of the label contrast",
-                                 choices=LABEL_GATE_MODES)
+                                 choices=("view", "label"), flag="--label-gate")
 
     def __post_init__(self) -> None:
         accepted = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str}
@@ -89,33 +109,10 @@ class TrainConfig:
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
             if kind is float and not _finite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-            setattr(self, f.name, kind(value))  # a plain value, as JSON writes it
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("tau_s", "tau_l"):
-            if getattr(self, name) < TAU_MIN:
-                raise ConfigError(f"{name} must be >= {TAU_MIN}, got {getattr(self, name)}")
-        if not 0.0 <= self.mask_ratio < 1.0:
-            raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("embed_dim and hidden_dim must be >= 1")
-        if self.batch_size < 0:
-            raise ConfigError(f"batch_size must be >= 0, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.label_gate_mode not in LABEL_GATE_MODES:
-            raise ConfigError(f"label_gate_mode must be {' or '.join(map(repr, LABEL_GATE_MODES))}, "
-                              f"got {self.label_gate_mode!r}")
+            value = kind(value)  # a plain value, as JSON writes it
+            if not _in_domain(value, f.metadata):
+                raise ConfigError(f"{f.name} must be {knob_domain(f)}, got {value!r}")
+            setattr(self, f.name, value)
 
     @classmethod
     def from_dict(cls, doc) -> "TrainConfig":
@@ -390,8 +387,12 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     with refuse_overflow("forward"):
         shared, private = encode(params, observed)
     with refuse_overflow("channel similarity"):
-        means = [f.value.mean(axis=0) if f.rows else np.zeros(f.cols) for f in shared + private]
-        unit, _ = ls.unit_rows(np.array(means))
+        means = np.array([f.value.mean(axis=0) if f.rows else np.zeros(f.cols)
+                          for f in shared + private])
+        # Each row over the power of two that brings its largest magnitude into
+        # [0.5, 1): exact, so cosines keep every bit, and squared norms stay finite.
+        _, exponent = np.frexp(np.abs(means).max(axis=1, keepdims=True))
+        unit, _ = ls.unit_rows(np.ldexp(means, -exponent))
     sim = np.clip((unit @ unit.T + 1.0) * 0.5, 0.0, 1.0)
     np.fill_diagonal(sim, 1.0)
     return sim

@@ -24,7 +24,7 @@ from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_pars
 from mvmlc.data import load_dataset, save_dataset, synth_dataset
 from mvmlc.metrics import evaluate_all
 from mvmlc.model import ModelParams, save_checkpoint
-from mvmlc.train import TrainConfig
+from mvmlc.train import TrainConfig, knob_domain
 
 from manifests import malformed_npy, write_csv_manifest
 
@@ -851,18 +851,20 @@ FLOAT_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("flag,name", FLOAT_FLAGS, ids=[flag for flag, _ in FLOAT_FLAGS])
+@pytest.mark.parametrize("flag,name,value", [
+    pytest.param(flag, name, value, id=flag if value == "-1e-05" else f"{flag} {value}")
+    for value in ("-1e-05", "-inf") for flag, name in FLOAT_FLAGS])
 def test_negative_value_with_an_exponent_reaches_its_check(dataset_dir, tmp_path, capsys,
-                                                           flag, name):
-    # argparse's own matcher reads "-1e-05" after a space as a flag.
+                                                           flag, name, value):
+    # argparse's own matcher reads "-1e-05" and "-inf" after a space as flags.
     if flag == "--noise":
         args = synth_args(tmp_path / "s")
     else:
         args = train_args(dataset_dir / "manifest.json", tmp_path / "run")
     capsys.readouterr()
-    assert main([*args, flag, "-1e-05"]) == EXIT_USAGE
+    assert main([*args, flag, value]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {name} must ") and "-1e-05" in err
+    assert err.startswith(f"error: {name} must ") and value in err
 
 
 # Per TrainConfig field: the words that set it on the command line, and the
@@ -908,7 +910,9 @@ def test_help_shows_every_config_flag_with_its_help_and_default(monkeypatch, cap
     text = " ".join(capsys.readouterr().out.split())
     for f in fields(TrainConfig):
         flag = CONFIG_FLAGS[f.name][0][0]
-        shown = re.escape(f"{f.metadata['help']} (default {f.default})")
+        # argparse prints label_gate_mode's choices; fixed_mask has no domain.
+        bounds = "" if f.name in ("fixed_mask", "label_gate_mode") else f"; {knob_domain(f)}"
+        shown = re.escape(f"{f.metadata['help']} (default {f.default}{bounds})")
         assert re.search(rf" {re.escape(flag)}( \S+)? {shown}", text), flag
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 import sys
 import threading
 
@@ -20,6 +21,7 @@ from mvmlc.train import (
     TrainConfig,
     adam_step,
     channel_similarity,
+    knob_domain,
     train,
 )
 from mvmlc.train import _epoch_losses
@@ -46,6 +48,31 @@ def small_params(view_dims, n_labels, seed=0):
     cfg = small_config(seed=seed)
     return ModelParams.initialize(np.random.default_rng(seed), view_dims, n_labels,
                                   cfg.embed_dim, cfg.hidden_dim)
+
+
+# Each TrainConfig field with a domain, as its refusal writes the domain.
+DOMAINS = {
+    "epochs": ">= 1", "learning_rate": "> 0", "adam_beta1": "in [0, 1)",
+    "adam_beta2": "in [0, 1)", "adam_eps": "> 0", "alpha": ">= 0", "beta": ">= 0", "gamma": ">= 0",
+    "tau_s": f">= {TAU_MIN}", "tau_l": f">= {TAU_MIN}", "mask_ratio": "in [0, 1)",
+    "embed_dim": ">= 1", "hidden_dim": ">= 1", "batch_size": ">= 0", "seed": ">= 0",
+    "label_gate_mode": "'view' or 'label'",
+}
+
+
+def _nearest_outside(f) -> list:
+    """The value nearest each bound of field ``f``'s domain that lies outside
+    it: the bound itself for ``above`` and ``below``, one below an integer
+    ``at_least`` and the next float below a float one; a named value that is
+    not one of the ``choices``."""
+    m = f.metadata
+    if m["choices"] is not None:
+        return [m["choices"][0].upper()]
+    values = [m[key] for key in ("above", "below") if m[key] is not None]
+    if m["at_least"] is not None:
+        values.append(m["at_least"] - 1 if type(f.default) is int
+                      else np.nextafter(m["at_least"], -np.inf))
+    return values
 
 
 class TestTrainConfig:
@@ -123,6 +150,17 @@ class TestTrainConfig:
     def test_negative_loss_weight_named(self, field):
         with pytest.raises(ConfigError, match=f"^{field} must be >= 0, got -0.25$"):
             TrainConfig(**{field: -0.25})
+
+    def test_every_field_but_the_bool_has_a_domain(self):
+        assert {f.name for f in dataclasses.fields(TrainConfig) if knob_domain(f)} == set(DOMAINS)
+
+    @pytest.mark.parametrize("name,value", [
+        (f.name, value) for f in dataclasses.fields(TrainConfig) for value in _nearest_outside(f)])
+    def test_default_is_accepted_and_the_nearest_value_outside_refused(self, name, value):
+        TrainConfig(**{name: getattr(TrainConfig, name)})
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be "
+                                              f"{re.escape(DOMAINS[name])}, got "):
+            TrainConfig(**{name: value})
 
 
 class TestInitParams:
@@ -343,10 +381,10 @@ class TestTrainLoop:
         ds = small_dataset()
         params = small_params(ds.view_dims, ds.n_labels)
         params.vector *= 1e100
-        with pytest.raises(ContractError, match="^channel similarity: overflow encountered in "
-                                                "multiply; the parameters or the input values "
-                                                "are out of range$"):
-            channel_similarity(params, ds)
+        sim = channel_similarity(params, ds)  # large finite channel means are scaled first
+        assert np.isfinite(sim).all() and np.all((sim >= 0.0) & (sim <= 1.0))
+        np.testing.assert_array_equal(sim, sim.T)
+        np.testing.assert_array_equal(np.diag(sim), np.ones(len(sim)))
         params.vector *= 1e200
         with pytest.raises(ContractError, match="^forward: overflow encountered in matmul; "
                                                 "the parameters or the input values are out of range$"):
