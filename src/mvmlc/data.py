@@ -379,7 +379,9 @@ def read_json_object(path: Path | str, what: str) -> dict:
     """The JSON object in ``path``; anything else is a ValidationError naming ``what``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # JSONDecodeError, UnicodeDecodeError and an integer past Python's digit
+    # limit are ValueErrors; deep nesting is a RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} {path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} {path}: not a JSON object")

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+``cli.main`` maps ``ConfigError`` to exit code 2 and ``ValidationError``,
+``ShapeError`` and ``ContractError`` to 3 (an ``OSError`` exits 4).  Library
+code should still raise the most specific class that applies, since
+callers of the library tell them apart.
 """
 
 

@@ -710,6 +710,38 @@ MALFORMED_INPUTS += [
         synth_dataset(24, 2, 3, (5, 6), noise=0.3, seed=1).views[1]).items()]
 
 
+# JSON the parser gives up on with an exception other than JSONDecodeError,
+# and the start of that exception's message.
+UNPARSEABLE_JSON = {
+    "nested past the recursion limit": ("[" * 200000, "maximum recursion depth exceeded"),
+    "holding an integer past the digit limit":
+        ('{"epochs": ' + "1" * 5000 + "}", "Exceeds the limit ("),
+}
+
+
+def _unparseable(which, text):
+    """Write ``text`` as the manifest, the config file or the checkpoint, and
+    return the argv that reads it."""
+    def setup(data, tmp):
+        manifest = data / "manifest.json"
+        path = {"manifest": manifest, "config file": tmp / "cfg.json",
+                "checkpoint": tmp / "checkpoint.json"}[which]
+        path.write_text(text)
+        if which == "checkpoint":
+            return ["eval", "--checkpoint", str(path), "--manifest", str(manifest)]
+        config = ["--config", str(path)] if which == "config file" else []
+        return train_args(manifest, tmp / "run") + config
+    return setup
+
+
+MALFORMED_INPUTS += [
+    (f"{which} {case}", _unparseable(which, text), EXIT_VALIDATION,
+     f"{file}: invalid JSON ({reason}")
+    for which, file in [("manifest", "manifest.json"), ("config file", "cfg.json"),
+                        ("checkpoint", "checkpoint.json")]
+    for case, (text, reason) in UNPARSEABLE_JSON.items()]
+
+
 # Sizes of 2**63 or more, which numpy refuses before it asks the OS for memory.
 HUGE = str(10 ** 22)
 

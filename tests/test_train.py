@@ -356,6 +356,18 @@ class TestTrainLoop:
         result = train(ds, small_config(epochs=2, batch_size=4))
         assert len(result.log.records) == 2
 
+    @pytest.mark.parametrize("rows_per_batch", [1, 2])
+    def test_batch_size_at_or_above_the_row_count_is_the_full_batch(self, tmp_path,
+                                                                     rows_per_batch):
+        # batch_size 0 and any size >= n give one batch of all rows in order.
+        ds = small_dataset(view_missing=0.3, label_missing=0.3)
+        full = train(ds, small_config())
+        same = train(ds, small_config(batch_size=rows_per_batch * ds.n_samples))
+        assert np.array_equal(full.params.vector, same.params.vector)
+        full.log.write_csv(tmp_path / "full.csv")
+        same.log.write_csv(tmp_path / "same.csv")
+        assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "same.csv").read_bytes()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_component_name(self):
         ds = small_dataset()
