@@ -11,7 +11,10 @@ Seed derivation for the train/ablate/heatmap protocol flags: view
 missingness uses seed+1 over the full dataset (so evaluation also sees
 incomplete views), the train/test split uses seed+2, and label missingness
 uses seed+3 applied to the training split only (test labels stay fully
-observed for metric ground truth).
+observed for metric ground truth).  A set a report scores (the test split,
+else the training set; eval's manifest) must know every label, since the
+metrics would read a hidden one as a negative: ``train`` and ``ablate``
+refuse one before training.
 """
 
 from __future__ import annotations
@@ -148,7 +151,13 @@ def _training_inputs(args: argparse.Namespace) -> tuple[
 
 
 def _check_scorable(data: MultiViewDataset, what: str) -> None:
-    """Refuse ``data``, named ``what``, if the metrics cannot score its labels."""
+    """Refuse ``data``, named ``what``, if the metrics cannot score its labels:
+    if any is unknown (the metrics read a hidden label's stored 0 as a
+    negative), or if :func:`check_scorable` refuses them."""
+    unknown = data.labels.size - int(data.label_indicator.sum())
+    if unknown:
+        raise ValidationError(f"{what} cannot be scored: {unknown} of its {data.labels.size} "
+                              "labels are unknown, and the metrics would count them as negatives")
     try:
         check_scorable(data.labels)
     except ContractError as exc:

@@ -80,10 +80,11 @@ class ModelParams:
     Every value lives in the one contiguous float64 ``vector``: each
     matrix's ``value`` is a row-major view of its own slice, the slices
     following :func:`parameter_layout`.  Gradients and Adam moments are
-    vectors of the same layout, so the optimizer, the finite check and
-    checkpoints each work on whole vectors or named slices of them.  The
-    names, matrices and slices are those :meth:`allocate` built from the
-    layout; no other code lists them.
+    vectors of the same layout, so the optimizer, the finite checks and
+    checkpoints each work on whole vectors, and :meth:`name_at` names the
+    parameter behind a flat index a check refuses.  The names, matrices and
+    slices are those :meth:`allocate` built from the layout; no other code
+    lists them.
     """
 
     view_dims: tuple[int, ...]
@@ -161,6 +162,11 @@ class ModelParams:
     def named_slices(self) -> list[tuple[str, slice]]:
         """Each parameter's name and its slice of :attr:`vector`."""
         return list(self._slices.items())
+
+    def name_at(self, index: int) -> str:
+        """The parameter whose slice of :attr:`vector`, and of every vector of
+        its layout, holds flat ``index``: searched only once a check has failed."""
+        return next(name for name, part in self._slices.items() if index < part.stop)
 
 
 @dataclass
@@ -376,7 +382,8 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
                               f"architecture needs {size} float64 values ({8 * size} bytes)")
     params = ModelParams.allocate(*architecture)
     params.vector[:] = np.frombuffer(raw, dtype="<f8")
-    for name, part in params.named_slices():
-        if not np.isfinite(params.vector[part]).all():
-            raise ValidationError(f"checkpoint {path}: {name} has non-finite values")
+    finite = np.isfinite(params.vector)
+    if not finite.all():
+        raise ValidationError(f"checkpoint {path}: {params.name_at(int(finite.argmin()))} "
+                              "has non-finite values")
     return params, meta

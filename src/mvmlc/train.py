@@ -28,7 +28,6 @@ import numbers
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -285,12 +284,6 @@ def _epoch_losses(
     return combined, breakdown
 
 
-def _name_at(index: int, named_slices: Iterable[tuple[str, slice]]) -> str:
-    """The parameter whose slice of the flat vectors holds ``index``; the
-    slices are searched only when a check has failed."""
-    return next(name for name, part in named_slices if index < part.stop)
-
-
 def train(
     dataset: MultiViewDataset,
     config: TrainConfig,
@@ -314,7 +307,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, dataset.view_dims, dataset.n_labels,
                                     config.embed_dim, config.hidden_dim)
-    leaves, slices = params.parameters(), params.named_slices()
+    leaves = params.parameters()
     grad = np.empty_like(params.vector)
     state = AdamState.initialize(params.vector.size)
 
@@ -346,13 +339,13 @@ def train(
             finite = np.isfinite(grad)
             if not finite.all():
                 raise ContractError(f"epoch {epoch}: gradient of "
-                                    f"'{_name_at(int(finite.argmin()), slices)}' is not finite")
+                                    f"'{params.name_at(int(finite.argmin()))}' is not finite")
             try:
                 adam_step(params.vector, grad, state, config.learning_rate,
                           config.adam_beta1, config.adam_beta2, config.adam_eps)
             except FloatingPointError as exc:
                 what, cause, index = exc.args
-                raise ContractError(f"epoch {epoch}: {what} at '{_name_at(index, slices)}'; "
+                raise ContractError(f"epoch {epoch}: {what} at '{params.name_at(index)}'; "
                                     f"{cause}") from None
             collected.append((len(rows) / n, breakdown))
         epoch_losses = LossBreakdown.weighted_mean(collected)

@@ -702,6 +702,39 @@ MALFORMED_INPUTS += [
      EXIT_VALIDATION, "one/manifest.json cannot be scored: ranking_loss: every sample is "
                       "degenerate"),
 ]
+
+
+def _hidden_labels(data, tmp):
+    """Save the dataset synth_args writes with half its 72 labels hidden by
+    its own label indicator; returns the manifest."""
+    dataset = load_dataset(data / "manifest.json")
+    _, wi = mvmlc.generate_indicators(24, 2, 3, 0.0, 0.5, seed=9)
+    return save_dataset(mvmlc.apply_indicators(dataset, None, wi), tmp / "hidden_labels")
+
+
+def _eval_hidden_labels(data, tmp):
+    """Evaluate a fresh checkpoint of the dataset's architecture on :func:`_hidden_labels`."""
+    params = ModelParams.initialize(np.random.default_rng(0), (5, 6), 3, 4, 6)
+    save_checkpoint(tmp / "checkpoint.json", params, seed=0, epoch=0)
+    return ["eval", "--checkpoint", str(tmp / "checkpoint.json"),
+            "--manifest", str(_hidden_labels(data, tmp))]
+
+
+# A scored set with labels hidden: the metrics would read them as negatives.
+UNKNOWN_LABELS = ", and the metrics would count them as negatives"
+MALFORMED_INPUTS += [
+    ("train scores the training set --label-missing hides", _train_flag(label_missing="0.5"),
+     EXIT_VALIDATION, "data/manifest.json cannot be scored: 36 of its 72 labels are unknown"
+                      + UNKNOWN_LABELS),
+    ("eval on a manifest that hides labels", _eval_hidden_labels, EXIT_VALIDATION,
+     "hidden_labels/manifest.json cannot be scored: 36 of its 72 labels are unknown"
+     + UNKNOWN_LABELS),
+    ("ablate scores a test split the manifest hides labels of",
+     lambda data, tmp: ["ablate", "--manifest", str(_hidden_labels(data, tmp)),
+                        "--out", str(tmp / "a"), "--epochs", "1", "--train-frac", "0.7"],
+     EXIT_VALIDATION, "hidden_labels/manifest.json cannot be scored: 8 of its 21 labels are unknown"
+                      + UNKNOWN_LABELS),
+]
 # Damaged .npy files in place of view 1 of the dataset synth_args writes.
 MALFORMED_INPUTS += [
     (f"view file {case}", _npy_file(raw), EXIT_VALIDATION,
@@ -785,10 +818,12 @@ def test_malformed_input_maps_to_exit_code(dataset_dir, tmp_path, capsys, what, 
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("train", []), ("train", ["--train-frac", "0.5", "--eval-every", "1"]), ("ablate", [])])
+    ("train", []), ("train", ["--train-frac", "0.5", "--eval-every", "1"]), ("ablate", []),
+    ("train", ["--label-missing", "0.5"])])
 def test_labels_the_metrics_cannot_score_are_refused_before_training(tmp_path, capsys, command,
                                                                      flags):
-    # A one-label set would be trained on, then fail its first report.
+    # A one-label set would be trained on, then fail its first report; with
+    # labels hidden and no split, the report would read them as negatives.
     manifest = _one_label(tmp_path)
     out = tmp_path / "run"
     out.mkdir()
@@ -818,18 +853,32 @@ def test_checkpoint_config_of_known_valid_fields_loads(dataset_dir, tmp_path, ca
 def test_csv_and_npy_manifests_load_and_evaluate_alike(tmp_path, capsys):
     dataset = synth_dataset(30, 2, 3, (5, 6), noise=0.3, seed=3)
     v, w = mvmlc.generate_indicators(30, 2, 3, 0.3, 0.3, seed=4)
-    dataset = mvmlc.apply_indicators(dataset, v, w)
-    manifests = [save_dataset(dataset, tmp_path / "npy"), write_csv_manifest(dataset, tmp_path / "csv")]
+    hidden = mvmlc.apply_indicators(dataset, v, w)
+    manifests = [save_dataset(hidden, tmp_path / "npy"), write_csv_manifest(hidden, tmp_path / "csv")]
     assert {p.suffix for p in manifests[0].parent.iterdir()} == {".json", ".npy"}
     npy, csv = [load_dataset(m) for m in manifests]
     for a, b in zip(npy.views + [npy.labels, npy.view_indicator, npy.label_indicator],
                     csv.views + [csv.labels, csv.view_indicator, csv.label_indicator], strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert main(train_args(manifests[0], tmp_path / "run")) == EXIT_OK
-    reports = []
+    # Both formats of the labels the indicator hides are refused alike.
     for manifest in manifests:
         capsys.readouterr()
-        assert main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+        assert main(train_args(manifest, tmp_path / "refused")) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: the training set of manifest {manifest} cannot be scored: 27 of its 90 "
+            "labels are unknown, and the metrics would count them as negatives\n")
+    # The same data with its views hidden only trains and evaluates alike.
+    observed = mvmlc.apply_indicators(dataset, v, None)
+    manifests = [save_dataset(observed, tmp_path / "npy_v"),
+                 write_csv_manifest(observed, tmp_path / "csv_v")]
+    reports, checkpoints = [], []
+    for i, manifest in enumerate(manifests):
+        assert main(train_args(manifest, tmp_path / f"run{i}")) == EXIT_OK
+        checkpoints.append((tmp_path / f"run{i}" / "checkpoint.json").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+    for manifest in manifests:
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(tmp_path / "run0" / "checkpoint.json"),
                      "--manifest", str(manifest)]) == EXIT_OK
         reports.append(capsys.readouterr().out)
     assert reports[0].startswith("ap ") and reports[0] == reports[1]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvmlc.losses as losses
-from mvmlc.errors import ConfigError
+from mvmlc.errors import ConfigError, ShapeError
 from mvmlc.losses import (
     LossBreakdown,
     classification_loss,
@@ -608,6 +608,11 @@ class TestLabelContrastive:
         res = label_contrastive(probs, gate, v, tau=0.5)
         assert res.loss.item() == 0.0
 
+    def test_gates_of_other_rows_refused(self):
+        probs = [Matrix(np.full((3, 2), 0.5)) for _ in range(2)]
+        with pytest.raises(ShapeError, match=r"^gates must be \(3, 2\), got \(4, 2\) and \(4, 2\)$"):
+            label_contrastive(probs, np.ones((4, 2)), np.ones((4, 2)), tau=0.5)
+
     def test_identical_views_single_sample_contribute_zero(self):
         probs = [Matrix([[0.2, 0.9, 0.4]]), Matrix([[0.2, 0.9, 0.4]])]
         v = np.ones((1, 2))
@@ -761,6 +766,11 @@ class TestClassificationLoss:
         y = (np.random.default_rng(0).random((3, 4)) > 0.5).astype(float)
         got = classification_loss(t, y, np.ones((3, 4))).item()
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_mismatched_shapes_refused(self):
+        with pytest.raises(ShapeError, match=r"^scores \(2, 3\), labels \(2, 3\) and gate "
+                                             r"\(3, 2\) must match$"):
+            classification_loss(Matrix(np.full((2, 3), 0.5)), np.zeros((2, 3)), np.ones((3, 2)))
 
     def test_all_masked_is_zero(self):
         t = Matrix(np.full((2, 2), 0.7))

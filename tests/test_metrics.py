@@ -306,6 +306,11 @@ class TestEvaluateAll:
         assert "epoch 1\n" in report.to_text()
         assert csv_text([report.csv_row()]) == "0.5,0.25,1.0,0.1,0.0,0.3333333333333333,4,2,,1\n"
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValidationError, match=r"^scores \(2, 3\) and labels \(3, 2\) must be "
+                                                  r"equal 2-D shapes$"):
+            evaluate_all(np.zeros((2, 3)), np.zeros((3, 2)))
+
     def test_non_binary_labels_rejected(self):
         with pytest.raises(ValidationError):
             evaluate_all(np.array([[0.5]]), np.array([[0.4]]))

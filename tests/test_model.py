@@ -43,6 +43,15 @@ class TestParameterVector:
             params.vector[part] = np.arange(part.stop - part.start)
             np.testing.assert_array_equal(p.value.ravel(), np.arange(p.value.size), err_msg=name)
 
+    @settings(max_examples=40)
+    @given(view_dims=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           n_labels=st.integers(1, 5), embed=st.integers(1, 5), hidden=st.integers(1, 5))
+    def test_name_at_names_the_slice_holding_the_index(self, view_dims, n_labels, embed, hidden):
+        params = ModelParams.allocate(tuple(view_dims), n_labels, embed, hidden)
+        for name, part in params.named_slices():
+            assert params.name_at(part.start) == name
+            assert params.name_at(part.stop - 1) == name
+
     @pytest.mark.parametrize("seed,dims", [(0, (4, 5)), (7, (1, 9, 3))])
     def test_initialize_is_bitwise_one_uniform_draw_per_matrix(self, seed, dims):
         rng = np.random.default_rng(seed)
@@ -183,6 +192,10 @@ class TestInteract:
     def test_saturated_private_passes_shared(self):
         z = interact(Matrix([[3.0]]), Matrix([[1e4]]))
         assert z.value[0, 0] == 3.0
+
+    def test_shapes_that_differ_refused(self):
+        with pytest.raises(ContractError, match=r"^interact: shapes \(1, 2\) and \(1, 3\) differ$"):
+            interact(Matrix(np.zeros((1, 2))), Matrix(np.zeros((1, 3))))
 
 
 class TestClassify:

@@ -235,6 +235,8 @@ def _weighted_scalar(out: Matrix, weights: np.ndarray) -> Matrix:
 PRIMITIVES = {
     "add": lambda p, w: _weighted_scalar(p[0] + p[1], w),
     "mul": lambda p, w: _weighted_scalar(p[0] * p[1], w),
+    # a 1 x 1 factor, as in m * -1.0: its adjoint sums over rows and columns
+    "mul_scalar": lambda p, w: _weighted_scalar(p[0] * p[1], w),
     "matmul": lambda p, w: _weighted_scalar(p[0] @ Matrix(np.ones((4, 3))) @ p[1], w),
     "sigmoid": lambda p, w: _weighted_scalar(nm.sigmoid(p[0]), w),
     "mlp": lambda p, w: _weighted_scalar(nm.mlp(*p), w),
@@ -269,6 +271,7 @@ def _mlp_operands(rng):
 # Rows whose operands are not a pair of 3 x 4 matrices.
 OPERANDS = {
     "mlp": _mlp_operands,
+    "mul_scalar": lambda rng: [rand(rng, 3, 4), rand(rng, 1, 1)],
     # probabilities clear of the clamp at 1e-12 and 1 - 1e-12
     "classification_loss": lambda rng: [Matrix(rng.uniform(0.05, 0.95, size=(3, 4)))],
     # reconstructions, then inputs, of a width-4 and a width-2 view
