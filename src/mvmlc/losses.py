@@ -12,11 +12,11 @@
 * masked binary cross-entropy on the classifier scores, counting only
   known labels.
 
-Each term is recorded on the tape as one primitive with a hand-written
-VJP (see :func:`mvmlc.numerics.emit`).  The reconstruction and
-classification terms run, forward and backward, the numpy operations of
-the generic primitives they would otherwise compose, in the same order, so
-their values and gradients are bitwise those of that composition.
+Each term, and their weighted sum, is recorded on the tape as one
+primitive with a hand-written VJP (see :func:`mvmlc.numerics.emit`).  The
+reconstruction and classification terms compute their values as the plain
+numpy expressions of their formulas, in the order written, so bitwise
+equal to them.
 
 Numerical care: contrastive exponents are shifted by the largest one
 exact arithmetic attains (similarity 1 over temperature), so at tau >=
@@ -49,6 +49,7 @@ grows with TILE_ROWS^2 per tile, not with N^2.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -370,10 +371,14 @@ def total_loss(
     beta: float,
     gamma: float,
 ) -> tuple[Matrix, LossBreakdown]:
-    """Weighted sum of the four terms; each component is kept for logging."""
-    if alpha < 0 or beta < 0 or gamma < 0:
-        raise ConfigError(f"loss weights must be >= 0, got {(alpha, beta, gamma)}")
-    combined = classification + alpha * instance_contrast + beta * label_contrast + gamma * reconstruction
+    """Weighted sum of the four terms, recorded as one primitive; each
+    component is kept for logging."""
+    if not all(math.isfinite(w) and w >= 0 for w in (alpha, beta, gamma)):
+        raise ConfigError(f"loss weights must be finite and >= 0, got {(alpha, beta, gamma)}")
+    combined = nm.emit(classification.value + alpha * instance_contrast.value
+                       + beta * label_contrast.value + gamma * reconstruction.value,
+                       (classification, instance_contrast, label_contrast, reconstruction),
+                       lambda g: (g, g * alpha, g * beta, g * gamma))
     breakdown = LossBreakdown(
         classification=classification.item(),
         instance_contrast=instance_contrast.item(),

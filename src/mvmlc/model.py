@@ -227,14 +227,11 @@ def fuse(shared: list[Matrix], private: list[Matrix], rows: list[Array], n: int)
 
 
 def interact(fused_shared: Matrix, fused_private: Matrix) -> Matrix:
-    if fused_shared.shape != fused_private.shape:
-        raise ContractError(
-            f"interact: shapes {fused_shared.shape} and {fused_private.shape} differ")
-    return nm.sigmoid(fused_private) * fused_shared
+    return nm.sigmoid_mul(fused_private, fused_shared)
 
 
 def classify(params: ModelParams, blended: Matrix) -> Matrix:
-    return nm.sigmoid(blended @ params["classifier.weight"] + params["classifier.bias"])
+    return nm.affine_sigmoid(blended, params["classifier.weight"], params["classifier.bias"])
 
 
 def _head(params: ModelParams, shared: list[Matrix], private: list[Matrix],

@@ -1,18 +1,16 @@
 """Dense float64 matrices with taped reverse-mode differentiation.
 
-The engine holds only the primitives the network uses: the generic
-``add``, ``mul``, ``matmul``, ``sigmoid`` and ``scatter_rows``, and the
-fused two-layer perceptron ``mlp``.  The training objective composes them,
-so gradients are obtained by recording every primitive application on a
-:class:`Tape` and replaying it backwards once.
-A primitive with a hand-written VJP is recorded through :func:`emit`:
-``mlp`` here, and the four training losses in :mod:`mvmlc.losses`.  Each
-is one record where a composition of generic primitives would be several,
-and its tests audit it against finite differences; ``mlp`` and the
-reconstruction and classification losses also repeat the numpy operations
-of that composition in its order, so they are bitwise equal to it.  The
-finite-difference audit, ``gradient_check``, lives with the test oracles,
-the only code that calls it.
+The engine holds only the primitives the network uses: the two-layer
+perceptron ``mlp``, ``scatter_rows`` for lifting and fusion, ``sigmoid``
+for the label head, ``sigmoid_mul`` for the channel interaction and
+``affine_sigmoid`` for the classifier; :mod:`mvmlc.losses` adds the four
+training losses and their weighted sum.  Every one is recorded through :func:`emit` as one
+record with a hand-written VJP, so a gradient is one reversed replay of a
+:class:`Tape`.  Every primitive but the contrastive losses computes its
+value as the plain numpy expression of its formula, in the order written,
+so bitwise equal to it, and every VJP is audited against finite
+differences.  That audit, ``gradient_check``, lives with the test
+oracles, the only code that calls it.
 
 All values are 2-D float64 arrays; scalars are 1x1 matrices.  Matrices are
 treated as immutable once produced, which makes read-only sharing across
@@ -88,24 +86,8 @@ class Matrix:
             raise ContractError(f"item() requires a 1x1 matrix, got {self.shape}")
         return float(self.value[0, 0])
 
-    def __add__(self, other) -> "Matrix":
-        return add(self, _lift(other))
-
-    def __mul__(self, other) -> "Matrix":
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other) -> "Matrix":
-        return mul(_lift(other), self)
-
-    def __matmul__(self, other) -> "Matrix":
-        return matmul(self, _lift(other))
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _lift(x) -> Matrix:
-    return x if isinstance(x, Matrix) else Matrix(x)
 
 
 def emit(value: Array, inputs: tuple[Matrix, ...],
@@ -136,44 +118,7 @@ def refuse_overflow(what: str):
         raise ContractError(f"{what}: {exc}; the parameters or the input values are out of range") from None
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
-    if grad.shape == shape:
-        return grad
-    if shape[0] == 1 and grad.shape[0] != 1:
-        grad = grad.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and grad.shape[1] != 1:
-        grad = grad.sum(axis=1, keepdims=True)
-    return grad
-
-
-def _check_broadcast(a: Matrix, b: Matrix, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    _check_broadcast(a, b, "add")
-    return emit(a.value + b.value, (a, b),
-                lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def mul(a: Matrix, b: Matrix) -> Matrix:
-    _check_broadcast(a, b, "mul")
-    return emit(a.value * b.value, (a, b),
-                lambda g: (_unbroadcast(g * b.value, a.shape),
-                           _unbroadcast(g * a.value, b.shape)))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return emit(a.value @ b.value, (a, b),
-                lambda g: (g @ b.value.T, a.value.T @ g))
-
-
-def sigmoid(a: Matrix) -> Matrix:
+def _sigmoid(x: Array) -> Array:
     # exp(-|x|) never overflows, so large |x| saturates to 0/1.  The
     # numerator is 1 for x >= 0 (1 >= exp(-|x|)) and exp(x) below 0, so
     # this is, bitwise, the two-branch form 1/(1 + exp(-x)) and
@@ -181,22 +126,53 @@ def sigmoid(a: Matrix) -> Matrix:
     # made it several passes over the array.  min(x, -x) rather than -|x|
     # keeps a NaN's sign bit as that form does; the steps run in place, so
     # only two arrays of x's size are held.
-    x = a.value
     ex = np.negative(x)
     np.minimum(x, ex, out=ex)
     np.exp(ex, out=ex)
     out = np.maximum(ex, x >= 0)
     ex += 1.0
     out /= ex
+    return out
+
+
+def sigmoid(a: Matrix) -> Matrix:
+    out = _sigmoid(a.value)
     return emit(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def sigmoid_mul(p: Matrix, x: Matrix) -> Matrix:
+    """``sigmoid(p) * x`` elementwise, recorded as one primitive."""
+    if p.shape != x.shape:
+        raise ShapeError(f"sigmoid_mul: shapes {p.shape} and {x.shape} differ")
+    s = _sigmoid(p.value)
+    out = s * x.value
+
+    def vjp(g: Array) -> tuple[Array, ...]:
+        return (g * x.value * s * (1.0 - s), g * s)
+
+    return emit(out, (p, x), vjp)
+
+
+def affine_sigmoid(x: Matrix, w: Matrix, b: Matrix) -> Matrix:
+    """``sigmoid(x @ w + b)`` with ``b`` one row, recorded as one primitive."""
+    if x.cols != w.rows:
+        raise ShapeError(f"affine_sigmoid: inner dimensions differ, {x.shape} @ {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"affine_sigmoid: bias {b.shape} must be a row of width {w.cols}")
+    out = _sigmoid(x.value @ w.value + b.value)
+
+    def vjp(g: Array) -> tuple[Array, ...]:
+        d_pre = g * out * (1.0 - out)
+        return (d_pre @ w.value.T, x.value.T @ d_pre, d_pre.sum(axis=0, keepdims=True))
+
+    return emit(out, (x, w, b), vjp)
 
 
 def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     """``relu(x @ w1 + b1) @ w2 + b2``, recorded as one primitive.
 
-    The biases are single rows.  Forward and VJP run the numpy operations
-    of the ``matmul``, ``add``, ReLU, ``matmul``, ``add`` composition in its
-    order, so values and gradients are bitwise those of that composition.
+    The biases are single rows.  The forward is bitwise the plain numpy
+    expression, each bias adjoint the column sum of its layer's adjoint.
     """
     if x.cols != w1.rows or w1.cols != w2.rows:
         raise ShapeError(f"mlp: inner dimensions differ, {x.shape} @ {w1.shape} @ {w2.shape}")
@@ -217,8 +193,8 @@ def mlp(x: Matrix, w1: Matrix, b1: Matrix, w2: Matrix, b2: Matrix) -> Matrix:
     def vjp(g: Array) -> tuple[Array, ...]:
         d_pre = g @ w2.value.T
         d_pre *= hidden > 0  # pre > 0 bit for bit, NaN and -0.0 included
-        return (d_pre @ w1.value.T, x.value.T @ d_pre, _unbroadcast(d_pre, b1.shape),
-                hidden.T @ g, _unbroadcast(g, b2.shape))
+        return (d_pre @ w1.value.T, x.value.T @ d_pre, d_pre.sum(axis=0, keepdims=True),
+                hidden.T @ g, g.sum(axis=0, keepdims=True))
 
     return emit(out, (x, w1, b1, w2, b2), vjp)
 

@@ -49,6 +49,10 @@ def _finite(value: numbers.Real) -> bool:
         return False
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _knob(default, help: str, *, at_least=None, above=None, below=None, choices=None, flag=None):
     """A config field whose metadata holds its help, its domain and, if not
     ``--<name-with-dashes>``, its flag.  The domain is ``at_least`` (>=),
@@ -297,11 +301,13 @@ def train(
     then requires, every that many epochs.  ``snapshot_epochs`` collects the channel-similarity
     matrix after the given number of completed epochs (0 = initialization).
     """
-    if eval_every < 0:
-        raise ConfigError(f"eval_every must be >= 0, got {eval_every}")
+    if not _integer(eval_every) or eval_every < 0:
+        raise ConfigError(f"eval_every must be an integer >= 0, got {eval_every!r}")
     if eval_every and eval_data is None:
         raise ConfigError(f"eval_every={eval_every} needs eval_data to evaluate on")
     for k in snapshot_epochs:
+        if not _integer(k):
+            raise ConfigError(f"snapshot_epochs must hold integers, got {k!r}")
         if not 0 <= k <= config.epochs:
             raise ConfigError(f"snapshot epoch {k} outside the schedule (0..{config.epochs})")
     rng = np.random.default_rng(config.seed)

@@ -20,20 +20,6 @@ from mvmlc.errors import ContractError
 from mvmlc.numerics import Matrix, Tape, backward
 
 
-def matmul_oracle(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
 def sigmoid_oracle(x):
     """The two-branch logistic: 1/(1 + exp(-x)) for x >= 0 and
     exp(x)/(1 + exp(x)) below, so no positive argument is exponentiated."""

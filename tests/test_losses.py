@@ -833,6 +833,15 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             total_loss(Matrix(1.0), Matrix(1.0), Matrix(1.0), Matrix(1.0), -0.1, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_weight_rejected(self, bad, slot):
+        # NaN >= 0 is False too, so only a finiteness check refuses it.
+        weights = [0.0, 0.0, 0.0]
+        weights[slot] = bad
+        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+            total_loss(Matrix(1.0), Matrix(1.0), Matrix(1.0), Matrix(1.0), *weights)
+
 
 def _breakdown(value, skipped=0):
     return LossBreakdown(classification=value, instance_contrast=2 * value,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,22 @@ from mvmlc import numerics as nm
 from mvmlc.errors import ContractError, ShapeError
 from mvmlc.numerics import Matrix, Tape, backward
 
-from oracles import gradient_check, matmul_oracle, sigmoid_oracle
+from oracles import gradient_check, sigmoid_oracle
 
 
 def rand(rng, r, c):
     return Matrix(rng.normal(size=(r, c)))
 
 
-def total(m):
-    """The sum of ``m``'s entries as a taped 1x1 scalar: ones @ m @ ones."""
-    return Matrix(np.ones((1, m.rows))) @ m @ Matrix(np.ones((m.cols, 1)))
+def total(m, w=1.0):
+    """sum(w * m) as a taped 1x1 scalar, ``w`` a scalar or m's shape."""
+    return nm.emit((w * m.value).sum(keepdims=True), (m,),
+                   lambda g: (g * np.broadcast_to(w, m.shape),))
+
+
+def square(x):
+    """x * x elementwise, taped."""
+    return nm.emit(x.value * x.value, (x,), lambda g: (2.0 * g * x.value,))
 
 
 class TestMatrixBasics:
@@ -31,52 +39,6 @@ class TestMatrixBasics:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             Matrix(np.zeros((2, 2))).item()
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        a = rand(rng, 2, 3)
-        eye = Matrix(np.eye(2))
-        np.testing.assert_array_equal((eye @ a).value, a.value)
-
-    def test_hand_case(self):
-        a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix([[0.0], [1.0]])
-        np.testing.assert_array_equal((a @ b).value, [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        got = nm.matmul(Matrix(a), Matrix(b)).value
-        np.testing.assert_allclose(got, matmul_oracle(a, b), atol=1e-12, rtol=0)
-
-    def test_shape_error_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            nm.matmul(Matrix(np.zeros((2, 3))), Matrix(np.zeros((2, 3))))
-
-
-class TestElementwise:
-    def test_ops_match_loops(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 5))
-        b = rng.normal(size=(4, 5)) + 3.0
-        cases = {
-            "add": (Matrix(a) + Matrix(b), a + b),
-            "mul": (Matrix(a) * Matrix(b), a * b),
-        }
-        for name, (got, ref) in cases.items():
-            loop = np.zeros_like(ref)
-            for i in range(4):
-                for j in range(5):
-                    loop[i, j] = {"add": a[i, j] + b[i, j],
-                                  "mul": a[i, j] * b[i, j]}[name]
-            np.testing.assert_allclose(got.value, loop, atol=1e-12, rtol=0)
-
-    def test_broadcast_mismatch(self):
-        with pytest.raises(ShapeError):
-            Matrix(np.zeros((2, 3))) + Matrix(np.zeros((3, 2)))
 
 
 class TestScatterRows:
@@ -131,6 +93,45 @@ class TestMlp:
             nm.mlp(*(Matrix(np.zeros(shape)) for shape in shapes))
 
 
+class TestElementwise:
+    def test_ops_match_loops(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 5))
+        b = rng.normal(size=(4, 5)) + 3.0
+        loops = {"sigmoid": lambda i, j: 1.0 / (1.0 + math.exp(-a[i, j])),
+                 "sigmoid_mul": lambda i, j: b[i, j] / (1.0 + math.exp(-a[i, j]))}
+        got = {"sigmoid": nm.sigmoid(Matrix(a)), "sigmoid_mul": nm.sigmoid_mul(Matrix(a), Matrix(b))}
+        for name, loop in loops.items():
+            want = [[loop(i, j) for j in range(5)] for i in range(4)]
+            np.testing.assert_allclose(got[name].value, want, atol=1e-12, rtol=0)
+
+    def test_sigmoid_mul_is_the_plain_numpy_expression_bitwise(self):
+        rng = np.random.default_rng(12)
+        p, x = 30.0 * rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        got = nm.sigmoid_mul(Matrix(p), Matrix(x)).value
+        assert got.tobytes() == (sigmoid_oracle(p) * x).tobytes()
+
+    def test_broadcast_mismatch(self):
+        # sigmoid_mul takes two matrices of one shape; a row does not broadcast
+        with pytest.raises(ShapeError, match=r"^sigmoid_mul: shapes \(1, 3\) and \(2, 3\) differ$"):
+            nm.sigmoid_mul(Matrix(np.zeros((1, 3))), Matrix(np.zeros((2, 3))))
+
+
+class TestAffineSigmoid:
+    def test_forward_is_the_plain_numpy_expression_bitwise(self):
+        rng = np.random.default_rng(13)
+        x, w, b = (rng.normal(size=shape) for shape in ((7, 4), (4, 3), (1, 3)))
+        got = nm.affine_sigmoid(*map(Matrix, (x, w, b))).value
+        assert got.tobytes() == sigmoid_oracle(x @ w + b).tobytes()
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (4, 2), (1, 2)),
+                                        ((2, 3), (3, 2), (2, 2)),
+                                        ((2, 3), (3, 2), (1, 3))])
+    def test_shape_mismatch_rejected(self, shapes):
+        with pytest.raises(ShapeError, match="affine_sigmoid"):
+            nm.affine_sigmoid(*(Matrix(np.zeros(shape)) for shape in shapes))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert nm.sigmoid(Matrix(0.0)).item() == 0.5
@@ -174,7 +175,7 @@ class TestBackward:
         a = Matrix(2.0)
         b = Matrix(np.ones((2, 2)))
         with Tape() as tape:
-            loss = a * a
+            loss = square(a)
         grads = backward(tape, loss, [a, b])
         assert grads[0][0, 0] == 4.0
         np.testing.assert_array_equal(grads[1], np.zeros((2, 2)))
@@ -182,15 +183,15 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         a = Matrix(np.ones((2, 2)))
         with Tape() as tape:
-            out = a * 2.0
+            out = nm.sigmoid(a)
         with pytest.raises(ContractError):
             backward(tape, out, [a])
 
     def test_replay_is_bitwise_identical(self):
         rng = np.random.default_rng(5)
-        a, b = rand(rng, 3, 3), rand(rng, 3, 3)
+        a, b, bias = rand(rng, 3, 3), rand(rng, 3, 3), rand(rng, 1, 3)
         with Tape() as tape:
-            loss = total(nm.sigmoid(a @ b) * a)
+            loss = total(nm.sigmoid_mul(nm.affine_sigmoid(a, b, bias), nm.sigmoid(a)))
         g1 = backward(tape, loss, [a, b])
         g2 = backward(tape, loss, [a, b])
         for x, y in zip(g1, g2):
@@ -199,19 +200,20 @@ class TestBackward:
     def test_nested_tape_records_until_it_exits(self):
         a = Matrix(2.0)
         with Tape() as outer:
-            b = a * a
+            b = nm.sigmoid(a)
             with Tape() as inner:
-                c = b * a
-            d = b + c
-            d * a
-        a * a  # no tape is active
+                c = nm.sigmoid(b)
+            d = nm.sigmoid_mul(b, c)
+            nm.sigmoid(d)
+        nm.sigmoid(a)  # no tape is active
         assert (len(outer), len(inner)) == (3, 1)
 
     def test_stale_out_buffer_leaves_no_trace(self):
         rng = np.random.default_rng(3)
         a, unreached, b = rand(rng, 3, 3), rand(rng, 2, 2), rand(rng, 3, 3)
+        bias = rand(rng, 1, 3)
         with Tape() as tape:
-            loss = total(nm.sigmoid(a @ b) * a)
+            loss = total(nm.sigmoid_mul(nm.affine_sigmoid(a, b, bias), nm.sigmoid(a)))
         fresh = backward(tape, loss, [a, unreached, b])
         buf = np.full(22, np.nan)
         stale = backward(tape, loss, [a, unreached, b], out=buf)
@@ -219,41 +221,42 @@ class TestBackward:
         assert stale[1].tobytes() == np.zeros((2, 2)).tobytes()
 
     def test_bias_broadcast_gradient(self):
+        # A bias row is added to every row, so its adjoint is a sum over the
+        # 5 rows: at zero weights each adds sigmoid'(0) = 0.25 to the
+        # classifier bias; through the perceptron's all-ones second layer
+        # each adds 2 to the hidden bias and 1 to the output bias.
         rng = np.random.default_rng(9)
-        x = rand(rng, 5, 3)
-        bias = rand(rng, 1, 3)
+        x, b = rand(rng, 5, 3), Matrix(np.zeros((1, 2)))
+        w1, b1, w2, b2 = map(Matrix, (np.zeros((3, 4)), np.ones((1, 4)), np.ones((4, 2)), np.zeros((1, 2))))
         with Tape() as tape:
-            loss = total(x + bias)
-        grads = backward(tape, loss, [bias])
-        np.testing.assert_array_equal(grads[0], np.full((1, 3), 5.0))
-
-
-def _weighted_scalar(out: Matrix, weights: np.ndarray) -> Matrix:
-    return total(out * Matrix(weights))
+            classified = total(nm.affine_sigmoid(x, Matrix(np.zeros((3, 2))), b))
+            perceptron = total(nm.mlp(x, w1, b1, w2, b2))
+        grads = backward(tape, classified, [b]) + backward(tape, perceptron, [b1, b2])
+        for grad, per_row in zip(grads, (0.25, 2.0, 1.0)):
+            np.testing.assert_array_equal(grad, np.full(grad.shape, 5 * per_row))
 
 
 PRIMITIVES = {
-    "add": lambda p, w: _weighted_scalar(p[0] + p[1], w),
-    "mul": lambda p, w: _weighted_scalar(p[0] * p[1], w),
-    # a 1 x 1 factor, as in m * -1.0: its adjoint sums over rows and columns
-    "mul_scalar": lambda p, w: _weighted_scalar(p[0] * p[1], w),
-    "matmul": lambda p, w: _weighted_scalar(p[0] @ Matrix(np.ones((4, 3))) @ p[1], w),
-    "sigmoid": lambda p, w: _weighted_scalar(nm.sigmoid(p[0]), w),
-    "mlp": lambda p, w: _weighted_scalar(nm.mlp(*p), w),
+    "sigmoid": lambda p, w: total(nm.sigmoid(p[0]), w),
+    "sigmoid_mul": lambda p, w: total(nm.sigmoid_mul(p[0], p[1]), w),
+    "affine_sigmoid": lambda p, w: total(nm.affine_sigmoid(*p), w),
+    "mlp": lambda p, w: total(nm.mlp(*p), w),
     # labels from the signs of w, cells with |w| <= 0.4 unknown; the scalar
     # weight makes the loss's adjoint differ from 1
-    "classification_loss": lambda p, w: losses.classification_loss(
-        p[0], (w > 0).astype(float), (np.abs(w) > 0.4).astype(float)) * float(w[0, 0]),
+    "classification_loss": lambda p, w: total(losses.classification_loss(
+        p[0], (w > 0).astype(float), (np.abs(w) > 0.4).astype(float)), float(w[0, 0])),
     # two views, the second missing where w[:, 1] < -0.5
-    "reconstruction_loss": lambda p, w: losses.reconstruction_loss(
-        p[:2], p[2:], np.hstack([np.ones((3, 1)), (w[:, 1:2] >= -0.5).astype(float)])) * float(w[0, 0]),
+    "reconstruction_loss": lambda p, w: total(losses.reconstruction_loss(
+        p[:2], p[2:], np.hstack([np.ones((3, 1)), (w[:, 1:2] >= -0.5).astype(float)])), float(w[0, 0])),
+    # loss weights |w[0, 1:]|, and a scalar weight as above
+    "total_loss": lambda p, w: total(losses.total_loss(*p, *np.abs(w[0, 1:]))[0], float(w[0, 0])),
     # a part with an empty row set, and one placed on rows of a larger output
-    "scatter_rows_empty": lambda p, w: _weighted_scalar(
+    "scatter_rows_empty": lambda p, w: total(
         nm.scatter_rows([Matrix(np.zeros((0, 4))), p[0]],
                         [np.array([], dtype=int), np.array([5, 0, 3])], 6),
         np.vstack([w, -2.0 * w])),
     # two parts covering every row, permuted, with a per-row scale
-    "scatter_rows_full": lambda p, w: _weighted_scalar(
+    "scatter_rows_full": lambda p, w: total(
         nm.scatter_rows([p[0], p[1]], [np.array([2, 0, 1]), np.arange(3)], 3,
                         np.array([[0.5], [1.0], [1.0 / 3.0]])), w),
 }
@@ -271,11 +274,13 @@ def _mlp_operands(rng):
 # Rows whose operands are not a pair of 3 x 4 matrices.
 OPERANDS = {
     "mlp": _mlp_operands,
-    "mul_scalar": lambda rng: [rand(rng, 3, 4), rand(rng, 1, 1)],
+    "affine_sigmoid": lambda rng: [rand(rng, 3, 5), rand(rng, 5, 4), rand(rng, 1, 4)],
     # probabilities clear of the clamp at 1e-12 and 1 - 1e-12
     "classification_loss": lambda rng: [Matrix(rng.uniform(0.05, 0.95, size=(3, 4)))],
     # reconstructions, then inputs, of a width-4 and a width-2 view
     "reconstruction_loss": lambda rng: [rand(rng, 3, 4), rand(rng, 3, 2), rand(rng, 3, 4), rand(rng, 3, 2)],
+    # the classification, instance, label and reconstruction terms
+    "total_loss": lambda rng: [rand(rng, 1, 1) for _ in range(4)],
 }
 
 
@@ -293,16 +298,16 @@ def test_primitive_gradients_match_finite_differences(name):
 class TestGradientCheck:
     def test_square_at_three(self):
         x = Matrix(3.0)
-        report = gradient_check(lambda p: p[0] * p[0], [x], step=1e-5)
+        report = gradient_check(lambda p: square(p[0]), [x], step=1e-5)
         with Tape() as tape:
-            loss = x * x
+            loss = square(x)
         (grad,) = backward(tape, loss, [x])
         assert grad[0, 0] == pytest.approx(6.0, abs=1e-8)
         assert report.passed
 
     def test_constant_function(self):
         x = Matrix(np.ones((2, 2)))
-        report = gradient_check(lambda p: Matrix(1.0) + total(p[0]) * 0.0, [x], step=1e-5)
+        report = gradient_check(lambda p: total(p[0], 0.0), [x], step=1e-5)
         assert report.max_rel_err == 0.0
 
     def test_masked_bce_gradients(self):

@@ -3,6 +3,7 @@ import importlib
 import re
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ class TestTrainLoop:
                 inst = ls.instance_contrastive(cache.instance_feats, ds.view_indicator, cfg.tau_s).loss
                 lab = ls.label_contrastive(cache.label_probs, gate, ds.view_indicator, cfg.tau_l).loss
                 rec = ls.reconstruction_loss(cache.recon, cache.masked_views, ds.view_indicator)
-                combined = clf + 0.0 * inst + 0.0 * lab + 0.0 * rec
+                combined, _ = ls.total_loss(clf, inst, lab, rec, 0.0, 0.0, 0.0)
                 backward(tape, combined, leaves, out=grad)
             adam_step(params.vector, grad, state, cfg.learning_rate,
                       cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -484,6 +485,18 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="eval_every"):
             train(ds, small_config(epochs=1), eval_data=ds, eval_every=-1)
 
+    @pytest.mark.parametrize("hooks", [{"eval_every": 1.5}, {"eval_every": float("nan")},
+                                       {"eval_every": True}, {"snapshot_epochs": (1.5,)},
+                                       {"snapshot_epochs": (True,)}],
+                             ids=["eval_every-1.5", "eval_every-nan", "eval_every-bool",
+                                  "snapshot-1.5", "snapshot-bool"])
+    def test_non_integer_hook_rejected(self, hooks):
+        # Each was silently wrong: 1.5 snapshots nothing, eval_every=1.5
+        # reports only at epoch 3 and NaN never reports.
+        ds = small_dataset()
+        with pytest.raises(ConfigError, match=f"{next(iter(hooks))} must"):
+            train(ds, small_config(epochs=3), eval_data=ds, **hooks)
+
     def test_eval_every_without_eval_data_rejected(self):
         with pytest.raises(ConfigError, match="eval_every"):
             train(small_dataset(), small_config(epochs=1), eval_every=2)
@@ -587,7 +600,10 @@ class TestTapeLength:
         mlp_records = [inputs for _, inputs, _ in tape
                        if tuple(map(id, inputs[1:])) in weights]
         assert len(mlp_records) == 15
-        assert len(tape) == 44
+        kinds = Counter(vjp.__qualname__.split(".")[0] for _, _, vjp in tape)
+        assert kinds == {"mlp": 15, "scatter_rows": 11, "sigmoid": 3, "sigmoid_mul": 1,
+                         "affine_sigmoid": 1, "_masked_infonce": 2, "reconstruction_loss": 1,
+                         "classification_loss": 1, "total_loss": 1}
 
 
 class TestUnobservedView:
