@@ -151,15 +151,9 @@ def _training_inputs(args: argparse.Namespace) -> tuple[
 
 
 def _check_scorable(data: MultiViewDataset, what: str) -> None:
-    """Refuse ``data``, named ``what``, if the metrics cannot score its labels:
-    if any is unknown (the metrics read a hidden label's stored 0 as a
-    negative), or if :func:`check_scorable` refuses them."""
-    unknown = data.labels.size - int(data.label_indicator.sum())
-    if unknown:
-        raise ValidationError(f"{what} cannot be scored: {unknown} of its {data.labels.size} "
-                              "labels are unknown, and the metrics would count them as negatives")
+    """Refuse ``data``, named ``what``, if :func:`check_scorable` does."""
     try:
-        check_scorable(data.labels)
+        check_scorable(data.labels, data.label_indicator)
     except ContractError as exc:
         raise ValidationError(f"{what} cannot be scored: {exc}") from None
 

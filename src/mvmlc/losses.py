@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -362,6 +363,15 @@ class LossBreakdown:
                    label_skipped=sum(b.label_skipped for _, b in parts))
 
 
+def finite_number(value: numbers.Real) -> bool:
+    """Whether ``value`` is finite, for the loss weights and the float
+    ``TrainConfig`` fields alike."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def total_loss(
     classification: Matrix,
     instance_contrast: Matrix,
@@ -373,7 +383,7 @@ def total_loss(
 ) -> tuple[Matrix, LossBreakdown]:
     """Weighted sum of the four terms, recorded as one primitive; each
     component is kept for logging."""
-    if not all(math.isfinite(w) and w >= 0 for w in (alpha, beta, gamma)):
+    if not all(finite_number(w) and w >= 0 for w in (alpha, beta, gamma)):
         raise ConfigError(f"loss weights must be finite and >= 0, got {(alpha, beta, gamma)}")
     combined = nm.emit(classification.value + alpha * instance_contrast.value
                        + beta * label_contrast.value + gamma * reconstruction.value,

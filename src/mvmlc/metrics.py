@@ -200,15 +200,21 @@ def evaluate_all(scores, labels, seed: int | None = None, epoch: int | None = No
     )
 
 
-def check_scorable(labels) -> None:
-    """Raise the error :func:`evaluate_all` raises on ``labels`` whatever
-    the finite scores, if any.
-
-    AP, ranking loss and AUC refuse labels, never scores: each asks whether
-    some sample or some label qualifies.  So constant scores on the distinct
-    label rows decide it: ~1 ms where all 10000 rows of 6 labels take ~11 ms
-    (2 vCPUs).
+def check_scorable(labels, label_indicator) -> None:
+    """The one rule for a set a report scores: refuse any label unknown to
+    ``label_indicator`` (known where it holds 1), which :func:`evaluate_all`
+    would read as a negative, then raise what :func:`evaluate_all` raises on
+    ``labels`` whatever the finite scores.  AP, ranking loss and AUC refuse
+    labels, never scores: each asks whether some sample or some label
+    qualifies.  So constant scores on the distinct label rows decide it:
+    ~1 ms where all 10000 rows of 6 labels take ~11 ms (2 vCPUs).
     """
+    labels, known = np.asarray(labels), np.asarray(label_indicator)
+    if known.shape != labels.shape:
+        raise ContractError(f"label indicator {known.shape} and labels {labels.shape} differ")
+    if unknown := int(np.count_nonzero(known != 1)):
+        raise ContractError(f"{unknown} of its {labels.size} "
+                            "labels are unknown, and the metrics would count them as negatives")
     _, labels = _validate(np.zeros_like(labels), labels)
     packed = np.packbits(labels > 0, axis=1)
     order = np.lexsort(packed.T)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -320,20 +321,31 @@ def save_checkpoint(
     JSON, with the parameter vector as one ``"vector"`` string: the base64
     of its little-endian float64 bytes.  Every bit is kept, so identical
     parameters give byte-identical files, and so does a load then a save.
+
+    An integral ``seed`` or ``epoch`` (``np.int64`` too) is stored as a plain
+    int; a bool or non-integer one, or a ``config`` that is not a dict, is a
+    :class:`ContractError` naming the field.  The document is serialized
+    before ``path`` is opened, so one that json cannot write leaves the old file.
     """
+    for name, value in (("seed", seed), ("epoch", epoch)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ContractError(f"save_checkpoint: {name} must be an integer, got {value!r}")
+    if config is not None and not isinstance(config, dict):
+        raise ContractError(f"save_checkpoint: config must be a dict, got {config!r}")
     doc = {
         "version": CHECKPOINT_VERSION,
         "view_dims": list(params.view_dims),
         "n_labels": params.n_labels,
         "embed_dim": params.embed_dim,
         "hidden_dim": params.hidden_dim,
-        "seed": seed,
-        "epoch": epoch,
+        "seed": int(seed),
+        "epoch": int(epoch),
         "config": config or {},
         "vector": base64.b64encode(params.vector.astype("<f8", copy=False).tobytes()).decode(),
     }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(text)
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:

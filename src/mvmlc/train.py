@@ -34,19 +34,13 @@ import numpy as np
 from . import losses as ls
 from .data import MaskBank, MultiViewDataset, csv_text
 from .errors import ConfigError, ContractError
-from .losses import COMPONENTS, TAU_MIN, LossBreakdown, label_availability_gate, total_loss
-from .metrics import METRICS, MetricsReport, evaluate_all
+from .losses import (COMPONENTS, TAU_MIN, LossBreakdown, finite_number, label_availability_gate,
+                     total_loss)
+from .metrics import METRICS, MetricsReport, check_scorable, evaluate_all
 from .model import ModelParams, encode, forward_all, observed_rows
 from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
-
-
-def _finite(value: numbers.Real) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _integer(value) -> bool:
@@ -113,7 +107,7 @@ class TrainConfig:
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
-            if kind is float and not _finite(value):
+            if kind is float and not finite_number(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             value = kind(value)  # a plain value, as JSON writes it
             if not _in_domain(value, f.metadata):
@@ -298,8 +292,10 @@ def train(
     """Run the training loop; see the module docstring for the schedule.
 
     ``eval_every`` > 0 attaches a metrics report on ``eval_data``, which it
-    then requires, every that many epochs.  ``snapshot_epochs`` collects the channel-similarity
-    matrix after the given number of completed epochs (0 = initialization).
+    then requires, every that many epochs, and refuses before epoch 1 if its
+    widths or label count differ from ``dataset``'s or :func:`check_scorable`
+    refuses it.  ``snapshot_epochs`` collects the channel-similarity matrix
+    after the given number of completed epochs (0 = initialization).
     """
     if not _integer(eval_every) or eval_every < 0:
         raise ConfigError(f"eval_every must be an integer >= 0, got {eval_every!r}")
@@ -310,6 +306,15 @@ def train(
             raise ConfigError(f"snapshot_epochs must hold integers, got {k!r}")
         if not 0 <= k <= config.epochs:
             raise ConfigError(f"snapshot epoch {k} outside the schedule (0..{config.epochs})")
+    if eval_every:
+        if (eval_data.view_dims, eval_data.n_labels) != (dataset.view_dims, dataset.n_labels):
+            raise ContractError(f"eval_data has views {eval_data.view_dims} with "
+                                f"{eval_data.n_labels} labels; dataset has "
+                                f"{dataset.view_dims} and {dataset.n_labels}")
+        try:
+            check_scorable(eval_data.labels, eval_data.label_indicator)
+        except ContractError as exc:
+            raise ContractError(f"eval_data cannot be scored: {exc}") from None
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, dataset.view_dims, dataset.n_labels,
                                     config.embed_dim, config.hidden_dim)

@@ -319,6 +319,20 @@ def test_train_evaluates_the_final_model_once(dataset_dir, tmp_path, capsys, mon
         assert (tmp_path / "k" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
 
+def test_log_timing_adds_the_wall_ms_column_and_is_recorded(dataset_dir, tmp_path, capsys):
+    manifest = dataset_dir / "manifest.json"
+    assert main([*train_args(manifest, tmp_path / "timed"), "--log-timing"]) == EXIT_OK
+    assert main(train_args(manifest, tmp_path / "plain")) == EXIT_OK
+    capsys.readouterr()
+    header = {name: (tmp_path / name / "train_log.csv").read_text().splitlines()[0].split(",")
+              for name in ("timed", "plain")}
+    assert header["timed"] == [*header["plain"], "wall_ms"]
+    assert "wall_ms" not in header["plain"]
+    flags = {name: json.loads((tmp_path / name / "run_config.json").read_text())["flags"]
+             for name in ("timed", "plain")}
+    assert flags["timed"]["log_timing"] is True and flags["plain"]["log_timing"] is False
+
+
 def test_heatmap_record_config_is_a_valid_config_file(dataset_dir, tmp_path, capsys):
     heatmap = ["heatmap", "--manifest", str(dataset_dir / "manifest.json"), "--snapshots", "0,1,3"]
     assert main([*heatmap, "--out", str(tmp_path / "a"), "--epochs", "3",

@@ -833,10 +833,12 @@ class TestTotalLoss:
         with pytest.raises(ConfigError):
             total_loss(Matrix(1.0), Matrix(1.0), Matrix(1.0), Matrix(1.0), -0.1, 0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "int-past-float-range"])
     @pytest.mark.parametrize("slot", range(3))
     def test_non_finite_weight_rejected(self, bad, slot):
-        # NaN >= 0 is False too, so only a finiteness check refuses it.
+        # NaN >= 0 is False too, so only a finiteness check refuses it; an
+        # integer past the float range made math.isfinite raise OverflowError.
         weights = [0.0, 0.0, 0.0]
         weights[slot] = bad
         with pytest.raises(ConfigError, match="must be finite and >= 0"):

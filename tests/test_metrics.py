@@ -341,8 +341,9 @@ class TestCheckScorable:
                                    max_size=shape[0] * shape[1]))
         labels = np.array(cells).reshape(shape)
         expected = _refusal(evaluate_all, np.zeros_like(labels), labels)
-        assert _refusal(check_scorable, labels) == expected
-        assert _refusal(check_scorable, labels[::-1]) == expected
+        known = np.ones_like(labels)
+        assert _refusal(check_scorable, labels, known) == expected
+        assert _refusal(check_scorable, labels[::-1], known) == expected
 
     @pytest.mark.parametrize("labels,message", [
         ([[0.0, 0.0], [0.0, 0.0]], "average_precision: no sample has a relevant label"),
@@ -351,17 +352,34 @@ class TestCheckScorable:
     ])
     def test_names_the_metric_that_refuses(self, labels, message):
         with pytest.raises(ContractError, match=f"^{message}$"):
-            check_scorable(np.array(labels))
+            check_scorable(np.array(labels), np.ones_like(labels))
 
     def test_a_row_that_differs_past_its_first_label_byte_is_kept(self):
         # Only the ninth label tells these rows apart, and only the second
         # row has a relevant label.
         labels = np.zeros((3, 9))
         labels[1, 8] = 1.0
-        check_scorable(labels)
-        check_scorable(labels[::-1])
+        check_scorable(labels, np.ones_like(labels))
+        check_scorable(labels[::-1], np.ones_like(labels))
 
     def test_checks_the_labels_as_evaluate_all_does(self):
         with pytest.raises(ValidationError, match="labels must be binary"):
-            check_scorable(np.array([[0.5, 1.0]]))
-        check_scorable(np.array([[1.0, 0.0], [0.0, 1.0]]))
+            check_scorable(np.array([[0.5, 1.0]]), np.ones((1, 2)))
+        check_scorable(np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones((2, 2)))
+
+    def test_unknown_labels_refused_before_the_metrics(self):
+        # evaluate_all would read a hidden label's stored 0 as a negative,
+        # so the set is refused however the metrics would take its labels.
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        known = np.ones_like(labels)
+        known[0, 1] = known[2, 0] = 0.0
+        with pytest.raises(ContractError, match="^2 of its 6 labels are unknown, and the "
+                                                "metrics would count them as negatives$"):
+            check_scorable(labels, known)
+        with pytest.raises(ContractError, match="^1 of its 2 labels are unknown"):
+            # counted before ranking_loss refuses the one label
+            check_scorable(np.array([[1.0]] * 2), np.array([[1.0], [0.0]]))
+
+    def test_indicator_of_another_shape_refused(self):
+        with pytest.raises(ContractError, match=r"^label indicator \(2, 3\) and labels \(2, 2\)"):
+            check_scorable(np.eye(2), np.ones((2, 3)))

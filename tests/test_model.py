@@ -512,6 +512,30 @@ class TestCheckpoint:
         md.save_checkpoint(tmp_path / "b.json", loaded, seed=0, epoch=0)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("meta,field", [
+        ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+        ({"epoch": np.float64(2.0)}, "epoch"), ({"epoch": False}, "epoch"),
+        ({"config": "not a config"}, "config"), ({"config": {"lr": np.float32(1.0)}}, None),
+    ], ids=["float-seed", "bool-seed", "np-float-epoch", "bool-epoch",
+            "str-config", "unserializable-config"])
+    def test_refused_save_leaves_the_old_file_whole(self, tmp_path, meta, field):
+        # Saving opened the file before serializing, so a value json cannot
+        # write left it empty, and a float seed wrote a file loading refuses.
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, make_params(), seed=0, epoch=3)
+        old = path.read_bytes()
+        with pytest.raises(ContractError if field else TypeError,
+                           match=f"^save_checkpoint: {field} must be" if field else None):
+            md.save_checkpoint(path, make_params(seed=1), **{"seed": 0, "epoch": 3, **meta})
+        assert path.read_bytes() == old
+
+    def test_integral_seed_and_epoch_are_saved_as_int(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        md.save_checkpoint(path, make_params(), seed=np.int64(5), epoch=np.uint8(2))
+        _, meta = md.load_checkpoint(path)
+        assert (meta["seed"], meta["epoch"]) == (5, 2)
+        assert type(meta["seed"]) is int and type(meta["epoch"]) is int
+
     @staticmethod
     def _saved(path, params=None):
         """Save a checkpoint and return its JSON document."""

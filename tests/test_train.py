@@ -501,6 +501,41 @@ class TestTrainLoop:
         with pytest.raises(ConfigError, match="eval_every"):
             train(small_dataset(), small_config(epochs=1), eval_every=2)
 
+    @staticmethod
+    def _refused_before_epoch_1(monkeypatch, dataset, eval_data, message):
+        def forward_all(*args, **kwargs):
+            raise AssertionError("train() ran a forward pass")
+        monkeypatch.setattr(importlib.import_module("mvmlc.train"), "forward_all", forward_all)
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}"):
+            train(dataset, small_config(epochs=3), eval_data=eval_data, eval_every=3)
+
+    def test_eval_data_hiding_labels_refused_before_epoch_1(self, monkeypatch):
+        # Its hidden labels would be scored as negatives: AP read low, silently.
+        hidden = small_dataset(n=14, label_missing=0.5)
+        unknown = hidden.labels.size - int(hidden.label_indicator.sum())
+        assert unknown > 0
+        self._refused_before_epoch_1(
+            monkeypatch, small_dataset(n=14), hidden,
+            f"eval_data cannot be scored: {unknown} of its {hidden.labels.size} labels are "
+            "unknown, and the metrics would count them as negatives")
+
+    def test_one_label_eval_data_refused_before_epoch_1(self, monkeypatch):
+        # ranking_loss refused it only at the first report, after training.
+        ds = small_dataset(c=1)
+        self._refused_before_epoch_1(monkeypatch, ds, ds, "eval_data cannot be scored: "
+                                     "ranking_loss: every sample is degenerate")
+
+    @pytest.mark.parametrize("dims,c,named", [
+        ((5, 6), 3, "views (5, 6) with 3 labels"), ((5, 5, 5), 3, "views (5, 5, 5) with 3 labels"),
+        ((5, 5), 4, "views (5, 5) with 4 labels"),
+    ], ids=["widths", "view-count", "label-count"])
+    def test_mismatched_eval_data_refused_before_epoch_1(self, monkeypatch, dims, c, named):
+        # Each failed only at the first report, after training: a ShapeError
+        # from mlp or a ValidationError from the metrics.
+        other = synth_dataset(12, len(dims), c, dims=dims, noise=0.3, seed=0)
+        self._refused_before_epoch_1(monkeypatch, small_dataset(), other,
+                                     f"eval_data has {named}; dataset has (5, 5) and 3")
+
     def test_snapshot_epochs_collected(self):
         ds = small_dataset()
         result = train(ds, small_config(epochs=2), snapshot_epochs=(0, 2))
