@@ -40,7 +40,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError, ShapeError, ValidationError
 from .metrics import CSV_COLUMNS, MetricsReport, check_scorable, evaluate_all
-from .model import ModelParams, forward_all, load_checkpoint, save_checkpoint
+from .model import ModelParams, check_fits, forward_all, load_checkpoint, save_checkpoint
 from .train import TrainConfig, channel_similarity, knob_domain, train
 
 EXIT_OK = 0
@@ -225,10 +225,7 @@ def _checkpoint_and_dataset(args: argparse.Namespace) -> tuple[ModelParams, dict
     except ConfigError as exc:
         raise ValidationError(f"checkpoint {args.checkpoint}: config: {exc}") from None
     dataset = load_dataset(args.manifest)
-    if params.view_dims != dataset.view_dims or params.n_labels != dataset.n_labels:
-        raise ValidationError(
-            f"checkpoint was trained on views {params.view_dims} with {params.n_labels} "
-            f"labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
+    check_fits(params, dataset, "checkpoint was trained on")
     return params, meta, dataset
 
 
@@ -281,7 +278,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if len(set(epochs)) < len(epochs):
         raise ConfigError(f"--snapshots names an epoch twice: {args.snapshots!r}")
     config, train_data, _ = _training_inputs(args)
-    result = train(train_data, config, snapshot_epochs=epochs)
+    # Epochs past the last snapshot change no matrix, so training stops there;
+    # a snapshot outside the schedule is left for train() to refuse.
+    last = max(1, *epochs)
+    stop = last if min(epochs) >= 0 and last <= config.epochs else config.epochs
+    result = train(train_data, replace(config, epochs=stop), snapshot_epochs=epochs)
     _write_run_config(args.out, args, config)
     for k in epochs:
         write_matrix_csv(args.out / f"channel_similarity_epoch{k}.csv", result.snapshots[k])

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, finite_number, shown, writable
 
 Array = np.ndarray
 
@@ -210,7 +210,7 @@ class MaskBank:
     @classmethod
     def generate(cls, n_samples: int, view_dims: tuple[int, ...], mask_ratio: float, seed: int) -> "MaskBank":
         if not 0.0 <= mask_ratio < 1.0:
-            raise ConfigError(f"mask_ratio must be in [0, 1), got {mask_ratio}")
+            raise ConfigError(f"mask_ratio must be in [0, 1), got {shown(mask_ratio, str)}")
         rng = np.random.default_rng(seed)
         masks = []
         for d in view_dims:
@@ -259,7 +259,7 @@ def generate_indicators(
     for name, ratio in (("view_missing_ratio", view_missing_ratio),
                         ("label_missing_ratio", label_missing_ratio)):
         if not 0.0 <= ratio < 1.0:
-            raise ConfigError(f"{name} must be in [0, 1), got {ratio}")
+            raise ConfigError(f"{name} must be in [0, 1), got {shown(ratio, str)}")
     if n_views < 1 or n_samples < 1 or n_labels < 1:
         raise ConfigError("n_samples, n_views and n_labels must all be >= 1")
     rng = np.random.default_rng(seed)
@@ -316,7 +316,8 @@ def synth_dataset(
     """
     if n_samples < 1 or n_views < 1 or n_labels < 1:
         raise ConfigError("n_samples, n_views and n_labels must all be >= 1")
-    sizes = f"n_samples {n_samples}, n_views {n_views}, n_labels {n_labels} and dims {dims}"
+    sizes = (f"n_samples {shown(n_samples, str)}, n_views {shown(n_views, str)}, "
+             f"n_labels {shown(n_labels, str)} and dims {shown(dims, str)}")
     dims = dims if isinstance(dims, int) else tuple(int(d) for d in dims)
     try:  # numpy refuses a size of 2**63 or more before it asks for memory
         if isinstance(dims, int):
@@ -324,11 +325,13 @@ def synth_dataset(
         if len(dims) != n_views:
             raise ConfigError(f"got {len(dims)} view dims for {n_views} views")
         if any(d < 1 for d in dims):
-            raise ConfigError(f"view dims must be >= 1, got {dims}")
-        if not (np.isfinite(noise) and noise >= 0):
-            raise ConfigError(f"noise must be finite and >= 0, got {noise}")
+            raise ConfigError(f"view dims must be >= 1, got {shown(dims, str)}")
+        if not (finite_number(noise) and noise >= 0):
+            raise ConfigError(f"noise must be finite and >= 0, got {shown(noise, str)}")
         if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+            raise ConfigError(f"seed must be >= 0, got {shown(seed, str)}")
+        if not writable(seed):  # the dataset's name writes it
+            raise ConfigError(f"seed must be an integer JSON can write, got {shown(seed)}")
 
         rng = np.random.default_rng(seed)
         latent_dim = n_labels + 2
@@ -364,7 +367,7 @@ def synth_dataset(
 def split(dataset: MultiViewDataset, train_fraction: float, seed: int) -> tuple[MultiViewDataset, MultiViewDataset]:
     """Disjoint train/test row partition, deterministic per seed."""
     if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        raise ConfigError(f"train_fraction must be in (0, 1), got {shown(train_fraction, str)}")
     n = dataset.n_samples
     n_train = int(round(train_fraction * n))
     if n_train == 0 or n_train == n:

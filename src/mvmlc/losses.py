@@ -49,15 +49,13 @@ grows with TILE_ROWS^2 per tile, not with N^2.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, finite_number, shown
 from .numerics import Matrix
 
 logger = logging.getLogger(__name__)
@@ -187,7 +185,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     n_views = len(feats)
     n = feats[0].rows
     if not tau >= TAU_MIN:  # NaN included
-        raise ConfigError(f"temperature must be >= {TAU_MIN}, got {tau}")
+        raise ConfigError(f"temperature must be >= {TAU_MIN}, got {shown(tau, str)}")
     if outer_gate.shape != (n, n_views) or denom_gate.shape != (n, n_views):
         raise ShapeError(
             f"gates must be {(n, n_views)}, got {outer_gate.shape} and {denom_gate.shape}")
@@ -363,15 +361,6 @@ class LossBreakdown:
                    label_skipped=sum(b.label_skipped for _, b in parts))
 
 
-def finite_number(value: numbers.Real) -> bool:
-    """Whether ``value`` is finite, for the loss weights and the float
-    ``TrainConfig`` fields alike."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def total_loss(
     classification: Matrix,
     instance_contrast: Matrix,
@@ -384,7 +373,8 @@ def total_loss(
     """Weighted sum of the four terms, recorded as one primitive; each
     component is kept for logging."""
     if not all(finite_number(w) and w >= 0 for w in (alpha, beta, gamma)):
-        raise ConfigError(f"loss weights must be finite and >= 0, got {(alpha, beta, gamma)}")
+        raise ConfigError(f"loss weights must be finite and >= 0, "
+                          f"got ({', '.join(map(shown, (alpha, beta, gamma)))})")
     combined = nm.emit(classification.value + alpha * instance_contrast.value
                        + beta * label_contrast.value + gamma * reconstruction.value,
                        (classification, instance_contrast, label_contrast, reconstruction),

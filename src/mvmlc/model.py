@@ -36,7 +36,7 @@ import numpy as np
 
 from . import numerics as nm
 from .data import MaskBank, MultiViewDataset, apply_input_mask, read_json_object
-from .errors import ConfigError, ContractError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError, shown, writable
 from .numerics import Matrix
 
 Array = np.ndarray
@@ -187,6 +187,14 @@ class ForwardCache:
     scores: Matrix                # classifier probabilities, N x C
 
 
+def check_fits(held: ModelParams | MultiViewDataset, dataset: MultiViewDataset, what: str) -> None:
+    """Refuse ``dataset`` unless ``held`` (parameters, or another dataset) has its view
+    widths, so its view count, and its label count: an absent view is no missing view."""
+    if (held.view_dims, held.n_labels) != (dataset.view_dims, dataset.n_labels):
+        raise ContractError(f"{what} views {held.view_dims} with {held.n_labels} "
+                            f"labels; dataset has {dataset.view_dims} and {dataset.n_labels}")
+
+
 def observed_rows(view_indicator: Array) -> list[Array]:
     """Per view, the ascending indices of the samples where it is observed:
     the one reading of the view indicator, made once per forward."""
@@ -270,16 +278,17 @@ def forward_all(
 ) -> ForwardCache:
     """Run the network, each view's stack on its observed rows only.
 
-    The view indicator becomes row sets here (:func:`observed_rows`).
-    Input masking applies only when training, and the training forward is
-    one pass over all N rows, recorded on the active tape.  Without
-    training only the encoders, fusion and classifier run, in blocks of
-    ``INFER_ROWS`` samples (see :func:`_infer`), and only the scores are
-    kept: the decoders and heads feed only the training losses, and a
-    block's temporaries stay in cache where all N rows' would not.  No loss
-    check follows that forward, so there an overflow is a
-    :class:`ContractError`.
+    A dataset :func:`check_fits` refuses is refused first; the view
+    indicator becomes row sets here (:func:`observed_rows`).  Input masking
+    applies only when training, and the training forward is one pass over
+    all N rows, recorded on the active tape.  Without training only the
+    encoders, fusion and classifier run, in blocks of ``INFER_ROWS`` samples
+    (see :func:`_infer`), and only the scores are kept: the decoders and
+    heads feed only the training losses, and a block's temporaries stay in
+    cache where all N rows' would not.  No loss check follows that forward,
+    so there an overflow is a :class:`ContractError`.
     """
+    check_fits(params, dataset, "the parameters take")
     n = dataset.n_samples
     rows = observed_rows(dataset.view_indicator)
     if not training:
@@ -329,7 +338,10 @@ def save_checkpoint(
     """
     for name, value in (("seed", seed), ("epoch", epoch)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ContractError(f"save_checkpoint: {name} must be an integer, got {value!r}")
+            raise ContractError(f"save_checkpoint: {name} must be an integer, got {shown(value)}")
+        if not writable(value):
+            raise ContractError(f"save_checkpoint: {name} must be an integer JSON can write, "
+                                f"got {shown(value)}")
     if config is not None and not isinstance(config, dict):
         raise ContractError(f"save_checkpoint: config must be a dict, got {config!r}")
     doc = {

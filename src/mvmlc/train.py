@@ -33,11 +33,10 @@ import numpy as np
 
 from . import losses as ls
 from .data import MaskBank, MultiViewDataset, csv_text
-from .errors import ConfigError, ContractError
-from .losses import (COMPONENTS, TAU_MIN, LossBreakdown, finite_number, label_availability_gate,
-                     total_loss)
+from .errors import ConfigError, ContractError, finite_number, shown, writable
+from .losses import COMPONENTS, TAU_MIN, LossBreakdown, label_availability_gate, total_loss
 from .metrics import METRICS, MetricsReport, check_scorable, evaluate_all
-from .model import ModelParams, encode, forward_all, observed_rows
+from .model import ModelParams, check_fits, encode, forward_all, observed_rows
 from .numerics import Matrix, Tape, backward, refuse_overflow
 
 Array = np.ndarray
@@ -106,12 +105,14 @@ class TrainConfig:
         for f in fields(self):  # bool is an int, so only a bool field takes one
             value, kind = getattr(self, f.name), type(f.default)
             if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
-                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {shown(value)}")
             if kind is float and not finite_number(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+                raise ConfigError(f"{f.name} must be finite, got {shown(value, str)}")
             value = kind(value)  # a plain value, as JSON writes it
             if not _in_domain(value, f.metadata):
-                raise ConfigError(f"{f.name} must be {knob_domain(f)}, got {value!r}")
+                raise ConfigError(f"{f.name} must be {knob_domain(f)}, got {shown(value)}")
+            if kind is int and not writable(value):  # run_config.json and checkpoints write it
+                raise ConfigError(f"{f.name} must be an integer JSON can write, got {shown(value)}")
             setattr(self, f.name, value)
 
     @classmethod
@@ -120,7 +121,7 @@ class TrainConfig:
         for a config file and a checkpoint alike; a non-object, or unknown
         fields (named, sorted), is a :class:`ConfigError`."""
         if not isinstance(doc, dict):
-            raise ConfigError(f"not a JSON object: {doc!r}")
+            raise ConfigError(f"not a JSON object: {shown(doc)}")
         unknown = sorted(set(doc) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown fields {unknown}")
@@ -298,19 +299,17 @@ def train(
     after the given number of completed epochs (0 = initialization).
     """
     if not _integer(eval_every) or eval_every < 0:
-        raise ConfigError(f"eval_every must be an integer >= 0, got {eval_every!r}")
+        raise ConfigError(f"eval_every must be an integer >= 0, got {shown(eval_every)}")
     if eval_every and eval_data is None:
-        raise ConfigError(f"eval_every={eval_every} needs eval_data to evaluate on")
+        raise ConfigError(f"eval_every={shown(eval_every, str)} needs eval_data to evaluate on")
     for k in snapshot_epochs:
         if not _integer(k):
-            raise ConfigError(f"snapshot_epochs must hold integers, got {k!r}")
+            raise ConfigError(f"snapshot_epochs must hold integers, got {shown(k)}")
         if not 0 <= k <= config.epochs:
-            raise ConfigError(f"snapshot epoch {k} outside the schedule (0..{config.epochs})")
+            raise ConfigError(f"snapshot epoch {shown(k, str)} outside the schedule "
+                              f"(0..{config.epochs})")
     if eval_every:
-        if (eval_data.view_dims, eval_data.n_labels) != (dataset.view_dims, dataset.n_labels):
-            raise ContractError(f"eval_data has views {eval_data.view_dims} with "
-                                f"{eval_data.n_labels} labels; dataset has "
-                                f"{dataset.view_dims} and {dataset.n_labels}")
+        check_fits(eval_data, dataset, "eval_data has")
         try:
             check_scorable(eval_data.labels, eval_data.label_indicator)
         except ContractError as exc:
@@ -381,8 +380,9 @@ def channel_similarity(params: ModelParams, dataset: MultiViewDataset) -> Array:
     its rows (a channel with no available row has similarity 0.5 to every
     other).  Returns a symmetric 2v x 2v matrix of [0,1]-mapped cosines
     with unit diagonal.  Only the encoders run, in one pass over each
-    view's observed rows.
+    view's observed rows, on a dataset :func:`~mvmlc.model.check_fits` takes.
     """
+    check_fits(params, dataset, "the parameters take")
     observed = [Matrix(v[r]) for v, r in zip(dataset.views, observed_rows(dataset.view_indicator))]
     with refuse_overflow("forward"):
         shared, private = encode(params, observed)

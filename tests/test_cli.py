@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvmlc
+from mvmlc import cli
 from mvmlc.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, build_parser,
                        build_train_config, main)
 from mvmlc.data import load_dataset, save_dataset, synth_dataset
 from mvmlc.metrics import evaluate_all
 from mvmlc.model import ModelParams, save_checkpoint
-from mvmlc.train import TrainConfig, knob_domain
+from mvmlc.train import TrainConfig, knob_domain, train
 
 from manifests import malformed_npy, write_csv_manifest
 
@@ -852,6 +853,33 @@ def test_heatmap_snapshots_take_labels_the_metrics_cannot_score(tmp_path, capsys
     assert main(["heatmap", "--manifest", str(manifest), "--out", str(tmp_path / "h"),
                  "--epochs", "1", "--snapshots", "0,1"]) == EXIT_OK
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("snapshots,runs", [("0", 1), ("2,0", 2), ("0,4,9", 9)])
+def test_heatmap_snapshots_train_no_epoch_past_the_last(dataset_dir, tmp_path, monkeypatch,
+                                                        capsys, snapshots, runs):
+    # Training ran the whole --epochs schedule after the last snapshot; its
+    # matrices are those of the run that trains every epoch.
+    ran = []
+
+    def counted(*args, **kwargs):
+        result = train(*args, **kwargs)
+        ran.append(len(result.log.records))
+        return result
+
+    common = ["--manifest", str(dataset_dir / "manifest.json"), "--epochs", "9",
+              "--embed-dim", "4", "--hidden-dim", "6"]
+    assert main(["heatmap", *common, "--out", str(tmp_path / "full"),
+                 "--snapshots", "0,1,2,4,9"]) == EXIT_OK
+    monkeypatch.setattr(cli, "train", counted)
+    out = tmp_path / "h"
+    assert main(["heatmap", *common, "--out", str(out), "--snapshots", snapshots]) == EXIT_OK
+    capsys.readouterr()
+    assert ran == [runs]
+    assert json.loads((out / "run_config.json").read_text())["config"]["epochs"] == 9
+    for k in snapshots.split(","):
+        name = f"channel_similarity_epoch{k}.csv"
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["eval", "heatmap"])

@@ -282,6 +282,27 @@ class TestForwardAll:
         assert np.array_equal(base, perturbed)
 
 
+class TestCheckFits:
+    # A missing view is a 0 in the view indicator, never an absent view
+    # column.  Before, a 3-view model scored a 2-view dataset of the same
+    # widths (its view 2 went through encoder 1), and a 2-view model on a
+    # 3-view dataset ended in a KeyError.
+    @pytest.mark.parametrize("run", [
+        lambda params, data: forward_all(params, data, training=True),
+        lambda params, data: forward_all(params, data, training=False),
+        channel_similarity,
+    ], ids=["training-forward", "inference-forward", "channel-similarity"])
+    @pytest.mark.parametrize("dims,c", [((4, 4), 3), ((4, 4, 4, 4), 3), ((4, 5, 4), 3),
+                                        ((4, 4, 4), 2)],
+                             ids=["fewer-views", "more-views", "other-widths", "other-labels"])
+    def test_a_dataset_the_parameters_were_not_built_for_is_refused(self, run, dims, c):
+        params = make_params(view_dims=(4, 4, 4), n_labels=3)
+        data = synth_dataset(6, len(dims), c, dims=dims, noise=0.2, seed=0)
+        expected = f"the parameters take views (4, 4, 4) with 3 labels; dataset has {dims} and {c}"
+        with pytest.raises(ContractError, match=f"^{re.escape(expected)}$"):
+            run(params, data)
+
+
 def blocked_dataset(n=23):
     """A 3-view dataset for blocks of 5 or 10 rows: view 0 is missing from
     rows 5-9, so the block of rows 5-9 holds none of it, view 1 is observed on
