@@ -22,6 +22,7 @@ import io
 import json
 import os
 import tokenize
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,6 +196,19 @@ class MultiViewDataset:
         return self
 
 
+@contextmanager
+def _allocating(sizes: str):
+    """Refuse, as a ``ConfigError`` naming ``sizes``, sizes numpy cannot
+    allocate: it refuses a size of 2**63 or more before it asks for memory,
+    and a count past the float range overflows where a rate multiplies it."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (MemoryError, OverflowError, ValueError):
+        raise ConfigError(f"{sizes} need more values than memory holds") from None
+
+
 @dataclass
 class MaskBank:
     """Per-view binary input masks with one contiguous zero run per row.
@@ -213,14 +227,15 @@ class MaskBank:
             raise ConfigError(f"mask_ratio must be in [0, 1), got {shown(mask_ratio, str)}")
         rng = np.random.default_rng(seed)
         masks = []
-        for d in view_dims:
-            mask = np.ones((n_samples, d))
-            span = int(round(mask_ratio * d))
-            if span > 0:
-                starts = rng.integers(0, d, size=n_samples)
-                cols = (starts[:, None] + np.arange(span)[None, :]) % d
-                mask[np.arange(n_samples)[:, None], cols] = 0.0
-            masks.append(mask)
+        with _allocating(f"n_samples {shown(n_samples, str)} and view_dims {shown(view_dims, str)}"):
+            for d in view_dims:
+                mask = np.ones((n_samples, d))
+                span = int(round(mask_ratio * d))
+                if span > 0:
+                    starts = rng.integers(0, d, size=n_samples)
+                    cols = (starts[:, None] + np.arange(span)[None, :]) % d
+                    mask[np.arange(n_samples)[:, None], cols] = 0.0
+                masks.append(mask)
         return cls(masks=masks)
 
     def subset(self, rows: Array) -> "MaskBank":
@@ -264,22 +279,24 @@ def generate_indicators(
         raise ConfigError("n_samples, n_views and n_labels must all be >= 1")
     rng = np.random.default_rng(seed)
 
-    view_zeros = int(round(view_missing_ratio * n_samples * n_views))
-    if view_zeros > n_samples * (n_views - 1):
-        raise ConfigError(
-            f"view_missing_ratio {view_missing_ratio} would leave some sample with no view "
-            f"({view_zeros} zeros > {n_samples * (n_views - 1)} removable cells)")
-    view_indicator = np.ones((n_samples, n_views))
-    reserved = rng.integers(0, n_views, size=n_samples)
-    removable = np.argwhere(np.arange(n_views)[None, :] != reserved[:, None])
-    picked = rng.choice(removable.shape[0], size=view_zeros, replace=False)
-    rows, cols = removable[picked].T
-    view_indicator[rows, cols] = 0.0
+    with _allocating(f"n_samples {shown(n_samples, str)}, n_views {shown(n_views, str)} "
+                     f"and n_labels {shown(n_labels, str)}"):
+        view_zeros = int(round(view_missing_ratio * n_samples * n_views))
+        if view_zeros > n_samples * (n_views - 1):
+            raise ConfigError(
+                f"view_missing_ratio {view_missing_ratio} would leave some sample with no view "
+                f"({view_zeros} zeros > {n_samples * (n_views - 1)} removable cells)")
+        view_indicator = np.ones((n_samples, n_views))
+        reserved = rng.integers(0, n_views, size=n_samples)
+        removable = np.argwhere(np.arange(n_views)[None, :] != reserved[:, None])
+        picked = rng.choice(removable.shape[0], size=view_zeros, replace=False)
+        rows, cols = removable[picked].T
+        view_indicator[rows, cols] = 0.0
 
-    label_zeros = int(round(label_missing_ratio * n_samples * n_labels))
-    label_indicator = np.ones((n_samples, n_labels))
-    flat = rng.choice(n_samples * n_labels, size=label_zeros, replace=False)
-    label_indicator.ravel()[flat] = 0.0
+        label_zeros = int(round(label_missing_ratio * n_samples * n_labels))
+        label_indicator = np.ones((n_samples, n_labels))
+        flat = rng.choice(n_samples * n_labels, size=label_zeros, replace=False)
+        label_indicator.ravel()[flat] = 0.0
 
     return view_indicator, label_indicator
 
@@ -319,7 +336,7 @@ def synth_dataset(
     sizes = (f"n_samples {shown(n_samples, str)}, n_views {shown(n_views, str)}, "
              f"n_labels {shown(n_labels, str)} and dims {shown(dims, str)}")
     dims = dims if isinstance(dims, int) else tuple(int(d) for d in dims)
-    try:  # numpy refuses a size of 2**63 or more before it asks for memory
+    with _allocating(sizes):
         if isinstance(dims, int):
             dims = (dims,) * n_views
         if len(dims) != n_views:
@@ -356,10 +373,6 @@ def synth_dataset(
                                       f"{VIEW_MAX:g} in magnitude, got {noise}")
             views.append(x)
         ones_v, ones_w = np.ones((n_samples, n_views)), np.ones((n_samples, n_labels))
-    except ConfigError:
-        raise
-    except (MemoryError, OverflowError, ValueError):
-        raise ConfigError(f"{sizes} need more values than memory holds") from None
     return MultiViewDataset(views=views, labels=labels, view_indicator=ones_v,
                             label_indicator=ones_w, name=f"synth-{seed}")
 

@@ -37,13 +37,19 @@ ulps.  An anchor whose denominator is 0 or below is skipped: its only
 gated key is itself, its own denominator gate is off, or its row is zero.
 
 Both contrastive terms run as one taped primitive over the live rows of
-all views, those a gate admits as anchor or key, stacked into one matrix.
-No other row's similarity can reach the loss, so dropping them is exact,
-and with half of all sample-view cells missing the similarity work falls
-about fourfold.  The stacked rows' similarities are symmetric, so only
-the square ``TILE_ROWS`` x ``TILE_ROWS`` tiles on or above the diagonal
-are formed, one at a time, in forward and again in backward: memory
-grows with TILE_ROWS^2 per tile, not with N^2.
+all views, those a gate admits as anchor or key, stacked into one matrix:
+first the weighted anchors, each row (i, a) whose outer gate is nonzero on
+a sample with a second nonzero outer gate, then the key-only live rows,
+each group in view order.  No other row's similarity can reach the loss,
+so dropping them is exact, and with half of all sample-view cells missing
+the similarity work falls about fourfold.  The stacked rows' similarities
+are symmetric, so only tiles on or above the diagonal are formed, in row
+bands over the anchors alone: each band's square ``TILE_ROWS`` x
+``TILE_ROWS`` diagonal tile, then the tiles to its right out to the last
+key row.  The key-only x key-only block is never formed: it feeds only
+row sums and gradient weights that the pair gate multiplies by 0.  Tiles
+are formed one at a time, in forward and again in backward: memory grows
+with TILE_ROWS^2 per tile, not with N^2.
 """
 
 from __future__ import annotations
@@ -131,21 +137,25 @@ def _exp_block(anchors: Array, keys: Array) -> Array:
     return np.exp(block, out=block)
 
 
-def _tiles(units: Array, s: float):
-    """Square tiles ``(rows, cols, block)`` that cover the upper triangle of
-    the symmetric matrix over all pairs of ``units`` rows once: diagonal
-    tiles whole and the tiles above them, in row bands, each band starting
-    with its diagonal tile.  ``block`` is the :func:`_exp_block` of the
-    band's anchor rows ``[s u, -s]``, formed once per band, and the key rows
-    ``[u, 1]``: their product is s (u_i . u_j - 1) = (sim01 - 1)/tau for
-    s = 0.5/tau, sim01 = (u_i . u_j + 1)/2 the [0, 1]-mapped cosine."""
+def _tiles(units: Array, s: float, n_anchors: int):
+    """Square and off-diagonal tiles ``(rows, cols, block)`` that cover,
+    once, every pair of ``units`` rows with a side among the first
+    ``n_anchors``: row bands over those anchor rows only, each starting
+    with its square diagonal tile, then the tiles to its right out to the
+    last row.  No tile has two sides past ``n_anchors``: that block of the
+    symmetric matrix is never formed.
+    ``block`` is the :func:`_exp_block` of the band's anchor rows
+    ``[s u, -s]``, formed once per band, and the key rows ``[u, 1]``: their
+    product is s (u_i . u_j - 1) = (sim01 - 1)/tau for s = 0.5/tau, sim01 =
+    (u_i . u_j + 1)/2 the [0, 1]-mapped cosine."""
     n = units.shape[0]
     keys = np.hstack([units, np.ones((n, 1))])
-    for lo in range(0, n, TILE_ROWS):
-        rows = slice(lo, min(lo + TILE_ROWS, n))
+    for lo in range(0, n_anchors, TILE_ROWS):
+        rows = slice(lo, min(lo + TILE_ROWS, n_anchors))
         anchors = keys[rows] * s
         anchors[:, -1] = -s
-        for col in range(lo, n, TILE_ROWS):
+        yield rows, rows, _exp_block(anchors, keys[rows])
+        for col in range(rows.stop, n, TILE_ROWS):
             cols = slice(col, min(col + TILE_ROWS, n))
             yield rows, cols, _exp_block(anchors, keys[cols])
 
@@ -164,27 +174,35 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     denominator gate is off, and whose sum so holds no self-pair, has the
     1 subtracted from its denominator.
 
-    ``tau`` below ``TAU_MIN``, or NaN, is a ``ConfigError``.  The gates are
+    ``tau`` below ``TAU_MIN``, NaN or past the float range is a
+    ``ConfigError``.  The gates are
     0/1 availability indicators: each other gated key then adds at least
     e^-500 to a denominator, so only the gates and rows can make it 0.
 
     Only live rows take part, those with a nonzero outer or denominator
     gate in their view.  Any other row is neither a weighted anchor nor a
     gated key, so none of its similarities reaches the loss or a gradient.
-    The live rows of all views are stacked, in view order, into L rows,
-    and every denominator is a gated row sum of their L x L exponentials:
-    an L x v matrix of gates, each row's in its view's column, turns one
-    product per tile into the row sums over every view's keys at once.
-    That matrix is symmetric, so only the square TILE_ROWS x TILE_ROWS
-    tiles on or above its diagonal are formed; a tile above it yields the
-    row sums of its transpose as well.  Tiles are formed again in the
-    backward pass instead of being kept.  Row sums and positive cosines
-    meet in N x v x v arrays, one entry per sample and ordered view pair,
-    zero off the live rows.
+    A live row (i, a) is a weighted anchor when ``outer_gate[i, a]`` and
+    some other ``outer_gate[i, b]`` are nonzero; every other live row is
+    key-only, a key in denominators that no pair weights.  The live rows
+    are stacked into L rows, the A anchors first, then the key-only rows,
+    each group in view order, and every anchor's denominator is a gated
+    row sum of its L exponentials: an L x v matrix of gates, each row's in
+    its view's column, turns one product per tile into the row sums over
+    every view's keys at once.  The L x L matrix is symmetric, so only
+    tiles on or above its diagonal with an anchor side are formed (see
+    :func:`_tiles`).  The key-only x key-only block is skipped: it would
+    feed only key-only rows' sums and gradient weights, which the pair
+    gate multiplies by 0.  A tile above the diagonal yields the row sums of
+    its transposed anchor columns as well.  Tiles are formed again in the
+    backward pass instead of being kept; there a key-only row gets its
+    gradient as a key through the transposed products.  Row sums and
+    positive cosines meet in N x v x v arrays, one entry per sample and
+    ordered view pair.
     """
     n_views = len(feats)
     n = feats[0].rows
-    if not tau >= TAU_MIN:  # NaN included
+    if not (finite_number(tau) and tau >= TAU_MIN):  # NaN included
         raise ConfigError(f"temperature must be >= {TAU_MIN}, got {shown(tau, str)}")
     if outer_gate.shape != (n, n_views) or denom_gate.shape != (n, n_views):
         raise ShapeError(
@@ -193,10 +211,17 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         return ContrastiveResult(Matrix(0.0), 0)
 
     inv_tau = 1.0 / tau
-    live = (outer_gate != 0) | (denom_gate != 0)
-    view_of, row_of = np.nonzero(live.T)  # the stacked live rows, in view order
-    units, inv_norms = unit_rows(np.concatenate([f.value[live[:, k]] for k, f in enumerate(feats)]))
+    outer_on = outer_gate != 0
+    anchor = outer_on & (np.count_nonzero(outer_on, axis=1) >= 2)[:, None]
+    key_only = (outer_on | (denom_gate != 0)) & ~anchor
+    # The stacked live rows: the weighted anchors, then the key-only rows,
+    # each group in view order.
+    view_of, row_of = np.concatenate([np.nonzero(anchor.T), np.nonzero(key_only.T)], axis=1)
+    units, inv_norms = unit_rows(np.concatenate(
+        [f.value[anchor[:, k]] for k, f in enumerate(feats)]
+        + [f.value[key_only[:, k]] for k, f in enumerate(feats)]))
     n_live, d = units.shape
+    n_anchors = int(np.count_nonzero(anchor))
     s = 0.5 * inv_tau
     gates = np.zeros((n_live, n_views))
     gates[np.arange(n_live), view_of] = denom_gate[row_of, view_of]
@@ -207,17 +232,17 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
     self_pair = np.where(inv_norms[:, 0] > 0, 0.0, np.exp((0.5 - 1.0) * inv_tau) - 1.0)
 
     live_sums = np.zeros((n_live, n_views))
-    for rows, cols, block in _tiles(units, s):
+    for rows, cols, block in _tiles(units, s, n_anchors):
         if rows == cols:
             np.fill_diagonal(block, self_pair[rows])
-        else:
+        elif cols.start < n_anchors:  # no key-only row's sum is read
             live_sums[cols] += block.T @ gates[rows]
         live_sums[rows] += block @ gates[cols]
     # exp_sums[i, a, k]: row sum of exp((sim - 1)/tau) over the gated keys of
-    # view k, for anchor i of view a; sample_units[i, a]: unit row i of view
-    # a.  Both are zero off the live rows.
+    # view k, for anchor i of view a, zero off the anchor rows; sample_units[i,
+    # a]: unit row i of view a, zero off the live rows.
     exp_sums = np.zeros((n, n_views, n_views))
-    exp_sums[row_of, view_of] = live_sums
+    exp_sums[row_of[:n_anchors], view_of[:n_anchors]] = live_sums[:n_anchors]
     sample_units = np.zeros((n, n_views, d))
     sample_units[row_of, view_of] = units
 
@@ -253,7 +278,7 @@ def _masked_infonce(feats: list[Matrix], outer_gate: Array, denom_gate: Array, t
         d_live = d_sums[row_of, view_of] * s
         left, right = np.hstack([d_live, gates]), np.hstack([gates, d_live])
         du = d_units[row_of, view_of]
-        for rows, cols, w in _tiles(units, s):
+        for rows, cols, w in _tiles(units, s, n_anchors):
             w *= left[rows] @ right[cols].T
             if rows == cols:
                 np.fill_diagonal(w, 0.0)

@@ -332,9 +332,10 @@ def save_checkpoint(
     parameters give byte-identical files, and so does a load then a save.
 
     An integral ``seed`` or ``epoch`` (``np.int64`` too) is stored as a plain
-    int; a bool or non-integer one, or a ``config`` that is not a dict, is a
-    :class:`ContractError` naming the field.  The document is serialized
-    before ``path`` is opened, so one that json cannot write leaves the old file.
+    int; a bool or non-integer one, or a ``config`` that is not a dict or
+    that json cannot write, is a :class:`ContractError` naming the field.
+    The document is serialized before ``path`` is opened, so a refused one
+    leaves the old file.
     """
     for name, value in (("seed", seed), ("epoch", epoch)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -355,7 +356,12 @@ def save_checkpoint(
         "config": config or {},
         "vector": base64.b64encode(params.vector.astype("<f8", copy=False).tobytes()).decode(),
     }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    # A value of no JSON type is a TypeError, an integer past Python's digit
+    # limit a ValueError; the checks above leave only config to hold either.
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"save_checkpoint: config must be a dict JSON can write ({exc})") from None
     with open(path, "w") as fh:
         fh.write(text)
 

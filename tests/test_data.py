@@ -134,6 +134,24 @@ class TestGenerateIndicators:
             generate_indicators(10, 2, 3, 0.9, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("call,sizes", [
+    (lambda: generate_indicators(10 ** 30, 2, 2, 0.0, 0.0, 0),
+     f"n_samples {10 ** 30}, n_views 2 and n_labels 2"),
+    (lambda: generate_indicators(10 ** 5000, 2, 2, 0.1, 0.0, 0),
+     "n_samples an integer of more than 4300 digits, n_views 2 and n_labels 2"),
+    (lambda: MaskBank.generate(10 ** 30, (4,), 0.3, 0), f"n_samples {10 ** 30} and view_dims (4,)"),
+    (lambda: MaskBank.generate(10 ** 5000, (4,), 0.3, 0),
+     "n_samples an integer of more than 4300 digits and view_dims (4,)"),
+], ids=["indicators-1e30", "indicators-digit-limit", "masks-1e30", "masks-digit-limit"])
+def test_unallocatable_sample_count_is_a_config_error(call, sizes):
+    # numpy refused the size with "Maximum allowed dimension exceeded", and
+    # a count past the float range overflowed where a rate multiplies it:
+    # a ValueError and an OverflowError, where synth_dataset names the sizes.
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert str(caught.value) == f"{sizes} need more values than memory holds"
+
+
 class TestSynthDataset:
     def test_linear_probe_recovers_labels_when_noise_free(self):
         ds = synth_dataset(50, 3, 4, dims=(6, 5, 7), noise=0.0, seed=1)

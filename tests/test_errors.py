@@ -41,7 +41,7 @@ CASES = {
     "total-loss": (lambda v, _: total_loss(ONE, ONE, ONE, ONE, 0.0, v, 0.0), ConfigError,
                    "loss weights", BOTH),
     "temperature": (lambda v, _: instance_contrastive([ONE, ONE], np.ones((1, 2)), v),
-                    ConfigError, "temperature", NEGATIVE),
+                    ConfigError, "temperature", BOTH),
     "snapshot-epochs": (lambda v, _: train(_small(), TrainConfig(epochs=1), snapshot_epochs=(v,)),
                         ConfigError, "snapshot epoch", BOTH),
     "eval-every": (lambda v, _: train(_small(), TrainConfig(epochs=1), eval_every=v),

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -35,7 +36,7 @@ class TestCosineSim01:
 
     @staticmethod
     def only_tile(unit, tau):
-        (rows, cols, block), = losses._tiles(unit, 0.5 / tau)
+        (rows, cols, block), = losses._tiles(unit, 0.5 / tau, len(unit))
         assert rows == cols == slice(0, len(unit))
         return block
 
@@ -202,9 +203,10 @@ COMPACTION_GATES = {
 
 class TestFusedContrastive:
     """The contrastive core is one primitive with a hand-written VJP.  It
-    stacks every view's live rows into one matrix and forms their symmetric
-    exponentials in square losses.TILE_ROWS tiles on or above the diagonal,
-    so tiles may straddle view boundaries."""
+    stacks every view's live rows into one matrix, weighted anchors first,
+    and forms their symmetric exponentials in losses.TILE_ROWS tiles on or
+    above the diagonal with an anchor side, so tiles may straddle view
+    boundaries and the boundary between anchors and key-only rows."""
 
     def test_gradients_match_finite_differences_across_tiles(self, monkeypatch):
         monkeypatch.setattr(losses, "TILE_ROWS", 3)
@@ -324,11 +326,52 @@ class TestFusedContrastive:
         report = gradient_check(loss, probs, step=1e-6, tol=1e-5)
         assert report.passed, report
 
+    @pytest.mark.parametrize("term", ["instance", "label", "label gate mode label"])
+    def test_anchor_and_key_only_rows_across_tiles_match_oracle_and_finite_differences(
+            self, monkeypatch, term):
+        # Weighted anchors (an outer-gated row of a sample with a second
+        # outer-gated view) stack first, then key-only rows; each group spans
+        # several tiles of 3 rows.  A key-only row meets only anchors, yet its
+        # gradient as a key is nonzero.
+        monkeypatch.setattr(losses, "TILE_ROWS", 3)
+        rng = np.random.default_rng(54)
+        n, v, c = 20, 3, 4
+        view_ind = np.zeros((n, v))
+        view_ind[np.arange(n), rng.integers(v, size=n)] = 1.0
+        view_ind[:10] = np.maximum(view_ind[:10], rng.random((10, v)) > 0.4)
+        label_ind = (rng.random((n, c)) > 0.5).astype(float)
+        label_ind[[1, 9]] = 0.0  # no known label: such a sample is no anchor of the label term
+        if term == "instance":
+            feats = rand_feats(rng, n, v, 4)
+            outer = denom = view_ind
+            call = instance_contrastive
+        else:
+            feats = [Matrix(rng.random((n, c))) for _ in range(v)]
+            outer = label_availability_gate(label_ind, view_ind)
+            denom = outer if term == "label gate mode label" else view_ind
+            call = functools.partial(label_contrastive, denom_gate=denom)
+        anchor = (outer > 0) & (np.sum(outer > 0, axis=1) >= 2)[:, None]
+        key = (denom > 0) & ~anchor
+        assert np.count_nonzero(anchor) > 6 and np.count_nonzero(key) > 6
+
+        res, grads = infonce_with_grads(feats, outer, denom, 0.5)
+        assert call(feats, outer, tau=0.5).loss.item() == res.loss.item()
+        want, skipped = masked_infonce_oracle([f.value for f in feats], outer, denom, 0.5)
+        assert abs(res.loss.item() - want) <= 1e-10
+        assert res.skipped == skipped
+        for k, g in enumerate(grads):
+            assert np.all(np.any(g[key[:, k]] != 0.0, axis=1))
+        report = gradient_check(lambda p: call(list(p), outer, tau=0.5).loss,
+                                feats, step=1e-6, tol=1e-5)
+        assert report.passed, report
+
     def test_blocks_span_only_live_rows(self, monkeypatch):
-        # Forward and backward each form the tiles on or above the diagonal of
-        # the L x L matrix of stacked live rows: 2 * sum over tile pairs
-        # (cols >= rows) of |rows| * |cols|.  N x N blocks per view pair would
-        # form 2 * 6 * n^2 similarities here, and every tile pair 2 * L^2.
+        # Forward and backward each form, for every row band of the A stacked
+        # weighted anchors, its diagonal tile and the tiles to its right out
+        # to the last of the L live rows: 2 * sum over bands of |band| * (L -
+        # band start).  The key-only x key-only block is never formed; N x N
+        # blocks per view pair would form 2 * 6 * n^2 similarities here, and
+        # the whole upper triangle of the live rows about L^2.
         sizes = []
         exp_block = losses._exp_block
 
@@ -343,27 +386,36 @@ class TestFusedContrastive:
         n, v = 60, 3
         outer, denom = COMPACTION_GATES["outer rows outside the denominator"](rng, n, v)
         infonce_with_grads(rand_feats(rng, n, v, 5), outer, denom, 0.5)
-        live = [np.count_nonzero((outer[:, k] > 0) | (denom[:, k] > 0)) for k in range(v)]
-        assert max(live) < n
-        tiles = [min(16, sum(live) - lo) for lo in range(0, sum(live), 16)]
-        assert len(tiles) > 2 and tiles[-1] < 16
-        assert sum(sizes) == 2 * sum(tiles[i] * tiles[j]
-                                     for i in range(len(tiles)) for j in range(i, len(tiles)))
+        n_live = np.count_nonzero((outer > 0) | (denom > 0))
+        n_anchors = np.count_nonzero((outer > 0) & (np.sum(outer > 0, axis=1) >= 2)[:, None])
+        assert n_live < v * n and n_live - n_anchors > 16
+        bands = [(lo, min(16, n_anchors - lo)) for lo in range(0, n_anchors, 16)]
+        assert len(bands) > 2 and bands[-1][1] < 16
+        assert sum(sizes) == 2 * sum(rows * (n_live - lo) for lo, rows in bands)
 
-    @pytest.mark.parametrize("n", [0, 1, 4, 5, 11], ids=["0", "1", "T", "T+1", "2T+3"])
-    def test_tile_pairs_cover_the_upper_triangle_once(self, monkeypatch, n):
+    @pytest.mark.parametrize("n,n_anchors", [(0, 0), (1, 1), (4, 4), (5, 5), (11, 11), (5, 0), (5, 3),
+                                             (11, 4), (11, 6), (11, 9), (12, 8)],
+                             ids=["0", "1", "T", "T+1", "2T+3", "T+1 no anchor", "T+1 3 anchors",
+                                  "2T+3 T anchors", "2T+3 T+2 anchors", "2T+3 2T+1 anchors",
+                                  "3T 2T anchors"])
+    def test_tile_pairs_cover_the_upper_triangle_once(self, monkeypatch, n, n_anchors):
+        # Every pair of rows with a side among the first n_anchors is formed
+        # once, on or above the diagonal; no pair of two later rows is formed.
         monkeypatch.setattr(losses, "TILE_ROWS", 4)
         covered = np.zeros((n, n), dtype=int)
         band = None
-        for rows, cols, block in losses._tiles(np.zeros((n, 1)), 1.0):
+        for rows, cols, block in losses._tiles(np.zeros((n, 1)), 1.0, n_anchors):
             if rows != band:  # each row band starts with its diagonal tile
                 assert cols == rows and (band is None or band.stop == rows.start)
                 band = rows
             assert rows == cols or rows.stop <= cols.start  # on or above the diagonal
+            assert rows.stop <= n_anchors
             assert rows.stop - rows.start <= 4 and cols.stop - cols.start <= 4
             assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
             covered[rows, cols] += 1
-        np.testing.assert_array_equal(covered[np.triu_indices(n)], 1)
+        i, j = np.triu_indices(n)
+        np.testing.assert_array_equal(covered[i, j], i < n_anchors)
+        np.testing.assert_array_equal(covered[n_anchors:, n_anchors:], 0)
 
     def test_tiles_straddling_views_around_a_view_without_live_rows(self, monkeypatch):
         # Live counts 4, 0 and 7 stack into 11 rows; tiles of 3 rows put rows
@@ -483,8 +535,9 @@ def floor_cases(draw):
 
 class TestTemperatureFloor:
     """At ``TAU_MIN`` every exponent is at least -500: no exponential
-    underflows and the backward has headroom.  Below it, and at NaN, the
-    losses refuse the temperature."""
+    underflows and the backward has headroom.  Below it, at NaN and past
+    the float range (where 1/tau overflowed), the losses refuse the
+    temperature."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_antipodal_key_at_the_floor_is_finite(self, seed):
@@ -499,7 +552,9 @@ class TestTemperatureFloor:
         assert all(np.isfinite(g).all() for g in grads)
 
     @pytest.mark.parametrize("tau", [np.nextafter(TAU_MIN, 0.0), 1.45e-3, 1.42e-3, 1e-3, 1e-16,
-                                     3e-19, 0.0, -0.5, math.nan])
+                                     3e-19, 0.0, -0.5, math.nan, math.inf,
+                                     pytest.param(10 ** 400, id="10**400"),
+                                     pytest.param(10 ** 5000, id="10**5000")])
     def test_temperature_below_the_floor_is_refused(self, tau):
         u = np.random.default_rng(0).normal(size=(1, 3))
         feats, gate = [Matrix(u), Matrix(-u)], np.ones((1, 2))
